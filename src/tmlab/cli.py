@@ -343,14 +343,37 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The options a config file may set for `command`, by destination."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+def _config_value(action: argparse.Action, key: str, val):
+    # A config value is typed like the same text after the flag, so it is
+    # accepted exactly when the command line would accept it.
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise InvalidInputError(f"config {key}: {val!r} is not a flag value")
+    try:
+        typed = action.type(str(val)) if action.type else str(val)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"config {key}: invalid value {val!r}") from exc
+    if action.choices is not None and typed not in action.choices:
+        raise InvalidInputError(f"config {key}: {val!r} is not one of "
+                                f"{list(action.choices)}")
+    return typed
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
                        argv) -> argparse.Namespace:
     if not args.config:
         return args
     with open(args.config) as fh:
         defaults = json.load(fh)
-    known = {a.replace("-", "_") for a in vars(args)}
-    unknown = {k for k in defaults if k.replace("-", "_") not in known}
+    actions = _flag_actions(parser, args.command)
+    unknown = {k for k in defaults if k.replace("-", "_") not in actions}
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
     # Flags explicitly present on the command line override the file.
@@ -359,7 +382,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     for key, val in defaults.items():
         attr = key.replace("-", "_")
         if attr not in explicit:
-            setattr(args, attr, val)
+            setattr(args, attr, _config_value(actions[attr], key, val))
     return args
 
 

@@ -245,6 +245,7 @@ def classify_coercivity(pot: Potential, grid: RadialGrid,
     GroundStateDetected: divergent stretch, or phi positive but vanishing
     at the rim (critical case).
     Indefinite: the shot solution crosses zero (V too strong).
+    An integrator failure is no verdict: its StepFailureError propagates.
     """
     if config is None:
         config = GroundStateConfig()
@@ -253,8 +254,6 @@ def classify_coercivity(pot: Potential, grid: RadialGrid,
     except NodalSolutionError as exc:
         return CoercivityResult(INDEFINITE, None,
                                 f"nodal solution at r = {exc.radius:.6g}")
-    except StepFailureError as exc:
-        return CoercivityResult(INDEFINITE, None, f"integrator failure: {exc}")
     if gs.s_divergent:
         return CoercivityResult(
             GROUND_STATE, gs,

@@ -60,7 +60,8 @@ class ProbeConfig:
     residual_ratio: float = 0.5
     min_growth_rows: int = 5
     # A constrained value this far above the classical disk supremum
-    # (~11.25 at the 4 pi exponent) counts as divergence evidence.
+    # (finite at the 4 pi exponent, and above pi (1 + e) ~ 11.68 by
+    # Carleson-Chang) counts as divergence evidence.
     divergence_j_threshold: float = 1e6
 
 
@@ -322,30 +323,36 @@ def probe_supremum(form: Remainder, family: TrialFamily,
 # ---------------------------------------------------------------------------
 
 def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nonincreasing sequences."""
-    z = y[::-1].copy()  # nondecreasing problem
-    level = z.copy()
-    weight = np.ones_like(z)
-    j = 0
-    idx = np.zeros(z.size, dtype=int)
-    for i in range(1, z.size):
-        j += 1
-        level[j] = z[i]
-        weight[j] = 1.0
-        idx[j] = i
-        while j > 0 and level[j - 1] > level[j]:
-            tot = weight[j - 1] + weight[j]
-            level[j - 1] = (weight[j - 1] * level[j - 1]
-                            + weight[j] * level[j]) / tot
-            weight[j - 1] = tot
-            j -= 1
-    out = np.empty_like(z)
-    start = 0
-    for b in range(j + 1):
-        end = idx[b + 1] if b < j else z.size
-        out[start:end] = level[b]
-        start = end
-    return out[::-1]
+    """Pool-adjacent-violators projection onto nonincreasing sequences.
+
+    The plain stack PAV on the reversed (nondecreasing) problem: each
+    element is pushed as a block and pooled with the block below while
+    that block's level is higher, by (pw*pl + w*lv) / (pw + w).  Merge
+    order and arithmetic are exactly those, so the result is bit-identical
+    to the element-by-element loop.  Only the bookkeeping is batched: once
+    an element of a nondecreasing run of input pools nothing, neither can
+    the rest of the run, so it is pushed whole.
+    """
+    zr = y[::-1]  # nondecreasing problem
+    z = zr.tolist()
+    run_ends = (np.flatnonzero(zr[1:] < zr[:-1]) + 1).tolist() + [len(z)]
+    level: list[float] = []
+    count: list[int] = []
+    i = 0
+    for end in run_ends:
+        while i < end and level and level[-1] > z[i]:
+            lv, w = z[i], 1
+            while level and level[-1] > lv:
+                pl, pw = level.pop(), count.pop()
+                lv = (pw * pl + w * lv) / (pw + w)
+                w += pw
+            level.append(lv)
+            count.append(w)
+            i += 1
+        level.extend(z[i:end])
+        count.extend([1] * (end - i))
+        i = end
+    return np.repeat(np.array(level, dtype=float), count)[::-1]
 
 
 @dataclass
@@ -488,20 +495,32 @@ def _stiffness_mass(grid: RadialGrid):
     return a_diag, a_off, m_diag, m_off
 
 
-def _tridiag_solve(diag, off, b):
-    """Thomas algorithm for a symmetric tridiagonal system."""
-    n = diag.size
-    c = off.copy()
-    d = diag.copy()
-    x = b.copy()
-    for i in range(1, n):
-        m = c[i - 1] / d[i - 1]
-        d[i] -= m * c[i - 1]
-        x[i] -= m * x[i - 1]
-    x[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - c[i] * x[i + 1]) / d[i]
-    return x
+def _thomas_factor(diag, off):
+    """Elimination step of the Thomas algorithm for a symmetric
+    tridiagonal matrix: multipliers m[i] = off[i-1] / d[i-1] and pivots
+    d[i], as Python lists.  They depend on the matrix only, so repeated
+    solves factor once."""
+    c = off.tolist()
+    d = diag.tolist()
+    m = [0.0] * len(d)
+    for i in range(1, len(d)):
+        m[i] = c[i - 1] / d[i - 1]
+        d[i] -= m[i] * c[i - 1]
+    return m, d, c
+
+
+def _tridiag_solve(factors, b):
+    """Forward and back sweeps of the Thomas algorithm on a matrix
+    factored by _thomas_factor."""
+    m, d, c = factors
+    x = b.tolist()
+    prev = x[0]
+    for i in range(1, len(x)):
+        prev = x[i] = x[i] - m[i] * prev
+    prev = x[-1] = prev / d[-1]
+    for i in range(len(x) - 2, -1, -1):
+        prev = x[i] = (x[i] - c[i] * prev) / d[i]
+    return np.array(x)
 
 
 def estimate_lambda_1(grid: RadialGrid, iterations: int = 60,
@@ -526,10 +545,11 @@ def estimate_lambda_1(grid: RadialGrid, iterations: int = 60,
         y[1:] += ao * x[:-1]
         return y
 
+    factors = _thomas_factor(ad, ao)
     x = 1.0 - grid.nodes[:-1] ** 2
     lam = math.nan
     for _ in range(iterations):
-        x = _tridiag_solve(ad, ao, m_apply(x))
+        x = _tridiag_solve(factors, m_apply(x))
         x /= math.sqrt(float(x @ m_apply(x)))
         new_lam = float(x @ a_apply(x))
         if not math.isnan(lam) and abs(new_lam - lam) < tol * new_lam:

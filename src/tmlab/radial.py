@@ -150,6 +150,10 @@ class RadialFunction:
     @classmethod
     def from_csv(cls, path) -> "RadialFunction":
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise InvalidInputError(f"{path}: non-finite value in data row "
+                                    f"{int(np.argmin(finite)) + 1}")
         grid = RadialGrid(rows[:, 0])
         vals = rows[:, 1]
         return cls(grid, vals, dirichlet=(vals[-1] == 0.0))

@@ -80,3 +80,35 @@ def leray_sqrt_log_residual(r: np.ndarray) -> np.ndarray:
     lhs = 1.0 / (4.0 * r * r * L ** 1.5)
     rhs = (1.0 / (4.0 * r * r * L * L)) * np.sqrt(L)
     return lhs - rhs
+
+
+def pav_nonincreasing_stack(y: np.ndarray) -> np.ndarray:
+    """Plain stack pool-adjacent-violators onto nonincreasing sequences,
+    one element per loop turn, on the reversed (nondecreasing) problem.
+
+    The package's projection batches this loop's bookkeeping but keeps its
+    merge order and arithmetic, so the two must agree bit for bit.
+    """
+    z = y[::-1].copy()
+    level = z.copy()
+    weight = np.ones_like(z)
+    j = 0
+    idx = np.zeros(z.size, dtype=int)
+    for i in range(1, z.size):
+        j += 1
+        level[j] = z[i]
+        weight[j] = 1.0
+        idx[j] = i
+        while j > 0 and level[j - 1] > level[j]:
+            tot = weight[j - 1] + weight[j]
+            level[j - 1] = (weight[j - 1] * level[j - 1]
+                            + weight[j] * level[j]) / tot
+            weight[j - 1] = tot
+            j -= 1
+    out = np.empty_like(z)
+    start = 0
+    for b in range(j + 1):
+        end = idx[b + 1] if b < j else z.size
+        out[start:end] = level[b]
+        start = end
+    return out[::-1]

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -45,6 +46,20 @@ def test_eval_profile_from_file(tmp_path):
     out = tmp_path / "ev.csv"
     assert run(["eval", "--u", f"file:{src}", "--form", "gamma:0.5",
                 "--out", str(out)]) == 0
+
+
+def test_eval_rejects_non_finite_profile(tmp_path, capsys):
+    grid = RadialGrid.default(512)
+    src = tmp_path / "prof.csv"
+    RadialFunction.from_callable(grid, lambda r: 1 - r).to_csv(src)
+    lines = src.read_text().splitlines()
+    lines[100] = lines[100].split(",")[0] + ",nan"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ev.csv"
+    assert run(["eval", "--u", f"file:{src}", "--form", "none",
+                "--out", str(out)]) == 2
+    assert "non-finite value in data row 100" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors(tmp_path):
@@ -164,6 +179,24 @@ def test_config_file(tmp_path, capsys):
                 "--form", "none", "--out", str(out)]) == 2
 
 
+def test_config_values_typed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "a.csv"
+    args = ["--config", str(cfg), "audit", "--ineq", "onofri",
+            "--form", "none", "--out", str(out)]
+    # The text a flag accepts is accepted from the file too.
+    cfg.write_text(json.dumps({"grid_n": "512", "samples": "10"}))
+    assert run(args) == 0
+    echoed = json.loads(out.read_text().splitlines()[1].split("=", 1)[1])
+    assert echoed["samples"] == 10 and echoed["grid_n"] == 512
+    # Anything the flag would reject is a usage error, never a traceback.
+    for bad in ({"samples": "ten"}, {"samples": 2.5}, {"samples": True},
+                {"samples": [10]}, {"format": "xml"}, {"func": "x"}):
+        cfg.write_text(json.dumps(bad))
+        assert run(args) == 2, bad
+    assert "invalid value" in capsys.readouterr().err
+
+
 def test_provenance_headers(tmp_path):
     out = tmp_path / "ev.csv"
     run(["eval", "--u", "zero", "--out", str(out), "--grid-n", "512"])
@@ -173,3 +206,16 @@ def test_provenance_headers(tmp_path):
     echoed = json.loads(lines[1].split("=", 1)[1])
     assert echoed["grid_n"] == 512
     assert "out" not in echoed
+
+
+def test_integrator_failure_is_numerical(tmp_path, monkeypatch, capsys):
+    import tmlab.groundstate as groundstate
+
+    def failing_solve_ivp(*args, **kwargs):
+        return types.SimpleNamespace(status=-1, message="step size too small")
+
+    monkeypatch.setattr(groundstate, "solve_ivp", failing_solve_ivp)
+    out = tmp_path / "gs.csv"
+    assert run(["groundstate", "--potential", "constant:2.0",
+                "--out", str(out)]) == 3
+    assert "step size too small" in capsys.readouterr().err

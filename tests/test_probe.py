@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import LAMBDA_1, bessel_j0, j0_first_zero, simpson
+from oracles import (LAMBDA_1, bessel_j0, j0_first_zero,
+                     pav_nonincreasing_stack, simpson)
 from tmlab.errors import InvalidInputError
 from tmlab.forms import LpRemainder, NoRemainder, PotentialRemainder, eval_Q
 from tmlab.potentials import ConstantPotential, LerayPotential
@@ -141,6 +144,32 @@ def test_pav_projection():
     assert np.array_equal(_pav_nonincreasing(mono), mono)
 
 
+# Few distinct values make ties and plateaus common; the shapes cover
+# sorted (nothing to pool) and reversed (everything pools) input.
+_pav_inputs = st.tuples(
+    st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+                       st.floats(-1e6, 1e6, allow_nan=False)),
+             min_size=1, max_size=600),
+    st.sampled_from(["raw", "sorted", "reversed", "plateaus"]))
+
+
+@settings(deadline=None)
+@given(_pav_inputs)
+def test_pav_bit_identical_to_stack_loop(case):
+    values, shape = case
+    y = np.array(values)
+    if shape == "sorted":
+        y = np.sort(y)
+    elif shape == "reversed":
+        y = np.sort(y)[::-1].copy()
+    elif shape == "plateaus":
+        y = np.repeat(y, 3)[:600]
+    z = _pav_nonincreasing(y)
+    assert np.array_equal(z, pav_nonincreasing_stack(y))
+    assert np.all(np.diff(z) <= 0.0)
+    assert np.array_equal(_pav_nonincreasing(z), z)
+
+
 def test_maximize_matches_family(grid):
     res = maximize_J_constrained(NoRemainder(), grid, budget=160, seed=1)
     best = max(r.j_normalized
@@ -177,6 +206,19 @@ def test_lambda1_against_bessel(grid, grid_2048, lambda1):
     sample = grid.nodes[::128][:-1]
     expected = np.array([bessel_j0(j01 * r) for r in sample])
     assert np.max(np.abs(eig(sample) - expected)) < 1e-3
+
+
+def test_lambda1_pinned(grid_1024):
+    # Computed with a Thomas solve that refactored the matrix on every
+    # step; factoring once keeps the arithmetic, so the value is exact.
+    assert estimate_lambda_1(grid_1024)[0] == 5.783009870057265
+
+
+def test_lambda4_pinned(lambda4_estimate):
+    # Computed with the element-by-element stack PAV; the batched
+    # projection keeps its arithmetic, so the descent and values are exact.
+    assert lambda4_estimate.value == 6.906189276603689
+    assert lambda4_estimate.spread == 21.362422514531325
 
 
 def test_lambda_p_limits(grid_1024, lambda4_estimate):

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -372,6 +373,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         return args
     with open(args.config) as fh:
         defaults = json.load(fh)
+    if not isinstance(defaults, dict):
+        raise InvalidInputError(f"config {args.config}: top level must be "
+                                "a JSON object")
     actions = _flag_actions(parser, args.command)
     unknown = {k for k in defaults if k.replace("-", "_") not in actions}
     if unknown:
@@ -398,11 +402,15 @@ def main(argv=None) -> int:
         if args.out is None:
             args.out = f"tmlab_{args.command}.{args.format}"
         return args.func(args)
-    except (InvalidInputError, FileNotFoundError, ValueError) as exc:
+    except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (SingularEvaluationError, TmLabError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except Exception:
+        # A defect is no verdict: exit 3, never 1 ("violation found").
+        traceback.print_exc(file=sys.stderr)
         return NUMERICAL_ERROR
 
 

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .potentials import Potential, parse_potential
-from .radial import (RadialFunction, center_cap_area, gradient_norm_sq,
-                     integral_weighted, lp_norm)
+from .radial import (RadialFunction, exact_sum, gradient_norm_sq,
+                     integral_weighted, lp_norm, mids_with_cap)
 
 FOUR_PI = 4.0 * math.pi
 EXP_OVERFLOW = 700.0
@@ -107,20 +107,13 @@ def eval_Q(form: Remainder, u: RadialFunction) -> float:
     return gradient_norm_sq(u) - form.psi(u)
 
 
-def _mids_with_cap(u: RadialFunction):
-    """Midpoint values and areas including the constant center cap."""
-    um = np.concatenate([[u.values[0]], u.at_mids()])
-    areas = np.concatenate([[center_cap_area(u.grid)], u.grid.cell_areas])
-    return um, areas
-
-
 def eval_J(u: RadialFunction, coeff: float = FOUR_PI) -> float:
     """J(u) = 2 pi int exp(coeff * u(r)^2) r dr; math.inf on overflow."""
-    um, areas = _mids_with_cap(u)
+    um, areas = mids_with_cap(u)
     expo = coeff * um * um
     if np.max(expo) > EXP_OVERFLOW:
         return math.inf
-    return math.fsum(np.exp(expo) * areas)
+    return exact_sum(np.exp(expo) * areas)
 
 
 def onofri_lhs(u: RadialFunction) -> float:
@@ -130,14 +123,14 @@ def onofri_lhs(u: RadialFunction) -> float:
     The average uses the quadrature's own disk measure, so u == 0 gives
     exactly 1.0.
     """
-    um, areas = _mids_with_cap(u)
-    total = math.fsum(areas)
+    um, areas = mids_with_cap(u)
+    total = exact_sum(areas)
     m = float(np.max(um))
     if m > EXP_OVERFLOW:
         # A overflows; evaluate log A in shifted form, 1/A underflows to 0.
-        log_a = m + math.log(math.fsum(np.exp(um - m) * areas) / total)
+        log_a = m + math.log(exact_sum(np.exp(um - m) * areas) / total)
         return log_a
-    a = math.fsum(np.exp(um) * areas) / total
+    a = exact_sum(np.exp(um) * areas) / total
     return math.log(a) + 1.0 / a
 
 
@@ -148,12 +141,12 @@ def onofri_rhs(u: RadialFunction, form: Remainder) -> float:
 
 def orlicz_integral(u: RadialFunction, t: float) -> float:
     """2 pi int (exp(4 pi (u/t)^2) - 1) r dr; math.inf on overflow."""
-    um, areas = _mids_with_cap(u)
+    um, areas = mids_with_cap(u)
     um = um / t
     expo = FOUR_PI * um * um
     if np.max(expo) > EXP_OVERFLOW:
         return math.inf
-    return math.fsum(np.expm1(expo) * areas)
+    return exact_sum(np.expm1(expo) * areas)
 
 
 def luxemburg_norm(u: RadialFunction, rel_tol: float = 1e-10) -> float:

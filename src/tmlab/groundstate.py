@@ -38,11 +38,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import InvalidInputError, NodalSolutionError, StepFailureError
+from .errors import (InvalidInputError, NodalSolutionError,
+                     SingularEvaluationError, StepFailureError)
 from .potentials import Potential, check_kato
-from .radial import RadialFunction, RadialGrid
+from .radial import RadialFunction, RadialGrid, exact_sum
 from .forms import PotentialRemainder, eval_Q
 
 WEAKLY_COERCIVE = "WeaklyCoercive"
@@ -88,6 +88,10 @@ def shoot(pot: Potential, grid: RadialGrid,
           config: GroundStateConfig | None = None) -> GroundStateResult:
     """Integrate the radial equation across the grid; phi normalized to
     max 1 (attained at the center for admissible potentials)."""
+    # Imported here: scipy.integrate is most of the package's import time,
+    # and only shooting needs it.
+    from scipy.integrate import solve_ivp
+
     if config is None:
         config = GroundStateConfig()
     nodes = grid.nodes
@@ -129,7 +133,7 @@ def shoot(pot: Potential, grid: RadialGrid,
     phi = RadialFunction(grid, full, dirichlet=False)
     try:
         kato_ok = bool(check_kato(pot, config.kato_alpha).ok)
-    except Exception:
+    except SingularEvaluationError:  # V is not finite on the sampled radii
         kato_ok = False
     return GroundStateResult(pot, phi, float(full[-1]), kato_ok,
                              diagnostics={"q_scaled": q_vals / peak})
@@ -224,7 +228,7 @@ def jacobi_identity_residual(gs: GroundStateResult, u: RadialFunction) -> float:
     w = u.values / phi
     slopes = np.diff(w) / u.grid.widths
     phi_mid = 0.5 * (phi[:-1] + phi[1:])
-    transformed = math.fsum(phi_mid**2 * slopes**2 * u.grid.cell_areas)
+    transformed = exact_sum(phi_mid**2 * slopes**2 * u.grid.cell_areas)
     q = eval_Q(PotentialRemainder(gs.potential), u)
     return abs(q - transformed) / max(1.0, abs(q))
 

@@ -13,6 +13,12 @@ and are evaluated by composite rules on the grid cells:
     so weights with log/power singularities at the endpoints stay finite),
   * cellwise slopes for the Dirichlet energy 2 pi int u'(r)^2 r dr.
 
+Every quadrature sum is correctly rounded: `exact_sum` returns the float
+nearest the exact sum of its terms (the value math.fsum gives), so the
+result does not depend on the order of the terms.  The module needs only
+numpy; of the package, only the shooting solver in `groundstate` (used by
+`tm-lab groundstate` and `probe --family gsapprox`) loads scipy.
+
 The default grid clusters nodes geometrically toward both endpoints
 (first node 1e-8, last interior node 1 - 1e-8) because the singular
 weights of interest live at r = 0 and r = 1 on a logarithmic scale.
@@ -64,6 +70,9 @@ class RadialGrid:
         self.widths = np.diff(nodes)
         self.mids = 0.5 * (nodes[:-1] + nodes[1:])
         self.cell_areas = 2.0 * math.pi * self.mids * self.widths
+        # Areas of the center cap r < nodes[0] followed by the cells.
+        self.cap_areas = np.concatenate([[center_cap_area(self)],
+                                         self.cell_areas])
 
     def __len__(self):
         return self.nodes.size
@@ -163,6 +172,42 @@ class RadialFunction:
 # quadrature operations
 # ---------------------------------------------------------------------------
 
+def exact_sum(x) -> float:
+    """Correctly rounded sum of a float array, bit for bit math.fsum(x).
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008, Lemma 3.3): with
+    m = max|r| <= 2^-k sigma, sigma a power of two and 2^k > n + 2,
+    q = (sigma + r) - sigma and r - q are exact, and every q_i is a
+    multiple of ulp(sigma)/2 with sum |q_i| < sigma, so sum(q) is exact
+    in any order.  Peeling q off until the residual vanishes leaves a few
+    exact partial sums; fsum rounds their total once.  Zero, non-finite
+    and near-overflow input goes to math.fsum unchanged, which keeps its
+    signed zero, inf/nan results and exceptions.
+    """
+    x = np.asarray(x, dtype=float)
+    m = float(np.max(np.abs(x))) if x.size else 0.0
+    if not 0.0 < m < 2.0 ** 900:
+        return math.fsum(x)
+    k = (x.size + 2).bit_length()
+    partials = []
+    r = x.copy()
+    q = np.empty_like(r)
+    while m != 0.0:
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        partials.append(float(q.sum()))
+        m = float(np.abs(r, out=q).max())
+    return math.fsum(partials)
+
+
+def mids_with_cap(u: RadialFunction):
+    """Midpoint values and areas, led by the constant center cap."""
+    return np.concatenate([[u.values[0]], u.at_mids()]), u.grid.cap_areas
+
+
 def derivative(u: RadialFunction) -> np.ndarray:
     """Cellwise slope du/dr of the piecewise-linear interpolant."""
     return np.diff(u.values) / u.grid.widths
@@ -176,7 +221,7 @@ def gradient_norm_sq(u: RadialFunction) -> float:
     energy (constant extension).
     """
     s = derivative(u)
-    return math.fsum(s * s * u.grid.cell_areas)
+    return exact_sum(s * s * u.grid.cell_areas)
 
 
 def center_cap_area(grid: RadialGrid) -> float:
@@ -192,7 +237,7 @@ def lp_norm(u: RadialFunction, p: float) -> float:
         raise InvalidInputError(f"lp_norm needs p >= 1, got {p}")
     um = np.abs(u.at_mids())
     cap = abs(u.values[0]) ** p * center_cap_area(u.grid)
-    return (math.fsum(um**p * u.grid.cell_areas) + cap) ** (1.0 / p)
+    return (exact_sum(um**p * u.grid.cell_areas) + cap) ** (1.0 / p)
 
 
 def integral_weighted(u: RadialFunction, w) -> float:
@@ -211,6 +256,5 @@ def integral_weighted(u: RadialFunction, w) -> float:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SingularEvaluationError(rm[i], wm[i])
-    um = np.concatenate([[u.values[0]], u.at_mids()])
-    areas = np.concatenate([[center_cap_area(u.grid)], u.grid.cell_areas])
-    return math.fsum(wm * um * um * areas)
+    um, areas = mids_with_cap(u)
+    return exact_sum(wm * um * um * areas)

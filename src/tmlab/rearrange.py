@@ -34,7 +34,8 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .radial import RadialFunction, RadialGrid, gradient_norm_sq, one_minus_r_sq
+from .radial import (RadialFunction, RadialGrid, exact_sum, gradient_norm_sq,
+                     one_minus_r_sq)
 
 _CHUNK = 256  # level-chunk size for the (levels x cells) broadcasts
 
@@ -247,7 +248,7 @@ def _mu_quadrature(F, nodes: np.ndarray, measure: RadialMeasure,
     total = 0.0
     for x, w in zip(_GL4_X, _GL4_W):
         r = mid + x * half
-        total += w * math.fsum(np.asarray(F(r), dtype=float)
+        total += w * exact_sum(np.asarray(F(r), dtype=float)
                                * measure.density(r) * half)
     return total + float(F(np.asarray([pts[0]]))[0]) * measure.M(pts[0])
 
@@ -270,7 +271,7 @@ def mu_integral(f: RadialFunction, measure: RadialMeasure,
         xs = np.geomspace(1e-16, 1.0 - nodes[stop], 64)
         rr = 1.0 - xs
         ft = np.interp(rr, nodes, f.values)
-        total += math.fsum(np.diff(measure.M(rr[::-1])) *
+        total += exact_sum(np.diff(measure.M(rr[::-1])) *
                            0.5 * (ft[::-1][:-1]**power + ft[::-1][1:]**power))
     return total
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
+import tmlab
 from tmlab.cli import main
 from tmlab.radial import RadialFunction, RadialGrid
 
@@ -209,13 +213,52 @@ def test_provenance_headers(tmp_path):
 
 
 def test_integrator_failure_is_numerical(tmp_path, monkeypatch, capsys):
-    import tmlab.groundstate as groundstate
+    import scipy.integrate
 
     def failing_solve_ivp(*args, **kwargs):
         return types.SimpleNamespace(status=-1, message="step size too small")
 
-    monkeypatch.setattr(groundstate, "solve_ivp", failing_solve_ivp)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing_solve_ivp)
     out = tmp_path / "gs.csv"
     assert run(["groundstate", "--potential", "constant:2.0",
                 "--out", str(out)]) == 3
     assert "step size too small" in capsys.readouterr().err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"samples": 10}]))
+    assert run(["--config", str(cfg), "audit", "--ineq", "onofri",
+                "--out", str(tmp_path / "a.csv")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_directory_is_usage_error(tmp_path, capsys):
+    assert run(["--config", str(tmp_path), "audit", "--ineq", "onofri",
+                "--out", str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_directory_is_usage_error(tmp_path, capsys):
+    assert run(["eval", "--u", "zero", "--grid-n", "512",
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
+    import tmlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(cli, "eval_Q", broken)
+    assert run(["eval", "--u", "zero", "--grid-n", "512",
+                "--out", str(tmp_path / "e.csv")]) == 3
+    assert "KeyError" in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_integrate():
+    code = ("import sys, tmlab.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(tmlab.__path__[0])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import LAMBDA_1, moser_j_oracle
 from tmlab.errors import InvalidInputError
@@ -134,12 +136,13 @@ def test_luxemburg_trivials(grid):
     assert luxemburg_norm(RadialFunction.zero(grid)) == 0.0
 
 
-def test_luxemburg_homogeneity(grid):
-    rng = np.random.default_rng(11)
-    u = nonneg_profile(rng, grid)
-    base = luxemburg_norm(u)
-    for c in rng.uniform(1e-3, 1e3, 5):
-        assert luxemburg_norm(u.scaled(c)) == pytest.approx(c * base, rel=1e-8)
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32 - 1),
+       st.floats(1e-3, 1e3).flatmap(lambda c: st.sampled_from([c, -c])))
+def test_luxemburg_homogeneity(grid, seed, c):
+    u = nonneg_profile(np.random.default_rng(seed), grid)
+    assert luxemburg_norm(u.scaled(c)) == pytest.approx(
+        abs(c) * luxemburg_norm(u), rel=1e-8)
 
 
 def test_luxemburg_step_closed_form():

@@ -6,8 +6,9 @@ import pytest
 from oracles import LAMBDA_1, bessel_j0, leray_sqrt_log_residual
 from tmlab.errors import InvalidInputError, NodalSolutionError
 from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
-                               classify_coercivity, ground_state_analysis,
-                               jacobi_identity_residual, shoot)
+                               GroundStateConfig, classify_coercivity,
+                               ground_state_analysis, jacobi_identity_residual,
+                               shoot)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, WangYePotential)
 from tmlab.radial import RadialFunction, RadialGrid
@@ -163,3 +164,10 @@ def test_phi_normalization(gs_cache):
 def test_kato_tagging(gs_cache):
     assert gs_cache["leray"].kato_ok is False
     assert gs_cache["wangye"].kato_ok is True
+
+
+def test_kato_invalid_alpha_is_not_a_verdict(grid):
+    # Only "cannot assess" (a non-finite sample) reads kato_ok=False; a bad
+    # configuration is an error, not a silent False.
+    with pytest.raises(InvalidInputError):
+        shoot(ConstantPotential(2.0), grid, GroundStateConfig(kato_alpha=0))

@@ -1,11 +1,16 @@
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlab.errors import InvalidInputError, SingularEvaluationError
 from tmlab.potentials import LerayPotential
-from tmlab.radial import (RadialFunction, RadialGrid, derivative,
+from tmlab.radial import (RadialFunction, RadialGrid, derivative, exact_sum,
                           gradient_norm_sq, integral_weighted, lp_norm)
 from tmlab.probe import moser_function
 
@@ -154,14 +159,69 @@ def test_interpolation_constant_left_of_first_node(grid):
     assert u(grid.nodes[0] / 10.0) == u.values[0]
 
 
-def test_csv_roundtrip(tmp_path, grid):
-    rng = np.random.default_rng(9)
-    vals = rng.normal(size=len(grid))
-    vals[-1] = 0.0
-    u = RadialFunction(grid, vals)
-    path = tmp_path / "prof.csv"
-    u.to_csv(path)
-    v = RadialFunction.from_csv(path)
-    assert np.array_equal(u.values, v.values)
-    assert np.array_equal(u.grid.nodes, v.grid.nodes)
-    assert v.dirichlet
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(_finite, min_size=1, max_size=200),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=200))
+def test_csv_roundtrip(values, radii):
+    grid = RadialGrid(np.append(np.unique(radii), 1.0))
+    vals = np.resize(np.array(values), len(grid))
+    u = RadialFunction(grid, vals, dirichlet=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prof.csv"
+        u.to_csv(path)
+        v = RadialFunction.from_csv(path)
+    assert np.array_equal(v.grid.nodes, u.grid.nodes)
+    assert np.array_equal(v.values, u.values)
+    assert np.array_equal(np.signbit(v.values), np.signbit(u.values))
+    assert v.dirichlet == (vals[-1] == 0.0)
+
+
+def _outcome(total, x):
+    """The bits of total(x), or the type of the exception it raises."""
+    try:
+        return struct.pack("<d", total(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _as_terms(parts):
+    """Terms with exact cancellation (x next to -x) and repeated values."""
+    values, mirror, repeat = parts
+    x = list(values) + [-v for v in values[:mirror]]
+    return np.array(x * repeat, dtype=float)
+
+
+# Mixed magnitudes from subnormal to 1e300, signed zeros, and ties.
+_sum_terms = st.tuples(
+    st.lists(st.one_of(_finite,
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5,
+                                        2.0 ** -53, 2.0 ** -106, 1.0, 1e300,
+                                        -1e300]),
+                       st.floats(-1e-300, 1e-300)),
+             max_size=300),
+    st.integers(0, 300), st.integers(1, 3)).map(_as_terms)
+
+
+@settings(deadline=None)
+@given(_sum_terms)
+def test_exact_sum_is_fsum(x):
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+@pytest.mark.parametrize("x", [[], [1.5], [-0.0], [-0.0] * 7, [0.0, -0.0],
+                               [1.0, 2.0 ** -53, 2.0 ** -53],
+                               [1.0, 2.0 ** -53, 2.0 ** -106],
+                               [1e308, 1e308], [1e308, 1e308, -1e308]])
+def test_exact_sum_edge_cases(x):
+    x = np.array(x, dtype=float)
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_exact_sum_non_finite_like_fsum(values):
+    x = np.array(values)
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x)

@@ -79,7 +79,11 @@ def _load_profile(spec: str, grid: RadialGrid) -> RadialFunction:
     if head == "zero":
         return RadialFunction.zero(grid)
     if head == "moser":
-        return moser_function(grid, int(arg))
+        try:
+            k = int(arg)
+        except ValueError as exc:
+            raise InvalidInputError(f"profile spec {spec!r}: {exc}") from exc
+        return moser_function(grid, k)
     if head == "file":
         return RadialFunction.from_csv(arg)
     raise InvalidInputError(f"unknown profile spec {spec!r}")
@@ -100,6 +104,10 @@ def cmd_eval(args) -> int:
         "onofri_rhs": onofri_rhs(u, form),
         "luxemburg": luxemburg_norm(u),
     }
+    # inf is a legitimate J; NaN (say inf - inf) is a numerical failure.
+    bad = [k for k, v in values.items() if math.isnan(v)]
+    if bad:
+        raise FloatingPointError(f"eval: NaN for {', '.join(bad)}")
     meta = _provenance(args)
     if args.format == "json":
         _write_json(args.out, {k: (_fmt(v) if math.isinf(v) else v)
@@ -372,7 +380,10 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     if not args.config:
         return args
     with open(args.config) as fh:
-        defaults = json.load(fh)
+        try:
+            defaults = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"config {args.config}: {exc}") from exc
     if not isinstance(defaults, dict):
         raise InvalidInputError(f"config {args.config}: top level must be "
                                 "a JSON object")
@@ -402,7 +413,7 @@ def main(argv=None) -> int:
         if args.out is None:
             args.out = f"tmlab_{args.command}.{args.format}"
         return args.func(args)
-    except (InvalidInputError, OSError, ValueError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (SingularEvaluationError, TmLabError, ArithmeticError) as exc:

@@ -135,8 +135,7 @@ def shoot(pot: Potential, grid: RadialGrid,
         kato_ok = bool(check_kato(pot, config.kato_alpha).ok)
     except SingularEvaluationError:  # V is not finite on the sampled radii
         kato_ok = False
-    return GroundStateResult(pot, phi, float(full[-1]), kato_ok,
-                             diagnostics={"q_scaled": q_vals / peak})
+    return GroundStateResult(pot, phi, float(full[-1]), kato_ok)
 
 
 def transform_s(gs: GroundStateResult,

@@ -135,17 +135,25 @@ class TabulatedPotential(Potential):
         return np.interp(np.log(r), self._log_r, self.values)
 
 
+def spec_float(spec: str, field: str) -> float:
+    """A number field of a CLI spec; a malformed one is a usage error."""
+    try:
+        return float(field)
+    except ValueError as exc:
+        raise InvalidInputError(f"spec {spec!r}: {exc}") from exc
+
+
 def parse_potential(text: str) -> Potential:
     """Parse CLI syntax: constant:<lam>, leray, gamma:<g>, wangye,
     tabulated:<path.csv>."""
     head, _, arg = text.strip().partition(":")
     head = head.lower()
     if head == "constant":
-        return ConstantPotential(float(arg))
+        return ConstantPotential(spec_float(text, arg))
     if head == "leray":
         return LerayPotential()
     if head == "gamma":
-        return GammaPotential(float(arg))
+        return GammaPotential(spec_float(text, arg))
     if head == "wangye":
         return WangYePotential()
     if head == "tabulated":

@@ -329,30 +329,51 @@ def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
     element is pushed as a block and pooled with the block below while
     that block's level is higher, by (pw*pl + w*lv) / (pw + w).  Merge
     order and arithmetic are exactly those, so the result is bit-identical
-    to the element-by-element loop.  Only the bookkeeping is batched: once
-    an element of a nondecreasing run of input pools nothing, neither can
-    the rest of the run, so it is pushed whole.
+    to the element-by-element loop.  Only the bookkeeping is cut: the
+    stack holds pooled blocks alone, as (level, count, end); an element
+    that pools nothing stays a singleton block (pw = 1) of the input copy.
+    Such an element's successor can pool only if it is a violation
+    (smaller than the element), so the loop starts at the violation
+    indices and runs on while elements keep pooling.  Each pooled block
+    is written back into the copy as one slice.
     """
     zr = y[::-1]  # nondecreasing problem
+    out = zr.copy()
     z = zr.tolist()
-    run_ends = (np.flatnonzero(zr[1:] < zr[:-1]) + 1).tolist() + [len(z)]
-    level: list[float] = []
-    count: list[int] = []
+    n = len(z)
+    blocks: list[tuple[float, int, int]] = []
+    top = -1  # end of the top pooled block
     i = 0
-    for end in run_ends:
-        while i < end and level and level[-1] > z[i]:
-            lv, w = z[i], 1
-            while level and level[-1] > lv:
-                pl, pw = level.pop(), count.pop()
+    for v in (np.flatnonzero(zr[1:] < zr[:-1]) + 1).tolist():
+        if v < i:
+            continue
+        i = v
+        while i < n:
+            # Pool block [s, i] with the block below: the top pooled
+            # block if it ends at s, else the singleton s - 1.
+            lv, w, s = z[i], 1, i
+            while True:
+                if top == s:
+                    pl, pw, _ = blocks[-1]
+                    if not pl > lv:
+                        break
+                    blocks.pop()
+                    top = blocks[-1][2] if blocks else -1
+                elif s and z[s - 1] > lv:
+                    pl, pw = z[s - 1], 1
+                else:
+                    break
                 lv = (pw * pl + w * lv) / (pw + w)
                 w += pw
-            level.append(lv)
-            count.append(w)
+                s -= pw
             i += 1
-        level.extend(z[i:end])
-        count.extend([1] * (end - i))
-        i = end
-    return np.repeat(np.array(level, dtype=float), count)[::-1]
+            if w == 1:
+                break
+            blocks.append((lv, w, i))
+            top = i
+    for lv, w, end in blocks:
+        out[end - w:end] = lv
+    return out[::-1]
 
 
 @dataclass
@@ -495,6 +516,14 @@ def _stiffness_mass(grid: RadialGrid):
     return a_diag, a_off, m_diag, m_off
 
 
+def _tridiag_apply(diag, off, x):
+    """Product of the symmetric tridiagonal matrix (diag, off) with x."""
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
 def _thomas_factor(diag, off):
     """Elimination step of the Thomas algorithm for a symmetric
     tridiagonal matrix: multipliers m[i] = off[i-1] / d[i-1] and pivots
@@ -532,26 +561,13 @@ def estimate_lambda_1(grid: RadialGrid, iterations: int = 60,
     # Dirichlet: eliminate the last node.
     ad, ao = a_diag[:-1].copy(), a_off[:-1].copy()
     md, mo = m_diag[:-1].copy(), m_off[:-1].copy()
-
-    def m_apply(x):
-        y = md * x
-        y[:-1] += mo * x[1:]
-        y[1:] += mo * x[:-1]
-        return y
-
-    def a_apply(x):
-        y = ad * x
-        y[:-1] += ao * x[1:]
-        y[1:] += ao * x[:-1]
-        return y
-
     factors = _thomas_factor(ad, ao)
     x = 1.0 - grid.nodes[:-1] ** 2
     lam = math.nan
     for _ in range(iterations):
-        x = _tridiag_solve(factors, m_apply(x))
-        x /= math.sqrt(float(x @ m_apply(x)))
-        new_lam = float(x @ a_apply(x))
+        x = _tridiag_solve(factors, _tridiag_apply(md, mo, x))
+        x /= math.sqrt(float(x @ _tridiag_apply(md, mo, x)))
+        new_lam = float(x @ _tridiag_apply(ad, ao, x))
         if not math.isnan(lam) and abs(new_lam - lam) < tol * new_lam:
             lam = new_lam
             break
@@ -584,12 +600,6 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
     a_diag, a_off, _, _ = _stiffness_mass(grid)
     ad, ao = a_diag[:-1], a_off[:-1]
 
-    def a_apply(x):
-        y = ad * x
-        y[:-1] += ao * x[1:]
-        y[1:] += ao * x[:-1]
-        return y
-
     def normalized(vals):
         # Restricting to the monotone cone loses nothing (rearrangement
         # improves the energy and preserves the constraint norm).
@@ -619,7 +629,7 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
         e = gradient_norm_sq(u)
         step = 0.1
         for _ in range(iterations):
-            g = 2.0 * a_apply(u.values[:-1])
+            g = 2.0 * _tridiag_apply(ad, ao, u.values[:-1])
             g = np.concatenate([g, [0.0]])
             cand = normalized(u.values - step * g / max(np.linalg.norm(g), 1e-300))
             if cand is None:

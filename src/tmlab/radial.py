@@ -158,7 +158,12 @@ class RadialFunction:
 
     @classmethod
     def from_csv(cls, path) -> "RadialFunction":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
+        if rows.shape[1] != 2:
+            raise InvalidInputError(f"{path}: expected two columns r,value")
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise InvalidInputError(f"{path}: non-finite value in data row "

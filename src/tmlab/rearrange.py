@@ -102,6 +102,14 @@ def distribution_function(f: RadialFunction, measure: RadialMeasure,
     Exact for the piecewise-linear interpolant of f with respect to the
     (possibly truncated) measure; the center disk r < nodes[0] counts as
     a plateau at the first node value.
+
+    Per chunk of levels, a (levels x cells) matrix holds each cell's
+    share of the level set, summed along the cells: the whole cell dM
+    where f stays above t, nothing where it stays below, and the part cut
+    at the linear crossing radius where the cell straddles t.  Only the
+    straddled (level, cell) pairs, a thin band around each level's
+    crossings, have their crossing radius and M evaluated.  A constant
+    cell is never straddled, so it contributes all or nothing.
     """
     if np.any(f.values < 0):
         raise InvalidInputError("rearrangement input must be nonnegative")
@@ -115,31 +123,25 @@ def distribution_function(f: RadialFunction, measure: RadialMeasure,
     dM = Mb - Ma
     lo = np.minimum(fa, fb)
     hi = np.maximum(fa, fb)
-    const = fa == fb
     decreasing = fa > fb
     cap = measure.M(nodes[0])  # center disk, constant value vals[0]
 
     out = np.empty(levels.size)
     for start in range(0, levels.size, _CHUNK):
         t = levels[start:start + _CHUNK][:, None]
-        # Sloped cells: full below lo, empty above hi, else split at the
-        # linear crossing radius.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_cross = a + (b - a) * (fa - t) / (fa - fb)
-        r_cross = np.clip(r_cross, a, b)
-        M_cross = measure.M(r_cross)
-        part = np.where(decreasing, M_cross - Ma, Mb - M_cross)
         full = (t < lo) if strict else (t <= lo)
-        inside = (t < hi) & ~full
-        sloped = np.where(full, dM, np.where(inside, part, 0.0))
-        # Constant cells contribute all or nothing.
+        shares = np.where(full, dM, 0.0)
+        row, cell = np.nonzero((t < hi) & ~full)
+        ca, cfa = a[cell], fa[cell]
+        r_cross = ca + (b[cell] - ca) * (cfa - t[row, 0]) / (cfa - fb[cell])
+        M_cross = measure.M(np.clip(r_cross, ca, b[cell]))
+        shares[row, cell] = np.where(decreasing[cell], M_cross - Ma[cell],
+                                     Mb[cell] - M_cross)
         if strict:
-            sloped = np.where(const, np.where(fa > t, dM, 0.0), sloped)
             cap_part = np.where(vals[0] > t[:, 0], cap, 0.0)
         else:
-            sloped = np.where(const, np.where(fa >= t, dM, 0.0), sloped)
             cap_part = np.where(vals[0] >= t[:, 0], cap, 0.0)
-        out[start:start + _CHUNK] = sloped.sum(axis=1) + cap_part
+        out[start:start + _CHUNK] = shares.sum(axis=1) + cap_part
     return out
 
 

@@ -257,6 +257,52 @@ def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
     assert "KeyError" in capsys.readouterr().err
 
 
+def test_value_error_in_kernel_exits_3(tmp_path, monkeypatch, capsys):
+    import tmlab.cli as cli
+
+    def domain_error(*args, **kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(cli, "eval_Q", domain_error)
+    assert run(["eval", "--u", "zero", "--grid-n", "512",
+                "--out", str(tmp_path / "e.csv")]) == 3
+    assert "math domain error" in capsys.readouterr().err
+
+
+def test_parse_errors_are_usage_errors(tmp_path, capsys):
+    out = str(tmp_path / "e.csv")
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("r,value\n0.5,abc\n1,0\n")
+    one_col = tmp_path / "one.csv"
+    one_col.write_text("r\n0.5\n1\n")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"grid-n": 512,,}')
+    for argv in (["eval", "--u", "zero", "--form", "lp:x:4"],
+                 ["eval", "--u", "zero", "--form", "constant:"],
+                 ["eval", "--u", "moser:abc"],
+                 ["eval", "--u", f"file:{bad_csv}"],
+                 ["eval", "--u", f"file:{one_col}"],
+                 ["--config", str(bad_json), "eval", "--u", "zero"]):
+        assert run(argv + ["--out", out]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_eval_nan_is_numerical_failure(tmp_path, capsys):
+    # Energy and remainder both overflow to inf, and Q = inf - inf.
+    grid = RadialGrid(np.linspace(0.01, 1.0, 50))
+    vals = np.full(50, 1e200)
+    vals[-1] = 0.0
+    src = tmp_path / "big.csv"
+    RadialFunction(grid, vals).to_csv(src)
+    out = tmp_path / "ev.csv"
+    with np.errstate(over="ignore"):
+        code = run(["eval", "--u", f"file:{src}", "--form", "constant:2.0",
+                    "--out", str(out)])
+    assert code == 3
+    assert "NaN for Q, onofri_rhs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_skips_scipy_integrate():
     code = ("import sys, tmlab.cli; "
             "sys.exit('scipy.integrate' in sys.modules)")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import LAMBDA_1, moser_j_oracle
+from oracles import LAMBDA_1, luxemburg_norm_bisection, moser_j_oracle
+from tmlab import forms
 from tmlab.errors import InvalidInputError
 from tmlab.forms import (FOUR_PI, LpRemainder, NoRemainder,
                          PotentialRemainder, eval_J, eval_Q, luxemburg_norm,
@@ -15,7 +16,7 @@ from tmlab.potentials import ConstantPotential, GammaPotential
 from tmlab.probe import moser_function
 from tmlab.radial import (RadialFunction, RadialGrid, gradient_norm_sq,
                           integral_weighted, lp_norm)
-from tmlab.sampling import nonneg_profile
+from tmlab.sampling import bump_profile, nonneg_profile
 
 
 def test_eval_q_examples(grid, lambda1):
@@ -143,6 +144,42 @@ def test_luxemburg_homogeneity(grid, seed, c):
     u = nonneg_profile(np.random.default_rng(seed), grid)
     assert luxemburg_norm(u.scaled(c)) == pytest.approx(
         abs(c) * luxemburg_norm(u), rel=1e-8)
+
+
+def _spike(rng, cap_exp):
+    """Profile peaked on a centre cap of radius 10^-cap_exp: deep caps
+    drive orlicz_integral into its overflow branch during the search."""
+    nodes = np.append(np.geomspace(10.0 ** -cap_exp, 0.9, 40), 1.0)
+    depth = np.log(nodes) / np.log(nodes[0])
+    vals = rng.uniform(0.5, 2.0) * depth ** rng.uniform(0.5, 4.0)
+    vals[-1] = 0.0
+    return RadialFunction(RadialGrid(nodes), vals)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0),
+       st.sampled_from(["bump", "spike"]), st.floats(8.0, 150.0))
+def test_luxemburg_bit_identical_to_bisection(seed, log_scale, kind, cap_exp):
+    rng = np.random.default_rng(seed)
+    u = (bump_profile(rng, RadialGrid.default(512)) if kind == "bump"
+         else _spike(rng, cap_exp))
+    u = u.scaled(10.0 ** log_scale)
+    assert luxemburg_norm(u) == luxemburg_norm_bisection(u)
+
+
+def test_luxemburg_evaluation_count(grid, monkeypatch):
+    u = nonneg_profile(np.random.default_rng(5), grid)
+    calls = []
+    real = forms.orlicz_integral
+
+    def counted(v, t):
+        calls.append(t)
+        return real(v, t)
+
+    monkeypatch.setattr(forms, "orlicz_integral", counted)
+    value = luxemburg_norm(u)
+    assert len(calls) <= 14
+    assert value == luxemburg_norm_bisection(u)
 
 
 def test_luxemburg_step_closed_form():

@@ -172,13 +172,8 @@ def cmd_probe(args) -> int:
     if args.format == "json":
         _write_json(args.out, report.to_json_dict(), meta)
     else:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(f"# tool=tm-lab version={__version__}\n")
-            fh.write("# config=" + json.dumps(meta["config"], sort_keys=True)
-                     + "\n")
-            for line in report.to_csv_rows():
-                fh.write(line + "\n")
-            fh.write(f"# verdict={report.verdict}\n")
+        _write_csv(args.out, report.CSV_HEADER, report.csv_rows(), meta,
+                   {"verdict": report.verdict})
     print(f"verdict={report.verdict}")
     return 0
 

@@ -32,4 +32,5 @@ class NodalSolutionError(TmLabError, RuntimeError):
 
 
 class StepFailureError(TmLabError, RuntimeError):
-    """The ODE integrator could not meet its tolerances."""
+    """The shooting solver could not advance: a cell propagator is not
+    finite (the potential is not finite where it is sampled)."""

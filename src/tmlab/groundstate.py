@@ -10,8 +10,12 @@ becomes the mildly-coefficiented system
     dphi/dt = q,        dq/dt = -r^2 V(r) phi,
 
 and r^2 V is bounded for every potential of the catalogue away from the
-endpoints.  If phi crosses zero before r = 1 the form Q_V is indefinite
-and NodalSolutionError is raised.
+endpoints.  The system is linear, so it is solved as a product of 2x2
+cell propagators: fourth-order Magnus with two Gauss points per cell,
+on a mesh in t that contains the caller's grid, the default grid and
+the potential's breakpoints, with one vectorized evaluation of V for
+the whole mesh.  If phi crosses zero before r = 1 the form Q_V is
+indefinite and NodalSolutionError is raised.
 
 A positive solution induces the coordinate stretch
 
@@ -34,6 +38,7 @@ GroundStateConfig and the raw increments are reported for audit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,8 +57,6 @@ INDEFINITE = "Indefinite"
 
 @dataclass
 class GroundStateConfig:
-    rtol: float = 1e-10
-    atol: float = 1e-12
     # phi(1) threshold: below this the rim value counts as zero.
     delta_phi: float = 1e-6
     # log s increment over the last (1-r)-decade that flags divergence,
@@ -84,50 +87,98 @@ class GroundStateResult:
         return np.exp(np.interp(t, np.log(self.phi.grid.nodes), self.log_s))
 
 
+@functools.cache
+def _default_interior_t() -> np.ndarray:
+    """log r of the default grid's interior nodes (the finest mesh that
+    every shooting run includes); read-only, as every caller shares it."""
+    t = np.log(RadialGrid.default().nodes[1:-1])
+    t.flags.writeable = False
+    return t
+
+
+def _shooting_mesh(pot: Potential, t_nodes: np.ndarray) -> np.ndarray:
+    """Cell edges in t = log r from t_nodes[0] to t_nodes[-1]: the
+    caller's nodes, the default grid's and V's breakpoints, merged."""
+    extra = np.concatenate([_default_interior_t(),
+                            np.log(np.asarray(pot.breakpoints, dtype=float))])
+    extra = extra[(extra > t_nodes[0]) & (extra < t_nodes[-1])]
+    return np.union1d(t_nodes, extra)
+
+
+def _magnus_propagators(pot: Potential, mesh: np.ndarray):
+    """Entries (m00, m01, m10, m11) of exp(Omega) on each mesh cell.
+
+    Fourth-order Magnus with two Gauss points (Iserles and Norsett, Phil.
+    Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo and Ros, Phys. Rep.
+    470, 2009) for (phi, q)' = [[0, 1], [-a, 0]] (phi, q), a = r^2 V:
+    Omega = [[c, h], [-h abar, -c]] with abar the mean of a at the Gauss
+    points and c = (sqrt 3 / 12) h^2 (a+ - a-).  Omega is traceless, so
+    Omega^2 = kappa^2 I with kappa^2 = c^2 - h^2 abar, and
+    exp(Omega) = C I + S Omega with C, S = cosh kappa, sinh kappa / kappa
+    (cos |kappa|, sin |kappa| / |kappa| when kappa^2 < 0).
+    """
+    h = np.diff(mesh)
+    mid = 0.5 * (mesh[:-1] + mesh[1:])
+    off = (math.sqrt(3.0) / 6.0) * h
+    r = np.exp(np.concatenate([mid - off, mid + off]))
+    # A non-finite V gives non-finite entries, which the caller reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = r * r * np.asarray(pot(r), dtype=float)
+        a_lo, a_hi = a[:h.size], a[h.size:]
+        abar = 0.5 * (a_lo + a_hi)
+        c = (math.sqrt(3.0) / 12.0) * h * h * (a_hi - a_lo)
+        k2 = c * c - h * h * abar
+        kappa = np.sqrt(np.abs(k2))
+        grows = k2 >= 0.0
+        cos_part = np.where(grows, np.cosh(kappa), np.cos(kappa))
+        sinc = np.divide(np.where(grows, np.sinh(kappa), np.sin(kappa)),
+                         kappa, out=np.ones_like(kappa), where=kappa != 0.0)
+        return (cos_part + sinc * c, sinc * h, -sinc * h * abar,
+                cos_part - sinc * c)
+
+
 def shoot(pot: Potential, grid: RadialGrid,
           config: GroundStateConfig | None = None) -> GroundStateResult:
     """Integrate the radial equation across the grid; phi normalized to
-    max 1 (attained at the center for admissible potentials)."""
-    # Imported here: scipy.integrate is most of the package's import time,
-    # and only shooting needs it.
-    from scipy.integrate import solve_ivp
+    max 1 (attained at the center for admissible potentials).
 
+    The cells are those of `_shooting_mesh`, so a coarse grid is never
+    integrated more coarsely than the default one and no cell straddles a
+    kink of V.  The solution is carried from (phi, q) = (1, 0) at
+    nodes[0] through the product of the cell propagators; the first
+    nonpositive phi stops it with NodalSolutionError, the radius
+    interpolated linearly in t.  A non-finite propagator entry (V not
+    finite at a Gauss point) raises StepFailureError when the solution
+    reaches that cell: a numerical failure, never a verdict.
+    """
     if config is None:
         config = GroundStateConfig()
-    nodes = grid.nodes
-    # The last node is r = 1 where catalogue potentials may blow up;
-    # integrate to the last interior node and extrapolate the final cell.
-    t_eval = np.log(nodes[:-1])
-    t0, t_end = t_eval[0], t_eval[-1]
+    # The last node is r = 1 where catalogue potentials may blow up; the
+    # mesh ends at the last interior node.
+    t_nodes = np.log(grid.nodes[:-1])
+    mesh = _shooting_mesh(pot, t_nodes)
+    entries = _magnus_propagators(pot, mesh)
+    finite = np.isfinite(entries).all(axis=0)
+    n_ok = finite.size if finite.all() else int(np.argmin(finite))
+    m00, m01, m10, m11 = (e[:n_ok].tolist() for e in entries)
+    phi, q = 1.0, 0.0
+    phis = [phi]
+    for i in range(n_ok):
+        prev = phi
+        phi, q = m00[i] * phi + m01[i] * q, m10[i] * phi + m11[i] * q
+        if phi <= 0.0:
+            t_zero = mesh[i] + (mesh[i + 1] - mesh[i]) * prev / (prev - phi)
+            raise NodalSolutionError(math.exp(t_zero))
+        phis.append(phi)
+    if n_ok < finite.size:
+        raise StepFailureError(
+            f"non-finite propagator on the cell at r = "
+            f"{math.exp(mesh[n_ok]):.6g}: V is not finite there")
 
-    def rhs(t, y):
-        r = math.exp(t)
-        v = float(pot(np.asarray([r]))[0])
-        return [y[1], -r * r * v * y[0]]
-
-    def hit_zero(t, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    sol = solve_ivp(rhs, (t0, t_end), [1.0, 0.0], t_eval=t_eval,
-                    rtol=config.rtol, atol=config.atol, method="RK45",
-                    events=hit_zero, dense_output=False)
-    if sol.status == 1:  # zero crossing event
-        raise NodalSolutionError(math.exp(float(sol.t_events[0][0])))
-    if sol.status != 0:
-        raise StepFailureError(sol.message)
-
-    phi_vals = sol.y[0]
-    q_vals = sol.y[1]
+    phi_vals = np.asarray(phis)[np.searchsorted(mesh, t_nodes)]
     # Final cell [nodes[-2], 1]: linear continuation in t.
-    dt_last = 0.0 - t_end
-    phi_end = phi_vals[-1] + q_vals[-1] * dt_last
+    phi_end = phi_vals[-1] + q * (0.0 - t_nodes[-1])
     full = np.concatenate([phi_vals, [phi_end]])
-    if np.any(full[:-1] <= 0.0):
-        i = int(np.argmax(full[:-1] <= 0.0))
-        raise NodalSolutionError(nodes[i])
     peak = float(np.max(full))
     full = full / peak
     phi = RadialFunction(grid, full, dirichlet=False)

@@ -22,6 +22,7 @@ returned so borderline cases can be audited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class Potential:
     """Base class; subclasses implement vectorized __call__(r)."""
 
     name = "potential"
+    # Radii where V or its derivative jumps; the shooting mesh puts a cell
+    # edge on each, so no cell straddles a kink.
+    breakpoints = ()
 
     def __call__(self, r):
         raise NotImplementedError
@@ -80,6 +84,7 @@ class GammaPotential(Potential):
     gamma: float
 
     name = "gamma"
+    breakpoints = (math.exp(-1.0),)  # the damping switches on at r = 1/e
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -129,6 +134,7 @@ class TabulatedPotential(Potential):
         self.radii = radii
         self.values = values
         self._log_r = np.log(radii)
+        self.breakpoints = radii  # the interpolant's kinks
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

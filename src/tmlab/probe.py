@@ -206,13 +206,19 @@ def classify_growth(ks, js, overflowed, config: ProbeConfig
     slopes = (np.diff(np.log(np.maximum(jw, 1e-300)))
               / np.diff(np.log(kw))).tolist()
 
-    # Least-squares fits over the window, residuals in J units.
-    const_resid = float(np.sqrt(np.mean((jw - np.mean(jw)) ** 2)))
+    # Least-squares fits over the window, residuals in J units.  A sweep
+    # that reaches J ~ 1e160 squares to inf: an infinite residual is a
+    # legitimate value (the comparisons below order it correctly), not a
+    # numerical fault, so the overflow is not reported.
     lk, lj = np.log(kw), np.log(np.maximum(jw, 1e-300))
     b_pow, a_pow = np.polyfit(lk, lj, 1)
-    pow_resid = float(np.sqrt(np.mean((jw - np.exp(a_pow + b_pow * lk)) ** 2)))
     c_exp, a_exp = np.polyfit(kw, lj, 1)
-    exp_resid = float(np.sqrt(np.mean((jw - np.exp(a_exp + c_exp * kw)) ** 2)))
+    with np.errstate(over="ignore"):
+        const_resid = float(np.sqrt(np.mean((jw - np.mean(jw)) ** 2)))
+        pow_resid = float(np.sqrt(np.mean(
+            (jw - np.exp(a_pow + b_pow * lk)) ** 2)))
+        exp_resid = float(np.sqrt(np.mean(
+            (jw - np.exp(a_exp + c_exp * kw)) ** 2)))
     if exp_resid < pow_resid:
         fit = GrowthFit("exponential", (math.exp(a_exp), float(c_exp)),
                         exp_resid, slopes)
@@ -275,11 +281,11 @@ class ProbeReport:
             "verdict": self.verdict,
         }
 
-    def to_csv_rows(self):
-        yield "k,Q,J,overflow,error"
-        for r in self.rows:
-            yield (f"{r.k:.17g},{r.q:.17g},{r.j_normalized:.17g},"
-                   f"{int(r.overflow)},{r.error}")
+    CSV_HEADER = ("k", "Q", "J", "overflow", "error")
+
+    def csv_rows(self) -> list[tuple]:
+        return [(r.k, r.q, r.j_normalized, int(r.overflow), r.error)
+                for r in self.rows]
 
 
 def probe_supremum(form: Remainder, family: TrialFamily,

@@ -15,9 +15,9 @@ and are evaluated by composite rules on the grid cells:
 
 Every quadrature sum is correctly rounded: `exact_sum` returns the float
 nearest the exact sum of its terms (the value math.fsum gives), so the
-result does not depend on the order of the terms.  The module needs only
-numpy; of the package, only the shooting solver in `groundstate` (used by
-`tm-lab groundstate` and `probe --family gsapprox`) loads scipy.
+result does not depend on the order of the terms.  The module, like the
+whole package, needs only numpy.  Grids and profiles are finite by
+construction: the constructors reject non-finite nodes and values.
 
 The default grid clusters nodes geometrically toward both endpoints
 (first node 1e-8, last interior node 1 - 1e-8) because the singular
@@ -59,6 +59,8 @@ class RadialGrid:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise InvalidInputError("grid needs at least 2 nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise InvalidInputError("grid nodes must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise InvalidInputError("grid nodes must be strictly increasing")
         if nodes[0] <= 0.0:
@@ -108,6 +110,8 @@ class RadialFunction:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.nodes.shape:
             raise InvalidInputError("values must match grid nodes")
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("profile values must be finite")
         if dirichlet and values[-1] != 0.0:
             raise InvalidInputError("Dirichlet profile must vanish at r = 1")
         self.grid = grid

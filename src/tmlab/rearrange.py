@@ -127,10 +127,15 @@ def distribution_function(f: RadialFunction, measure: RadialMeasure,
     cap = measure.M(nodes[0])  # center disk, constant value vals[0]
 
     out = np.empty(levels.size)
+    # One chunk matrix for the whole call: a fresh one per chunk would be
+    # built while the previous one is still alive, doubling the peak.
+    buf = np.empty((min(levels.size, _CHUNK), stop))
     for start in range(0, levels.size, _CHUNK):
         t = levels[start:start + _CHUNK][:, None]
         full = (t < lo) if strict else (t <= lo)
-        shares = np.where(full, dM, 0.0)
+        shares = buf[:t.shape[0]]
+        shares.fill(0.0)
+        np.copyto(shares, dM, where=full)
         row, cell = np.nonzero((t < hi) & ~full)
         ca, cfa = a[cell], fa[cell]
         r_cross = ca + (b[cell] - ca) * (cfa - t[row, 0]) / (cfa - fb[cell])

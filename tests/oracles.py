@@ -7,7 +7,8 @@ Simpson quadrature after the log substitution L = log(1/r).
 
 The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
-bit for bit.
+bit for bit, except the RK45 shooter, which the Magnus shooter must
+match to within the adaptive integrator's own accuracy.
 """
 
 import math
@@ -15,7 +16,11 @@ import math
 import numpy as np
 
 from tmlab import forms
-from tmlab.errors import InvalidInputError
+from tmlab.errors import (InvalidInputError, NodalSolutionError,
+                          SingularEvaluationError, StepFailureError)
+from tmlab.groundstate import GroundStateConfig, GroundStateResult
+from tmlab.potentials import check_kato
+from tmlab.radial import RadialFunction
 from tmlab.rearrange import _domain_stop
 
 
@@ -184,3 +189,56 @@ def luxemburg_norm_bisection(u, rel_tol=1e-10):
         else:
             hi = mid
     return hi
+
+
+def shoot_rk45(pot, grid, config=None, rtol=1e-10, atol=1e-12):
+    """The adaptive RK45 shooter that the Magnus propagator replaced:
+    scipy's solve_ivp in t = log r with a zero-crossing event, one
+    Python right-hand-side call (and one potential evaluation) per stage.
+    """
+    from scipy.integrate import solve_ivp
+
+    if config is None:
+        config = GroundStateConfig()
+    nodes = grid.nodes
+    # The last node is r = 1 where catalogue potentials may blow up;
+    # integrate to the last interior node and extrapolate the final cell.
+    t_eval = np.log(nodes[:-1])
+    t0, t_end = t_eval[0], t_eval[-1]
+
+    def rhs(t, y):
+        r = math.exp(t)
+        v = float(pot(np.asarray([r]))[0])
+        return [y[1], -r * r * v * y[0]]
+
+    def hit_zero(t, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    sol = solve_ivp(rhs, (t0, t_end), [1.0, 0.0], t_eval=t_eval,
+                    rtol=rtol, atol=atol, method="RK45",
+                    events=hit_zero, dense_output=False)
+    if sol.status == 1:  # zero crossing event
+        raise NodalSolutionError(math.exp(float(sol.t_events[0][0])))
+    if sol.status != 0:
+        raise StepFailureError(sol.message)
+
+    phi_vals = sol.y[0]
+    q_vals = sol.y[1]
+    # Final cell [nodes[-2], 1]: linear continuation in t.
+    dt_last = 0.0 - t_end
+    phi_end = phi_vals[-1] + q_vals[-1] * dt_last
+    full = np.concatenate([phi_vals, [phi_end]])
+    if np.any(full[:-1] <= 0.0):
+        i = int(np.argmax(full[:-1] <= 0.0))
+        raise NodalSolutionError(nodes[i])
+    peak = float(np.max(full))
+    full = full / peak
+    phi = RadialFunction(grid, full, dirichlet=False)
+    try:
+        kato_ok = bool(check_kato(pot, config.kato_alpha).ok)
+    except SingularEvaluationError:  # V is not finite on the sampled radii
+        kato_ok = False
+    return GroundStateResult(pot, phi, float(full[-1]), kato_ok)

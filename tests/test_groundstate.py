@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import LAMBDA_1, bessel_j0, leray_sqrt_log_residual
-from tmlab.errors import InvalidInputError, NodalSolutionError
+from oracles import LAMBDA_1, bessel_j0, leray_sqrt_log_residual, shoot_rk45
+from tmlab import groundstate
+from tmlab.errors import (InvalidInputError, NodalSolutionError,
+                          StepFailureError)
 from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
                                GroundStateConfig, classify_coercivity,
                                ground_state_analysis, jacobi_identity_residual,
                                shoot)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
-                              LerayPotential, WangYePotential)
+                              LerayPotential, Potential, TabulatedPotential,
+                              WangYePotential)
 from tmlab.radial import RadialFunction, RadialGrid
 from tmlab.sampling import bump_profile
 
@@ -171,3 +174,88 @@ def test_kato_invalid_alpha_is_not_a_verdict(grid):
     # configuration is an error, not a silent False.
     with pytest.raises(InvalidInputError):
         shoot(ConstantPotential(2.0), grid, GroundStateConfig(kato_alpha=0))
+
+
+def tabulated_gamma05(table_grid):
+    """gamma:0.5 sampled at the grid nodes (the rim value repeated at
+    r = 1, where V is infinite), interpolated linearly in log r."""
+    vals = GammaPotential(0.5)(table_grid.nodes[:-1])
+    return TabulatedPotential(table_grid.nodes, np.append(vals, vals[-1]))
+
+
+def refined_grid(grid, k):
+    """Every cell of `grid` below nodes[-2] cut into k equal pieces in
+    log r; node k*i is nodes[i] up to the rounding of exp(log r)."""
+    t = np.log(grid.nodes[:-1])
+    fine = (t[:-1, None] + np.diff(t)[:, None] * (np.arange(k) / k)).ravel()
+    return RadialGrid(np.append(np.exp(np.append(fine, t[-1])), 1.0))
+
+
+def test_shoot_matches_rk45_reference(grid, monkeypatch):
+    pytest.importorskip("scipy.integrate")
+    pots = {"constant": ConstantPotential(2.0), "leray": LerayPotential(),
+            "gamma05": GammaPotential(0.5), "wangye": WangYePotential(),
+            "tabulated": tabulated_gamma05(grid)}
+    for key, pot in pots.items():
+        new = classify_coercivity(pot, grid)
+        with monkeypatch.context() as m:
+            m.setattr(groundstate, "shoot", shoot_rk45)
+            old = classify_coercivity(pot, grid)
+        assert new.classification == old.classification, key
+        assert abs(new.result.phi_at_1 - old.result.phi_at_1) <= 1e-8, key
+
+
+@pytest.mark.parametrize("table_n", [4096, 1000])
+def test_tabulated_copy_integrates_to_mesh_accuracy(grid, table_n):
+    # The table is gamma:0.5 at its nodes; its kinks are mesh edges (on
+    # the grid's own nodes, or off them through `breakpoints`), so the
+    # shot converges as for a smooth V: the default grid agrees with a
+    # 16x-refined one (RK45 stepped across the kinks and was 3.7e-6 off).
+    # Between its nodes the table differs from gamma:0.5 itself.
+    table_grid = RadialGrid.default(table_n)
+    table = tabulated_gamma05(table_grid)
+    exact = GammaPotential(0.5)(table_grid.nodes[:-1])
+    assert np.max(np.abs(table(table_grid.nodes[:-1]) / exact - 1.0)) <= 1e-8
+    k = 16
+    coarse = shoot(table, grid).phi.values
+    fine = shoot(table, refined_grid(grid, k)).phi.values
+    fine = np.append(fine[:-1:k], fine[-1])
+    assert np.max(np.abs(coarse / fine - 1.0)) <= 1e-8
+
+
+def test_coarse_grid_shoots_on_the_default_mesh(grid):
+    coarse_grid = RadialGrid.default(512)
+    shared, i_coarse, i_default = np.intersect1d(
+        coarse_grid.nodes, grid.nodes, return_indices=True)
+    assert shared.size >= 3
+    for pot in (ConstantPotential(2.0), GammaPotential(0.5),
+                WangYePotential()):
+        coarse = shoot(pot, coarse_grid).phi.values[i_coarse]
+        default = shoot(pot, grid).phi.values[i_default]
+        assert np.max(np.abs(coarse / default - 1.0)) <= 1e-8, pot
+
+
+class _NaNPotential(Potential):
+    def __call__(self, r):
+        return np.full(np.shape(r), math.nan)
+
+
+def test_nan_potential_is_step_failure(grid):
+    with pytest.raises(StepFailureError):
+        shoot(_NaNPotential(), grid)
+    # an integrator failure is no verdict
+    with pytest.raises(StepFailureError):
+        classify_coercivity(_NaNPotential(), grid)
+
+
+def test_shoot_vectorizes_potential_evaluation(grid):
+    # One vectorized evaluation for all Gauss points, one for check_kato.
+    calls = []
+
+    class Counting(Potential):
+        def __call__(self, r):
+            calls.append(np.size(r))
+            return LerayPotential()(r)
+
+    shoot(Counting(), grid)
+    assert len(calls) == 2

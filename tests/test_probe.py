@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from oracles import (LAMBDA_1, bessel_j0, j0_first_zero,
                      pav_nonincreasing_stack, simpson)
 from tmlab.errors import InvalidInputError
 from tmlab.forms import LpRemainder, NoRemainder, PotentialRemainder, eval_Q
-from tmlab.potentials import ConstantPotential, LerayPotential
+from tmlab.groundstate import GROUND_STATE, classify_coercivity
+from tmlab.potentials import ConstantPotential, GammaPotential, LerayPotential
 from tmlab.probe import (BOUNDED, DIVERGENT, ProbeConfig, TrialFamily,
                          WkCutoff, estimate_lambda_1, estimate_lambda_p,
                          ground_state_family, maximize_J_constrained,
@@ -128,9 +130,25 @@ def test_probe_report_serialization(grid):
     d = rep.to_json_dict()
     assert d["verdict"] == rep.verdict
     assert len(d["rows"]) == 3
-    lines = list(rep.to_csv_rows())
-    assert lines[0].startswith("k,Q,J")
-    assert len(lines) == 4
+    assert rep.CSV_HEADER[:3] == ("k", "Q", "J")
+    rows = rep.csv_rows()
+    assert len(rows) == 3
+    assert all(len(row) == len(rep.CSV_HEADER) for row in rows)
+
+
+def test_growth_fit_overflow_is_silent(grid):
+    # The ground-state sweep of gamma:0.113 reaches J ~ 1e240, whose
+    # squared residuals overflow to inf: a legitimate value, so no
+    # RuntimeWarning, and the verdict is the one read before.
+    pot = GammaPotential(0.113)
+    verdict = classify_coercivity(pot, grid)
+    assert verdict.classification == GROUND_STATE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = probe_supremum(PotentialRemainder(pot),
+                                ground_state_family(verdict.result))
+    assert report.verdict == DIVERGENT
+    assert math.isinf(report.fit.residual)
 
 
 def test_pav_projection():

@@ -40,6 +40,25 @@ def test_grid_validation():
         RadialGrid([0.1, 0.9])  # must end at 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_nodes(bad):
+    # The message names the real defect, not a side effect such as
+    # "not increasing".
+    for nodes in ([bad, 0.5, 1.0], [0.1, bad, 1.0]):
+        with pytest.raises(InvalidInputError, match="finite"):
+            RadialGrid(nodes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_function_rejects_non_finite_values(bad):
+    grid = RadialGrid([0.25, 0.5, 1.0])
+    for i in range(3):
+        vals = [1.0, 0.5, 0.0]
+        vals[i] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            RadialFunction(grid, vals, dirichlet=False)
+
+
 def test_gradient_norm_examples(grid):
     assert gradient_norm_sq(RadialFunction.zero(grid)) == 0.0
     ramp = RadialFunction.from_callable(grid, lambda r: 1.0 - r)

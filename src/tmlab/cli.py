@@ -287,6 +287,22 @@ def cmd_lambda(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def finite_float(text: str) -> float:
+    """Flag type: a float other than nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """Flag type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tm-lab", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -303,13 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--u", required=True, help="zero | moser:<k> | file:<csv>")
     p.add_argument("--form", default="none")
-    p.add_argument("--coeff", type=float, default=FOUR_PI)
+    p.add_argument("--coeff", type=finite_float, default=FOUR_PI)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("groundstate", help="shooting + stretch + verdict")
     common(p)
     p.add_argument("--potential", required=True)
-    p.add_argument("--delta-phi", type=float, default=None, dest="delta_phi")
+    p.add_argument("--delta-phi", type=finite_float, default=None,
+                   dest="delta_phi")
     p.set_defaults(func=cmd_groundstate)
 
     p = sub.add_parser("probe", help="trial-family supremum sweep")
@@ -318,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("moser", "gsapprox"), default="moser")
     p.add_argument("--potential", default=None,
                    help="potential for gsapprox (defaults to the form's)")
-    p.add_argument("--coeff", type=float, default=FOUR_PI)
-    p.add_argument("--kmax-pow", type=int, default=14, dest="kmax_pow")
+    p.add_argument("--coeff", type=finite_float, default=FOUR_PI)
+    p.add_argument("--kmax-pow", type=positive_int, default=14,
+                   dest="kmax_pow")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("audit", help="randomized inequality audit")
@@ -328,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("onofri", "onofri-refined", "adimurthi-druet",
                             "orlicz"))
     p.add_argument("--form", default="none")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--slack-tol", type=float, default=1e-8, dest="slack_tol")
+    p.add_argument("--samples", type=positive_int, default=100)
+    p.add_argument("--slack-tol", type=finite_float, default=1e-8,
+                   dest="slack_tol")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("rearrange", help="decreasing rearrangement of a profile")
@@ -342,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="eigenvalue / L^p constant estimates")
     common(p)
     p.add_argument("--which", choices=("1", "p"), default="1")
-    p.add_argument("--p", type=float, default=4.0)
+    p.add_argument("--p", type=finite_float, default=4.0)
     p.set_defaults(func=cmd_lambda)
     return top
 

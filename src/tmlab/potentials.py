@@ -142,11 +142,15 @@ class TabulatedPotential(Potential):
 
 
 def spec_float(spec: str, field: str) -> float:
-    """A number field of a CLI spec; a malformed one is a usage error."""
+    """A number field of a CLI spec; a malformed or non-finite one is a
+    usage error."""
     try:
-        return float(field)
+        value = float(field)
     except ValueError as exc:
         raise InvalidInputError(f"spec {spec!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise InvalidInputError(f"spec {spec!r}: {field!r} is not finite")
+    return value
 
 
 def parse_potential(text: str) -> Potential:

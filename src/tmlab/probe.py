@@ -340,15 +340,19 @@ def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
     that pools nothing stays a singleton block (pw = 1) of the input copy.
     Such an element's successor can pool only if it is a violation
     (smaller than the element), so the loop starts at the violation
-    indices and runs on while elements keep pooling.  Each pooled block
-    is written back into the copy as one slice.
+    indices and runs on while elements keep pooling.  The loop reads the
+    copy through a memoryview, so only the elements it visits (those
+    near violations) become Python floats, and it keeps the top pooled
+    block in local variables (tl, tw, top), the blocks under it on the
+    stack.  Each pooled block is written back into the copy as one slice
+    after the loop.
     """
     zr = y[::-1]  # nondecreasing problem
     out = zr.copy()
-    z = zr.tolist()
-    n = len(z)
-    blocks: list[tuple[float, int, int]] = []
-    top = -1  # end of the top pooled block
+    z = memoryview(out)
+    n = len(out)
+    below: list[tuple[float, int, int]] = []
+    tl, tw, top = 0.0, 0, -1  # level, count and end of the top pooled block
     i = 0
     for v in (np.flatnonzero(zr[1:] < zr[:-1]) + 1).tolist():
         if v < i:
@@ -360,13 +364,15 @@ def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
             lv, w, s = z[i], 1, i
             while True:
                 if top == s:
-                    pl, pw, _ = blocks[-1]
+                    if not tl > lv:
+                        break
+                    pl, pw = tl, tw
+                    tl, tw, top = below.pop() if below else (0.0, 0, -1)
+                elif s:
+                    pl = z[s - 1]
                     if not pl > lv:
                         break
-                    blocks.pop()
-                    top = blocks[-1][2] if blocks else -1
-                elif s and z[s - 1] > lv:
-                    pl, pw = z[s - 1], 1
+                    pw = 1
                 else:
                     break
                 lv = (pw * pl + w * lv) / (pw + w)
@@ -375,9 +381,12 @@ def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
             i += 1
             if w == 1:
                 break
-            blocks.append((lv, w, i))
-            top = i
-    for lv, w, end in blocks:
+            if top >= 0:
+                below.append((tl, tw, top))
+            tl, tw, top = lv, w, i
+    if top >= 0:
+        below.append((tl, tw, top))
+    for lv, w, end in below:
         out[end - w:end] = lv
     return out[::-1]
 
@@ -626,6 +635,13 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
         width = rng.uniform(0.1, 0.8)
         starts.append(np.exp(-((r - c) / width) ** 2) * (1.0 - r))
 
+    def descent_direction(u):
+        # Energy gradient 2 A u (zero at the Dirichlet node) and its norm;
+        # it depends on u alone, so rejected steps reuse it.
+        g = 2.0 * _tridiag_apply(ad, ao, u.values[:-1])
+        g = np.concatenate([g, [0.0]])
+        return g, max(np.linalg.norm(g), 1e-300)
+
     minima = []
     best = (math.inf, None)
     for s0 in starts:
@@ -633,16 +649,16 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
         if u is None:
             continue
         e = gradient_norm_sq(u)
+        g, gn = descent_direction(u)
         step = 0.1
         for _ in range(iterations):
-            g = 2.0 * _tridiag_apply(ad, ao, u.values[:-1])
-            g = np.concatenate([g, [0.0]])
-            cand = normalized(u.values - step * g / max(np.linalg.norm(g), 1e-300))
+            cand = normalized(u.values - step * g / gn)
             if cand is None:
                 break
             ec = gradient_norm_sq(cand)
             if ec < e:
                 u, e = cand, ec
+                g, gn = descent_direction(u)
                 step = min(step * 1.5, 1.0)
             else:
                 step *= 0.5

@@ -15,9 +15,12 @@ and are evaluated by composite rules on the grid cells:
 
 Every quadrature sum is correctly rounded: `exact_sum` returns the float
 nearest the exact sum of its terms (the value math.fsum gives), so the
-result does not depend on the order of the terms.  The module, like the
-whole package, needs only numpy.  Grids and profiles are finite by
-construction: the constructors reject non-finite nodes and values.
+result does not depend on the order of the terms.  It stops extracting as
+soon as the unextracted residual can no longer move the rounded total,
+usually after two vectorized passes, and still returns fsum's bits.  The
+module, like the whole package, needs only numpy.  Grids and profiles are
+finite by construction: the constructors reject non-finite nodes and
+values.
 
 The default grid clusters nodes geometrically toward both endpoints
 (first node 1e-8, last interior node 1 - 1e-8) because the singular
@@ -189,10 +192,14 @@ def exact_sum(x) -> float:
     m = max|r| <= 2^-k sigma, sigma a power of two and 2^k > n + 2,
     q = (sigma + r) - sigma and r - q are exact, and every q_i is a
     multiple of ulp(sigma)/2 with sum |q_i| < sigma, so sum(q) is exact
-    in any order.  Peeling q off until the residual vanishes leaves a few
-    exact partial sums; fsum rounds their total once.  Zero, non-finite
-    and near-overflow input goes to math.fsum unchanged, which keeps its
-    signed zero, inf/nan results and exceptions.
+    in any order.  Each pass peels q off into one exact partial sum and
+    leaves a residual whose sum lies in [-b, b], b = 2^k max|r| >= n max|r|.
+    Once fsum(partials + [b]) equals fsum(partials + [-b]), that value is
+    fsum(x), since rounding is monotone (Rump, Ogita and Oishi's stopping
+    test).  This ends most sums after two passes, and every sum once the
+    residual vanishes (b = 0).  Zero, non-finite and near-overflow input
+    goes to math.fsum unchanged, which keeps its signed zero, inf/nan
+    results and exceptions.
     """
     x = np.asarray(x, dtype=float)
     m = float(np.max(np.abs(x))) if x.size else 0.0
@@ -202,14 +209,17 @@ def exact_sum(x) -> float:
     partials = []
     r = x.copy()
     q = np.empty_like(r)
-    while m != 0.0:
+    while True:
         sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
         np.add(r, sigma, out=q)
         q -= sigma
         r -= q
         partials.append(float(q.sum()))
         m = float(np.abs(r, out=q).max())
-    return math.fsum(partials)
+        b = math.ldexp(m, k)
+        total = math.fsum(partials + [b])
+        if total == math.fsum(partials + [-b]):
+            return total
 
 
 def mids_with_cap(u: RadialFunction):

@@ -8,7 +8,9 @@ Simpson quadrature after the log substitution L = log(1/r).
 The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
 bit for bit, except the RK45 shooter, which the Magnus shooter must
-match to within the adaptive integrator's own accuracy.
+match to within the adaptive integrator's own accuracy.  The lambda_p
+descent copy recomputes the descent direction on every step, accepted
+or rejected.
 """
 
 import math
@@ -20,7 +22,9 @@ from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           SingularEvaluationError, StepFailureError)
 from tmlab.groundstate import GroundStateConfig, GroundStateResult
 from tmlab.potentials import check_kato
-from tmlab.radial import RadialFunction
+from tmlab.probe import (LambdaPEstimate, _pav_nonincreasing, _stiffness_mass,
+                         _tridiag_apply, estimate_lambda_1)
+from tmlab.radial import RadialFunction, gradient_norm_sq, lp_norm
 from tmlab.rearrange import _domain_stop
 
 
@@ -242,3 +246,59 @@ def shoot_rk45(pot, grid, config=None, rtol=1e-10, atol=1e-12):
     except SingularEvaluationError:  # V is not finite on the sampled radii
         kato_ok = False
     return GroundStateResult(pot, phi, float(full[-1]), kato_ok)
+
+
+def estimate_lambda_p_descent(p, grid, seed=0, n_starts=32, iterations=120):
+    """The lambda_p multistart descent as it was before it reused the
+    descent direction across rejected steps: g and its norm are formed
+    afresh at every step."""
+    rng = np.random.default_rng(seed)
+    a_diag, a_off, _, _ = _stiffness_mass(grid)
+    ad, ao = a_diag[:-1], a_off[:-1]
+
+    def normalized(vals):
+        v = _pav_nonincreasing(np.maximum(vals, 0.0))
+        v[-1] = 0.0
+        u = RadialFunction(grid, v, dirichlet=True)
+        nrm = lp_norm(u, p)
+        if nrm == 0.0:
+            return None
+        return u.scaled(1.0 / nrm)
+
+    r = grid.nodes
+    starts = [1.0 - r * r]
+    _, eig = estimate_lambda_1(grid)
+    starts.append(eig.values.copy())
+    for _ in range(max(n_starts - 2, 0)):
+        c = rng.uniform(0.0, 0.5)
+        width = rng.uniform(0.1, 0.8)
+        starts.append(np.exp(-((r - c) / width) ** 2) * (1.0 - r))
+
+    minima = []
+    best = (math.inf, None)
+    for s0 in starts:
+        u = normalized(s0)
+        if u is None:
+            continue
+        e = gradient_norm_sq(u)
+        step = 0.1
+        for _ in range(iterations):
+            g = 2.0 * _tridiag_apply(ad, ao, u.values[:-1])
+            g = np.concatenate([g, [0.0]])
+            cand = normalized(u.values - step * g / max(np.linalg.norm(g), 1e-300))
+            if cand is None:
+                break
+            ec = gradient_norm_sq(cand)
+            if ec < e:
+                u, e = cand, ec
+                step = min(step * 1.5, 1.0)
+            else:
+                step *= 0.5
+                if step < 1e-10:
+                    break
+        minima.append(e)
+        if e < best[0]:
+            best = (e, u)
+    vals = np.asarray(minima)
+    return LambdaPEstimate(best[0], float(np.max(vals) - np.min(vals)),
+                           best[1], minima)

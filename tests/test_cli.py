@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tmlab
 from tmlab.cli import main
@@ -314,3 +316,105 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "GroundStateDetected" in proc.stdout
+
+
+# The exit-code contract over random argv.  Each command's options are
+# drawn from the README's ranges; at most one of them is then replaced by
+# a value that is invalid by construction (non-finite, a non-positive
+# count or an unknown spec), and such a draw must exit 2.
+_non_finite = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
+                               "Infinity", "1e999"])
+_non_positive = st.integers(-5, 0).map(str)
+
+
+def _num(lo, hi, **kw):
+    return st.floats(lo, hi, **kw).map(repr)
+
+
+_potential = st.one_of(
+    st.just("leray"), st.just("wangye"),
+    _num(0.0, 5.0).map("constant:{}".format),
+    _num(0.1, 8.0).map("gamma:{}".format))
+_bad_potential = st.one_of(
+    _non_finite.map("constant:{}".format), _non_finite.map("gamma:{}".format),
+    st.sampled_from(["hardy", "bogus:1"]))
+_form = st.one_of(
+    st.just("none"), _potential, _potential.map("potential:{}".format),
+    st.tuples(_num(0.0, 2.0), _num(2.0, 8.0, exclude_min=True))
+    .map("lp:{0[0]}:{0[1]}".format))
+_bad_form = st.one_of(
+    _bad_potential, _bad_potential.map("potential:{}".format),
+    _non_finite.map("lp:{}:4".format), _non_finite.map("lp:1:{}".format),
+    st.sampled_from(["lq:1:4", "bogus"]))
+_profile = st.one_of(st.just("zero"),
+                     st.integers(2, 256).map("moser:{}".format))
+_bad_profile = st.sampled_from(["spline:3", "bogus"])
+_seed = st.integers(0, 1000).map(str)
+
+# command -> {flag: (valid values, invalid values or None)}
+_COMMANDS = {
+    "eval": {"--u": (_profile, _bad_profile), "--form": (_form, _bad_form),
+             "--coeff": (_num(1.0, 4 * math.pi), _non_finite)},
+    "groundstate": {"--potential": (_potential, _bad_potential),
+                    "--delta-phi": (_num(1e-8, 1e-2), _non_finite)},
+    "probe": {"--form": (_form, _bad_form),
+              "--coeff": (_num(1.0, 4 * math.pi), _non_finite),
+              "--kmax-pow": (st.integers(2, 14).map(str), _non_positive)},
+    "audit": {"--ineq": (st.sampled_from(["onofri", "onofri-refined",
+                                          "adimurthi-druet", "orlicz"]), None),
+              "--form": (_form, _bad_form),
+              "--samples": (st.integers(1, 4).map(str), _non_positive),
+              "--slack-tol": (_num(0.0, 1e-6), _non_finite),
+              "--seed": (_seed, None)},
+    "rearrange": {"--u": (_profile, _bad_profile),
+                  "--measure": (st.sampled_from(["hyperbolic", "euclidean"]),
+                                None)},
+    "lambda": {"--which": (st.sampled_from(["1", "p"]), None),
+               "--p": (_num(2.5, 6.0), _non_finite), "--seed": (_seed, None)},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    slots = _COMMANDS[command]
+    values = {flag: draw(valid) for flag, (valid, _) in slots.items()}
+    corruptible = [flag for flag, (_, bad) in slots.items() if bad is not None]
+    bad_flag = draw(st.none() | st.sampled_from(corruptible))
+    if bad_flag is not None:
+        values[bad_flag] = draw(slots[bad_flag][1])
+    # --flag=value keeps a value such as "-inf" from reading as a flag.
+    argv = [command, "--grid-n", "64",
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+    argv += [f"{flag}={value}" for flag, value in values.items()]
+    return argv, bad_flag
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_exit_code_contract(tmp_path, case):
+    argv, bad_flag = case
+    code = run(argv + ["--out", str(tmp_path / "out")])
+    if bad_flag is not None:
+        assert code == 2, argv
+    elif argv[0] == "audit":
+        assert code in (0, 1), argv
+    else:
+        assert code == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--form", "none", "--coeff", "nan"],
+    ["lambda", "--which", "p", "--p", "inf"],
+    ["groundstate", "--potential", "leray", "--delta-phi", "nan"],
+    ["eval", "--u", "zero", "--form", "gamma:inf"],
+    ["eval", "--u", "zero", "--form", "lp:1:inf"],
+    ["eval", "--u", "zero", "--coeff", "nan"],
+    ["audit", "--ineq", "onofri", "--samples", "0"],
+    ["audit", "--ineq", "onofri", "--samples", "-3"],
+    ["probe", "--form", "none", "--kmax-pow", "0"],
+])
+def test_non_finite_and_non_positive_are_usage_errors(tmp_path, argv):
+    # Each of these once printed a verdict or numbers (or exited 3).
+    assert run(argv + ["--grid-n", "64", "--out", str(tmp_path / "o")]) == 2

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (LAMBDA_1, bessel_j0, j0_first_zero,
-                     pav_nonincreasing_stack, simpson)
+from oracles import (LAMBDA_1, bessel_j0, estimate_lambda_p_descent,
+                     j0_first_zero, pav_nonincreasing_stack, simpson)
 from tmlab.errors import InvalidInputError
 from tmlab.forms import LpRemainder, NoRemainder, PotentialRemainder, eval_Q
 from tmlab.groundstate import GROUND_STATE, classify_coercivity
@@ -18,7 +18,7 @@ from tmlab.probe import (BOUNDED, DIVERGENT, ProbeConfig, TrialFamily,
                          ground_state_family, maximize_J_constrained,
                          moser_family, moser_function, probe_supremum)
 from tmlab.probe import _pav_nonincreasing
-from tmlab.radial import gradient_norm_sq, lp_norm
+from tmlab.radial import RadialGrid, gradient_norm_sq, lp_norm
 from tmlab.rearrange import polya_szego_gap
 
 
@@ -188,6 +188,25 @@ def test_pav_bit_identical_to_stack_loop(case):
     assert np.array_equal(_pav_nonincreasing(z), z)
 
 
+@st.composite
+def _lambda_p_shaped(draw):
+    """A descent step's PAV input: a nonincreasing profile minus a
+    perturbation concentrated in its last tenth, clipped at 0."""
+    n = draw(st.integers(2, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = np.sort(rng.uniform(0.0, draw(st.floats(1e-3, 1e3)), n))[::-1]
+    pert = np.zeros(n)
+    tail = n - max(n // 10, 1)
+    pert[tail:] = rng.normal(0.0, draw(st.floats(1e-6, 10.0)), n - tail)
+    return np.maximum(base - pert, 0.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_lambda_p_shaped())
+def test_pav_bit_identical_on_lambda_p_inputs(y):
+    assert np.array_equal(_pav_nonincreasing(y), pav_nonincreasing_stack(y))
+
+
 def test_maximize_matches_family(grid):
     res = maximize_J_constrained(NoRemainder(), grid, budget=160, seed=1)
     best = max(r.j_normalized
@@ -237,6 +256,18 @@ def test_lambda4_pinned(lambda4_estimate):
     # projection keeps its arithmetic, so the descent and values are exact.
     assert lambda4_estimate.value == 6.906189276603689
     assert lambda4_estimate.spread == 21.362422514531325
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lambda_p_matches_descent_reference(seed):
+    # Reusing the descent direction across rejected steps changes no bit.
+    grid = RadialGrid.default(512)
+    got = estimate_lambda_p(4, grid, seed=seed)
+    want = estimate_lambda_p_descent(4, grid, seed=seed)
+    assert got.value == want.value
+    assert got.spread == want.spread
+    assert got.local_minima == want.local_minima
+    assert np.array_equal(got.minimizer.values, want.minimizer.values)
 
 
 def test_lambda_p_limits(grid_1024, lambda4_estimate):

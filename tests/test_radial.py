@@ -231,6 +231,38 @@ def test_exact_sum_is_fsum(x):
     assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
 
 
+@st.composite
+def _tie_terms(draw):
+    """Up to 4096 terms summing to a head plus (nearly) half its ulp.
+
+    The half ulp is split into a few exact pieces, nudged by zero or by a
+    tiny amount either way, and hidden among cancelling pairs of other
+    magnitudes, all shuffled: an exact tie, or a total just off one, can
+    only be rounded once the residual is far below the nudge, while the
+    other draws are decided after the first passes."""
+    n = draw(st.integers(2, 4096))
+    head = draw(st.floats(1.0, 2.0, exclude_max=True)) \
+        * 2.0 ** draw(st.integers(-60, 60))
+    half = draw(st.sampled_from([1.0, -1.0])) * math.ulp(head) / 2.0
+    pieces = draw(st.integers(1, 6))
+    tail = [half * 2.0 ** -j for j in range(1, pieces)]
+    tail.append(half * 2.0 ** (1 - pieces))
+    nudge = draw(st.sampled_from([0.0, 1.0, -1.0])) \
+        * abs(half) * 2.0 ** -draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fill = max((n - len(tail) - 2) // 2, 0)
+    pairs = head * rng.uniform(-1.0, 1.0, fill) \
+        * 2.0 ** rng.integers(-80, 1, fill)
+    x = np.concatenate([[head, nudge], tail, pairs, -pairs])
+    return rng.permutation(x)
+
+
+@settings(deadline=None)
+@given(_tie_terms())
+def test_exact_sum_is_fsum_at_ties(x):
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
 @pytest.mark.parametrize("x", [[], [1.5], [-0.0], [-0.0] * 7, [0.0, -0.0],
                                [1.0, 2.0 ** -53, 2.0 ** -53],
                                [1.0, 2.0 ** -53, 2.0 ** -106],

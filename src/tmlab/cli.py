@@ -303,6 +303,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonneg_int(text: str) -> int:
+    """Flag type: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tm-lab", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-n", type=int, default=4096, dest="grid_n")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=nonneg_int, default=0)
 
     p = sub.add_parser("eval", help="evaluate functionals of a profile")
     common(p)

@@ -16,7 +16,12 @@ verdict:
     ground-state analysis, composed back as u_k = phi * w_k(s(r)) (the
     family that exhibits divergence when the stretch is infinite);
   * a projected-ascent maximizer over nonincreasing Dirichlet profiles
-    (reported strictly as a lower bound for S).
+    (reported strictly as a lower bound for S).  Its direction is the
+    energy (Sobolev H^1) gradient: the nodal gradient of J preconditioned
+    by the Dirichlet stiffness, solved in closed form on the radial path
+    graph.  That direction is itself nonnegative and nonincreasing, so
+    every ascent candidate stays in the monotone cone and the projection
+    pools nothing.
 
 Also here: Rayleigh-quotient estimators for the first Dirichlet
 eigenvalue lambda_1 (inverse-power iteration on the tridiagonal
@@ -391,12 +396,32 @@ def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
     return out[::-1]
 
 
+def _energy_solve(ke: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve A w = g for the Dirichlet-reduced stiffness A of a radial
+    path graph with cell coefficients ke (see _cell_stiffness), in closed
+    form; returns w (with w[-1] = 0) and its energy w^T A w.
+
+    Summing rows 0..i of A w = g telescopes to ke_i (w_i - w_{i+1}) = F_i,
+    F_i = g_0 + ... + g_i, so the slopes d = F / ke give w as the reverse
+    cumulative sum of d, and w^T A w = sum ke d^2 = sum F d.  The load at
+    the Dirichlet node, g[-1], is ignored.  For g >= 0 the slopes are
+    nonnegative and the sequential reverse sum is nonnegative and
+    nonincreasing bit for bit (rounding is monotone).
+    """
+    f = np.cumsum(g[:-1])
+    d = f / ke
+    w = np.zeros(len(g))
+    w[:-1] = np.cumsum(d[::-1])[::-1]
+    return w, float(f @ d)
+
+
 @dataclass
 class MaximizeResult:
     best_j: float
     profile: RadialFunction
     divergence_evidence: bool
     iterations: int
+    accepted: int = 0  # ascent steps that raised J
 
 
 def maximize_J_constrained(form: Remainder, grid: RadialGrid,
@@ -405,6 +430,16 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
                            ) -> MaximizeResult:
     """Projected gradient ascent of J over { Q <= 1 } intersected with
     nonnegative nonincreasing Dirichlet profiles.
+
+    The direction is the energy gradient: the nodal gradient g of J
+    solved against the Dirichlet stiffness (A w = g, by _energy_solve)
+    and normalized in the energy norm sqrt(w^T A w).  On the doubly
+    graded grid the Euclidean gradient is dominated by the tiny cells,
+    and its steps are undone by the projection; the energy gradient
+    weighs cells by the form's own metric.  Since g >= 0 on the cone, w
+    is nonnegative and nonincreasing, and so is every candidate u + s w:
+    the cone is invariant, and the pool-adjacent-violators projection
+    below pools nothing.
 
     The Q constraint is enforced by the scaling projection u -> u/sqrt(Q)
     (valid because every remainder here is quadratically homogeneous) and
@@ -456,16 +491,17 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
 
     best_j = -math.inf
     best_u = starts[0]
-    iters_used = 0
+    iters_used = accepted = 0
     per_start = max(budget // len(starts), 1)
     areas = grid.cell_areas
+    ke = _cell_stiffness(grid)
     for u0 in starts:
         u = project(u0)
         if u is None:
-            return MaximizeResult(math.inf, u0, True, iters_used)
+            return MaximizeResult(math.inf, u0, True, iters_used, accepted)
         j = eval_J(u, coeff)
         if math.isinf(j):
-            return MaximizeResult(math.inf, u, True, iters_used)
+            return MaximizeResult(math.inf, u, True, iters_used, accepted)
         step = 0.05
         for _ in range(per_start):
             iters_used += 1
@@ -475,19 +511,21 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
             grad = np.zeros(len(grid))
             grad[:-1] += 0.5 * glue
             grad[1:] += 0.5 * glue
-            gn = float(np.linalg.norm(grad))
-            if gn == 0.0:
+            w, energy = _energy_solve(ke, grad)
+            if energy == 0.0:
                 break
-            cand = RadialFunction(grid, u.values + step * grad / gn,
-                                  dirichlet=False)
+            cand = RadialFunction(grid, u.values + (step / math.sqrt(energy))
+                                  * w, dirichlet=False)
             cand = project(cand)
             if cand is None:
-                return MaximizeResult(math.inf, u, True, iters_used)
+                return MaximizeResult(math.inf, u, True, iters_used, accepted)
             jc = eval_J(cand, coeff)
             if math.isinf(jc):
-                return MaximizeResult(math.inf, cand, True, iters_used)
+                return MaximizeResult(math.inf, cand, True, iters_used,
+                                      accepted)
             if jc > j:
                 u, j = cand, jc
+                accepted += 1
                 step = min(step * 2.0, 1.0)
             else:
                 step *= 0.5
@@ -496,7 +534,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
         if j > best_j:
             best_j, best_u = j, u
     evidence = best_j > config.divergence_j_threshold
-    return MaximizeResult(best_j, best_u, evidence, iters_used)
+    return MaximizeResult(best_j, best_u, evidence, iters_used, accepted)
 
 
 EXP_GRAD_CAP = 680.0  # keeps the ascent direction finite near overflow
@@ -506,6 +544,13 @@ EXP_GRAD_CAP = 680.0  # keeps the ascent direction finite near overflow
 # Rayleigh-quotient estimators
 # ---------------------------------------------------------------------------
 
+def _cell_stiffness(grid: RadialGrid) -> np.ndarray:
+    """Cell energy coefficients area / width^2: the Dirichlet energy of a
+    piecewise-linear profile is sum ke * (u_i - u_{i+1})^2."""
+    h = grid.widths
+    return grid.cell_areas / (h * h)
+
+
 def _stiffness_mass(grid: RadialGrid):
     """Tridiagonal stiffness/mass pairs for the radial Rayleigh quotient.
 
@@ -513,10 +558,8 @@ def _stiffness_mass(grid: RadialGrid):
     slopes against the cell areas, mass uses midpoint values, both exactly
     matching gradient_norm_sq and the midpoint L^2 quadrature.
     """
-    w = grid.cell_areas
-    h = grid.widths
-    ke = w / (h * h)          # cell energy coefficient
-    me = 0.25 * w             # cell mass coefficient (midpoint rule)
+    ke = _cell_stiffness(grid)
+    me = 0.25 * grid.cell_areas  # cell mass coefficient (midpoint rule)
     n = len(grid)
     a_diag = np.zeros(n)
     a_off = np.zeros(n - 1)

@@ -321,7 +321,7 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
 # The exit-code contract over random argv.  Each command's options are
 # drawn from the README's ranges; at most one of them is then replaced by
 # a value that is invalid by construction (non-finite, a non-positive
-# count or an unknown spec), and such a draw must exit 2.
+# count, a negative seed or an unknown spec), and such a draw must exit 2.
 _non_finite = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
                                "Infinity", "1e999"])
 _non_positive = st.integers(-5, 0).map(str)
@@ -350,6 +350,7 @@ _profile = st.one_of(st.just("zero"),
                      st.integers(2, 256).map("moser:{}".format))
 _bad_profile = st.sampled_from(["spline:3", "bogus"])
 _seed = st.integers(0, 1000).map(str)
+_negative = st.integers(-5, -1).map(str)
 
 # command -> {flag: (valid values, invalid values or None)}
 _COMMANDS = {
@@ -365,12 +366,13 @@ _COMMANDS = {
               "--form": (_form, _bad_form),
               "--samples": (st.integers(1, 4).map(str), _non_positive),
               "--slack-tol": (_num(0.0, 1e-6), _non_finite),
-              "--seed": (_seed, None)},
+              "--seed": (_seed, _negative)},
     "rearrange": {"--u": (_profile, _bad_profile),
                   "--measure": (st.sampled_from(["hyperbolic", "euclidean"]),
                                 None)},
     "lambda": {"--which": (st.sampled_from(["1", "p"]), None),
-               "--p": (_num(2.5, 6.0), _non_finite), "--seed": (_seed, None)},
+               "--p": (_num(2.5, 6.0), _non_finite),
+               "--seed": (_seed, _negative)},
 }
 
 
@@ -418,3 +420,18 @@ def test_exit_code_contract(tmp_path, case):
 def test_non_finite_and_non_positive_are_usage_errors(tmp_path, argv):
     # Each of these once printed a verdict or numbers (or exited 3).
     assert run(argv + ["--grid-n", "64", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    # A negative seed once reached np.random.default_rng and exited 3
+    # with its traceback.
+    out = str(tmp_path / "o")
+    assert run(["audit", "--ineq", "onofri", "--form", "none", "--samples",
+                "5", "--seed", "-1", "--grid-n", "64", "--out", out]) == 2
+    assert run(["lambda", "--which", "p", "--seed=-1", "--grid-n", "64",
+                "--out", out]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert run(["--config", str(cfg), "lambda", "--which", "p",
+                "--grid-n", "64", "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err

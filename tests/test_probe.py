@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 from oracles import (LAMBDA_1, bessel_j0, estimate_lambda_p_descent,
                      j0_first_zero, pav_nonincreasing_stack, simpson)
+from tmlab import probe
 from tmlab.errors import InvalidInputError
-from tmlab.forms import LpRemainder, NoRemainder, PotentialRemainder, eval_Q
+from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_Q,
+                         parse_form)
 from tmlab.groundstate import GROUND_STATE, classify_coercivity
 from tmlab.potentials import ConstantPotential, GammaPotential, LerayPotential
 from tmlab.probe import (BOUNDED, DIVERGENT, ProbeConfig, TrialFamily,
                          WkCutoff, estimate_lambda_1, estimate_lambda_p,
                          ground_state_family, maximize_J_constrained,
                          moser_family, moser_function, probe_supremum)
-from tmlab.probe import _pav_nonincreasing
+from tmlab.probe import (_cell_stiffness, _energy_solve, _pav_nonincreasing,
+                         _stiffness_mass, _thomas_factor, _tridiag_apply,
+                         _tridiag_solve)
 from tmlab.radial import RadialGrid, gradient_norm_sq, lp_norm
 from tmlab.rearrange import polya_szego_gap
 
@@ -230,6 +234,64 @@ def test_maximize_leray_divergence_evidence(grid):
                                  grid, budget=120, seed=1)
     assert res.divergence_evidence
     assert res.best_j > 1e6
+
+
+@pytest.fixture(scope="module")
+def maximized_none(grid):
+    return maximize_J_constrained(NoRemainder(), grid)
+
+
+def test_maximize_exceeds_carleson_chang(grid, maximized_none):
+    # Carleson-Chang (1986): the disk supremum exceeds pi (1 + e).
+    res = maximized_none
+    assert res.best_j > math.pi * (1.0 + math.e)
+    best = max(r.j_normalized
+               for r in probe_supremum(NoRemainder(), moser_family(grid)).rows)
+    assert res.best_j >= best
+    assert eval_Q(NoRemainder(), res.profile) <= 1.0 + 1e-9
+    assert not res.divergence_evidence
+
+
+def test_maximize_accepts_ascent_steps(maximized_none):
+    # The Euclidean-gradient ascent accepted none of its steps here.
+    assert 0 < maximized_none.accepted <= maximized_none.iterations
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_energy_solve_matches_thomas(n):
+    grid = RadialGrid.default(n)
+    a_diag, a_off, _, _ = _stiffness_mass(grid)
+    ad, ao = a_diag[:-1], a_off[:-1]
+    factors = _thomas_factor(ad, ao)
+    ke = _cell_stiffness(grid)
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        g = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-12.0, 6.0)
+        w, energy = _energy_solve(ke, g)
+        ref = _tridiag_solve(factors, g[:-1])
+        assert w[-1] == 0.0
+        assert np.max(np.abs(w[:-1] - ref) / np.abs(ref)) < 1e-10
+        assert energy == pytest.approx(
+            float(w[:-1] @ _tridiag_apply(ad, ao, w[:-1])), rel=1e-10)
+        # In the cone bit for bit: nonnegative and nonincreasing.
+        assert np.all(w >= 0.0) and np.all(np.diff(w) <= 0.0)
+    assert _energy_solve(ke, np.zeros(n))[1] == 0.0
+
+
+@pytest.mark.parametrize("spec", ["none", "constant:2.0", "leray"])
+def test_ascent_stays_in_the_monotone_cone(grid, monkeypatch, spec):
+    # Every projection the maximizer makes, starts and ascent candidates
+    # alike, receives a nonincreasing input: the PAV pools nothing.
+    pooled = []
+
+    def spy(y):
+        pooled.append(int(np.count_nonzero(y[1:] > y[:-1])))
+        return _pav_nonincreasing(y)
+
+    monkeypatch.setattr(probe, "_pav_nonincreasing", spy)
+    res = maximize_J_constrained(parse_form(spec), grid)
+    assert len(pooled) >= res.iterations > 0
+    assert not any(pooled)
 
 
 def test_lambda1_against_bessel(grid, grid_2048, lambda1):

@@ -9,6 +9,8 @@ audit        randomized inequality audits with per-sample slack records
 rearrange    decreasing rearrangement of a profile CSV
 lambda       Rayleigh-quotient estimates (first eigenvalue / L^p constant)
 
+Every command takes --grid-n, --out and --format (csv or json) and writes
+its result in that format; `audit` and `lambda` also take --seed.
 Exit codes: 0 success (any verdict), 1 inequality violation found,
 2 usage error, 3 numerical failure.  Identical configuration and seed
 produce byte-identical output files; every file carries a provenance
@@ -22,19 +24,21 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError, SingularEvaluationError, TmLabError
-from .forms import (FOUR_PI, eval_J, eval_Q, luxemburg_norm, onofri_lhs,
-                    onofri_rhs, parse_form)
+from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
+                    luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
 from .groundstate import GroundStateConfig, classify_coercivity
 from .potentials import parse_potential
-from .probe import (ProbeConfig, estimate_lambda_1, estimate_lambda_p,
-                    ground_state_family, moser_family, moser_function,
-                    probe_supremum)
-from .radial import RadialFunction, RadialGrid
+from .probe import (ProbeConfig, ProbeReport, estimate_lambda_1,
+                    estimate_lambda_p, ground_state_family, moser_family,
+                    moser_function, probe_supremum)
+from .radial import RadialFunction, RadialGrid, gradient_norm_sq
 from .rearrange import euclidean_measure, hyperbolic_measure, rearrange_decreasing
 from .sampling import bump_profile
 
@@ -42,36 +46,72 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    if not isinstance(x, float):
+        return str(x)
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return f"{x:.17g}"
 
 
-def _provenance(args: argparse.Namespace) -> dict:
+def _json_safe(x):
+    """`x` with NaN as null and +-inf as "inf"/"-inf", so it is strict JSON."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None if math.isnan(x) else _fmt(x)
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
+
+
+@dataclass
+class Output:
+    """What a command produces: a table for the output file and a stdout line.
+
+    The CSV file holds `header`, `rows` and `footer` (as `# key=value`
+    lines).  The JSON file holds `payload`, by default
+    {"rows": [one dict per row], **footer}.
+    """
+    line: str
+    header: tuple = ()
+    rows: list = field(default_factory=list)
+    footer: dict = field(default_factory=dict)
+    payload: dict | None = None
+    code: int = 0
+
+
+def _emit(args: argparse.Namespace, out: Output) -> int:
     # The echo describes the computation, not the destination: the output
     # path is excluded so reruns into different files stay byte-identical.
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "out") and v is not None}
-    return {"tool": "tm-lab", "version": __version__, "config": cfg}
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k != "out" and v is not None}
+    with open(args.out, "w", newline="\n") as fh:
+        if args.format == "json":
+            data = out.payload
+            if data is None:
+                data = {"rows": [dict(zip(out.header, row)) for row in out.rows],
+                        **out.footer}
+            meta = {"tool": "tm-lab", "version": __version__, "config": config}
+            json.dump(_json_safe({"meta": meta, "data": data}), fh,
+                      sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+        else:
+            fh.write(f"# tool=tm-lab version={__version__}\n")
+            fh.write("# config=" + json.dumps(config, sort_keys=True) + "\n")
+            fh.write(",".join(out.header) + "\n")
+            for row in out.rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
+            for key, val in out.footer.items():
+                fh.write(f"# {key}={_fmt(val)}\n")
+    print(out.line)
+    return out.code
 
 
-def _write_csv(path, header_cols, rows, meta: dict, footer: dict | None = None):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# tool=tm-lab version={__version__}\n")
-        fh.write("# config=" + json.dumps(meta["config"], sort_keys=True) + "\n")
-        fh.write(",".join(header_cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-        for key, val in (footer or {}).items():
-            fh.write(f"# {key}={_fmt(val) if isinstance(val, float) else val}\n")
-
-
-def _write_json(path, data, meta: dict):
-    with open(path, "w", newline="\n") as fh:
-        json.dump({"meta": meta, "data": data}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _record(values: dict) -> Output:
+    """A single named record: one CSV row, a flat JSON object."""
+    return Output(" ".join(f"{k}={_fmt(float(v))}" for k, v in values.items()),
+                  tuple(values), [tuple(values.values())], payload=values)
 
 
 def _load_profile(spec: str, grid: RadialGrid) -> RadialFunction:
@@ -93,8 +133,7 @@ def _load_profile(spec: str, grid: RadialGrid) -> RadialFunction:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
-    grid = RadialGrid.default(args.grid_n)
+def cmd_eval(args, grid: RadialGrid) -> Output:
     u = _load_profile(args.u, grid)
     form = parse_form(args.form)
     values = {
@@ -108,149 +147,109 @@ def cmd_eval(args) -> int:
     bad = [k for k, v in values.items() if math.isnan(v)]
     if bad:
         raise FloatingPointError(f"eval: NaN for {', '.join(bad)}")
-    meta = _provenance(args)
-    if args.format == "json":
-        _write_json(args.out, {k: (_fmt(v) if math.isinf(v) else v)
-                               for k, v in values.items()}, meta)
-    else:
-        _write_csv(args.out, list(values), [tuple(values.values())], meta)
-    print(" ".join(f"{k}={_fmt(v)}" for k, v in values.items()))
-    return 0
+    return _record(values)
 
 
-def cmd_groundstate(args) -> int:
-    grid = RadialGrid.default(args.grid_n)
+def cmd_groundstate(args, grid: RadialGrid) -> Output:
     pot = parse_potential(args.potential)
     cfg = GroundStateConfig()
     if args.delta_phi is not None:
         cfg.delta_phi = args.delta_phi
     verdict = classify_coercivity(pot, grid, cfg)
-    meta = _provenance(args)
-    if verdict.result is not None:
-        gs = verdict.result
-        rows = zip(grid.nodes.tolist(), gs.phi.values.tolist(),
-                   gs.s_table.values.tolist())
-        footer = {
-            "phi_at_1": gs.phi_at_1,
-            "s_at_1": gs.s_at_1,
-            "classification": verdict.classification,
-            "kato_ok": gs.kato_ok,
-            "gamma_fit": gs.gamma_fit,
-        }
-        _write_csv(args.out, ["r", "phi", "s"],
-                   [(float(r), float(p), float(s)) for r, p, s in rows],
-                   meta, footer)
-    else:
-        _write_csv(args.out, ["r", "phi", "s"], [], meta,
-                   {"classification": verdict.classification,
-                    "detail": verdict.detail})
-    print(f"classification={verdict.classification} ({verdict.detail})")
-    return 0
+    line = f"classification={verdict.classification} ({verdict.detail})"
+    gs = verdict.result
+    if gs is None:
+        return Output(line, ("r", "phi", "s"),
+                      footer={"classification": verdict.classification,
+                              "detail": verdict.detail})
+    rows = list(zip(grid.nodes.tolist(), gs.phi.values.tolist(),
+                    gs.s_table.values.tolist()))
+    return Output(line, ("r", "phi", "s"), rows,
+                  {"phi_at_1": gs.phi_at_1, "s_at_1": gs.s_at_1,
+                   "classification": verdict.classification,
+                   "kato_ok": gs.kato_ok, "gamma_fit": gs.gamma_fit})
 
 
-def cmd_probe(args) -> int:
-    grid = RadialGrid.default(args.grid_n)
+def cmd_probe(args, grid: RadialGrid) -> Output:
     form = parse_form(args.form)
-    cfg = ProbeConfig(exponent_coeff=args.coeff)
     if args.family == "moser":
-        ks = [2 ** m for m in range(1, args.kmax_pow + 1)]
-        family = moser_family(grid, ks)
-    elif args.family == "gsapprox":
-        pot = parse_potential(args.potential if args.potential
-                              else args.form.removeprefix("potential:"))
-        res = classify_coercivity(pot, grid)
+        family = moser_family(grid, [2 ** m for m in range(1, args.kmax_pow + 1)])
+    else:
+        # The family approximates the ground state of the form's own
+        # potential; against any other form its energies mean nothing.
+        if not isinstance(form, PotentialRemainder):
+            raise InvalidInputError(f"--family gsapprox needs a potential "
+                                    f"form, not {args.form!r}")
+        res = classify_coercivity(form.potential, grid)
         if res.result is None:
-            print(f"verdict=Divergent (indefinite form: {res.detail})")
-            _write_json(args.out, {"verdict": "Divergent",
-                                   "detail": res.detail}, _provenance(args))
-            return 0
+            footer = {"verdict": "Divergent", "detail": res.detail}
+            return Output(f"verdict=Divergent (indefinite form: {res.detail})",
+                          ProbeReport.CSV_HEADER, footer=footer, payload=footer)
         family = ground_state_family(res.result)
+    report = probe_supremum(form, family, ProbeConfig(exponent_coeff=args.coeff))
+    return Output(f"verdict={report.verdict}", report.CSV_HEADER,
+                  report.csv_rows(), {"verdict": report.verdict},
+                  report.to_json_dict())
+
+
+def _onofri_row(u, form, rng):
+    lhs = onofri_lhs(u)
+    rhs = onofri_rhs(u, form)
+    return lhs, rhs, rhs - lhs, ""
+
+
+def _adimurthi_druet_row(u, form, rng):
+    gn = math.sqrt(gradient_norm_sq(u))
+    u = u.scaled(rng.uniform(0.2, 1.0) / gn)
+    psi = form.psi(u)
+    if not 0.0 < psi < 1.0:
+        return psi, math.nan, math.nan, "psi-outside-(0,1)"
+    j_lo = eval_J(u, FOUR_PI * (1.0 + psi))
+    j_hi = eval_J(u, FOUR_PI / (1.0 - psi))
+    if math.isinf(j_hi):
+        slack = math.inf if not math.isinf(j_lo) else 0.0
     else:
-        raise InvalidInputError(f"unknown family {args.family!r}")
-    report = probe_supremum(form, family, cfg)
-    meta = _provenance(args)
-    if args.format == "json":
-        _write_json(args.out, report.to_json_dict(), meta)
-    else:
-        _write_csv(args.out, report.CSV_HEADER, report.csv_rows(), meta,
-                   {"verdict": report.verdict})
-    print(f"verdict={report.verdict}")
-    return 0
+        slack = j_hi - j_lo
+    return psi, 1.0 - (1.0 + psi) * (1.0 - psi), slack, ""
 
 
-def _audit_rows(args, grid, form):
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    worst = math.inf
-    for i in range(args.samples):
-        u = bump_profile(rng, grid)
-        if args.ineq in ("onofri", "onofri-refined"):
-            lhs = onofri_lhs(u)
-            rhs = onofri_rhs(u, form)
-            slack = rhs - lhs
-            rows.append((i, lhs, rhs, slack, ""))
-        elif args.ineq == "adimurthi-druet":
-            from .radial import gradient_norm_sq
-            gn = math.sqrt(gradient_norm_sq(u))
-            u = u.scaled(rng.uniform(0.2, 1.0) / gn)
-            psi = form.psi(u)
-            if not 0.0 < psi < 1.0:
-                rows.append((i, psi, math.nan, math.nan, "psi-outside-(0,1)"))
-                continue
-            j_lo = eval_J(u, FOUR_PI * (1.0 + psi))
-            j_hi = eval_J(u, FOUR_PI / (1.0 - psi))
-            if math.isinf(j_hi):
-                slack = math.inf if not math.isinf(j_lo) else 0.0
-            else:
-                slack = j_hi - j_lo
-            rows.append((i, psi, 1.0 - (1.0 + psi) * (1.0 - psi),
-                         slack, ""))
-        elif args.ineq == "orlicz":
-            q = eval_Q(form, u)
-            orl = luxemburg_norm(u)
-            ratio = q / (orl * orl) if orl > 0 else math.nan
-            rows.append((i, q, orl, ratio, ""))
-            if not math.isnan(ratio):
-                worst = min(worst, ratio)
-            continue
-        else:
-            raise InvalidInputError(f"unknown inequality {args.ineq!r}")
-    return rows, worst
+def _orlicz_row(u, form, rng):
+    q = eval_Q(form, u)
+    orl = luxemburg_norm(u)
+    return q, orl, q / (orl * orl) if orl > 0 else math.nan, ""
 
 
-def cmd_audit(args) -> int:
-    grid = RadialGrid.default(args.grid_n)
+# inequality -> (columns between "sample" and "note", row function).  A row
+# function maps a sampled bump (and the sampler, for rescaling draws) to
+# those columns plus the note; a row with a note has no slack.
+AUDITS = {
+    "onofri": (("lhs", "rhs", "slack"), _onofri_row),
+    "onofri-refined": (("lhs", "rhs", "slack"), _onofri_row),
+    "adimurthi-druet": (("psi", "scalar_slack", "J_slack"), _adimurthi_druet_row),
+    "orlicz": (("Q", "luxemburg", "ratio"), _orlicz_row),
+}
+
+
+def cmd_audit(args, grid: RadialGrid) -> Output:
     form = parse_form(args.form)
-    rows, worst = _audit_rows(args, grid, form)
+    columns, row = AUDITS[args.ineq]
+    rng = np.random.default_rng(args.seed)
+    rows = [(i, *row(bump_profile(rng, grid), form, rng))
+            for i in range(args.samples)]
     slacks = [r[3] for r in rows if not r[4] and not math.isnan(r[3])]
     if args.ineq == "orlicz":
-        violations = sum(1 for s in slacks if s <= 0.0)
-        summary = {"empirical_C": worst, "violations": violations}
+        summary = {"empirical_C": min(slacks, default=math.inf),
+                   "violations": sum(1 for s in slacks if s <= 0.0)}
     else:
         violations = sum(1 for s in slacks if s < -args.slack_tol)
-        summary = {"min_slack": min(slacks) if slacks else math.nan,
+        summary = {"min_slack": min(slacks, default=math.nan),
                    "violations": violations}
-    meta = _provenance(args)
-    header = {"onofri": ("sample", "lhs", "rhs", "slack", "note"),
-              "onofri-refined": ("sample", "lhs", "rhs", "slack", "note"),
-              "adimurthi-druet": ("sample", "psi", "scalar_slack", "J_slack",
-                                  "note"),
-              "orlicz": ("sample", "Q", "luxemburg", "ratio", "note")}[args.ineq]
-    if args.format == "json":
-        _write_json(args.out, {"rows": [
-            {header[j]: (None if isinstance(v, float) and math.isnan(v)
-                         else ("inf" if isinstance(v, float) and math.isinf(v)
-                               else v))
-             for j, v in enumerate(r)} for r in rows], **summary}, meta)
-    else:
-        _write_csv(args.out, list(header), rows, meta,
-                   {k: float(v) for k, v in summary.items()})
-    print(" ".join(f"{k}={v}" for k, v in summary.items()))
-    return 1 if violations else 0
+    return Output(" ".join(f"{k}={v}" for k, v in summary.items()),
+                  ("sample", *columns, "note"), rows, summary,
+                  code=1 if summary["violations"] else 0)
 
 
-def cmd_rearrange(args) -> int:
-    grid = RadialGrid.default(args.grid_n)
+def cmd_rearrange(args, grid: RadialGrid) -> Output:
     u = _load_profile(args.u, grid)
     measure = (hyperbolic_measure() if args.measure == "hyperbolic"
                else euclidean_measure())
@@ -258,29 +257,17 @@ def cmd_rearrange(args) -> int:
     vals[-1] = 0.0 if u.dirichlet else vals[-1]
     out = rearrange_decreasing(
         RadialFunction(u.grid, vals, dirichlet=u.dirichlet), measure)
-    meta = _provenance(args)
-    _write_csv(args.out, ["r", "value"],
-               list(zip(out.grid.nodes.tolist(), out.values.tolist())), meta)
-    print(f"rearranged {len(u.grid)}-node profile onto "
-          f"{len(out.grid)} nodes ({args.measure})")
-    return 0
+    return Output(f"rearranged {len(u.grid)}-node profile onto "
+                  f"{len(out.grid)} nodes ({args.measure})", ("r", "value"),
+                  list(zip(out.grid.nodes.tolist(), out.values.tolist())))
 
 
-def cmd_lambda(args) -> int:
-    grid = RadialGrid.default(args.grid_n)
-    meta = _provenance(args)
+def cmd_lambda(args, grid: RadialGrid) -> Output:
     if args.which == "1":
         value, _ = estimate_lambda_1(grid)
-        data = {"lambda_1": value}
-    else:
-        est = estimate_lambda_p(args.p, grid, seed=args.seed)
-        data = {"lambda_p": est.value, "p": args.p, "spread": est.spread}
-    if args.format == "json":
-        _write_json(args.out, data, meta)
-    else:
-        _write_csv(args.out, list(data), [tuple(data.values())], meta)
-    print(" ".join(f"{k}={_fmt(float(v))}" for k, v in data.items()))
-    return 0
+        return _record({"lambda_1": value})
+    est = estimate_lambda_p(args.p, grid, seed=args.seed)
+    return _record({"lambda_p": est.value, "p": args.p, "spread": est.spread})
 
 
 # ---------------------------------------------------------------------------
@@ -311,130 +298,116 @@ def nonneg_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace, RadialGrid], Output]
+    flags: tuple  # (flag, add_argument keywords) pairs the run function reads
+
+
+COMMON_FLAGS = (
+    ("--grid-n", {"type": int, "default": 4096}),
+    ("--out", {"default": None}),
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+)
+_FORM = ("--form", {"default": "none"})
+_COEFF = ("--coeff", {"type": finite_float, "default": FOUR_PI})
+_SEED = ("--seed", {"type": nonneg_int, "default": 0})
+
+COMMANDS = {
+    "eval": Command("evaluate functionals of a profile", cmd_eval, (
+        ("--u", {"required": True, "help": "zero | moser:<k> | file:<csv>"}),
+        _FORM, _COEFF)),
+    "groundstate": Command("shooting + stretch + verdict", cmd_groundstate, (
+        ("--potential", {"required": True}),
+        ("--delta-phi", {"type": finite_float, "default": None}))),
+    "probe": Command("trial-family supremum sweep", cmd_probe, (
+        ("--form", {"required": True}),
+        ("--family", {"choices": ("moser", "gsapprox"), "default": "moser",
+                      "help": "gsapprox needs a potential form"}),
+        _COEFF,
+        ("--kmax-pow", {"type": positive_int, "default": 14}))),
+    "audit": Command("randomized inequality audit", cmd_audit, (
+        ("--ineq", {"required": True, "choices": tuple(AUDITS)}),
+        _FORM,
+        ("--samples", {"type": positive_int, "default": 100}),
+        ("--slack-tol", {"type": finite_float, "default": 1e-8}),
+        _SEED)),
+    "rearrange": Command("decreasing rearrangement of a profile", cmd_rearrange, (
+        ("--u", {"required": True}),
+        ("--measure", {"choices": ("hyperbolic", "euclidean"),
+                       "default": "hyperbolic"}))),
+    "lambda": Command("eigenvalue / L^p constant estimates", cmd_lambda, (
+        ("--which", {"choices": ("1", "p"), "default": "1"}),
+        ("--p", {"type": finite_float, "default": 4.0}),
+        _SEED)),
+}
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The `tm-lab` parser; `defaults` (by destination) replace the table's."""
     top = argparse.ArgumentParser(prog="tm-lab", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--config", help="JSON file with defaults; flags override")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--grid-n", type=int, default=4096, dest="grid_n")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=nonneg_int, default=0)
-
-    p = sub.add_parser("eval", help="evaluate functionals of a profile")
-    common(p)
-    p.add_argument("--u", required=True, help="zero | moser:<k> | file:<csv>")
-    p.add_argument("--form", default="none")
-    p.add_argument("--coeff", type=finite_float, default=FOUR_PI)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("groundstate", help="shooting + stretch + verdict")
-    common(p)
-    p.add_argument("--potential", required=True)
-    p.add_argument("--delta-phi", type=finite_float, default=None,
-                   dest="delta_phi")
-    p.set_defaults(func=cmd_groundstate)
-
-    p = sub.add_parser("probe", help="trial-family supremum sweep")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.add_argument("--family", choices=("moser", "gsapprox"), default="moser")
-    p.add_argument("--potential", default=None,
-                   help="potential for gsapprox (defaults to the form's)")
-    p.add_argument("--coeff", type=finite_float, default=FOUR_PI)
-    p.add_argument("--kmax-pow", type=positive_int, default=14,
-                   dest="kmax_pow")
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("audit", help="randomized inequality audit")
-    common(p)
-    p.add_argument("--ineq", required=True,
-                   choices=("onofri", "onofri-refined", "adimurthi-druet",
-                            "orlicz"))
-    p.add_argument("--form", default="none")
-    p.add_argument("--samples", type=positive_int, default=100)
-    p.add_argument("--slack-tol", type=finite_float, default=1e-8,
-                   dest="slack_tol")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("rearrange", help="decreasing rearrangement of a profile")
-    common(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--measure", choices=("hyperbolic", "euclidean"),
-                   default="hyperbolic")
-    p.set_defaults(func=cmd_rearrange)
-
-    p = sub.add_parser("lambda", help="eigenvalue / L^p constant estimates")
-    common(p)
-    p.add_argument("--which", choices=("1", "p"), default="1")
-    p.add_argument("--p", type=finite_float, default=4.0)
-    p.set_defaults(func=cmd_lambda)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, spec in COMMON_FLAGS + command.flags:
+            p.add_argument(flag, **spec)
+        p.set_defaults(**(defaults or {}))
     return top
 
 
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The options a config file may set for `command`, by destination."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions
-            if a.option_strings and a.dest != "help"}
-
-
-def _config_value(action: argparse.Action, key: str, val):
+def _config_value(spec: dict, key: str, val):
     # A config value is typed like the same text after the flag, so it is
     # accepted exactly when the command line would accept it.
     if isinstance(val, bool) or not isinstance(val, (str, int, float)):
         raise InvalidInputError(f"config {key}: {val!r} is not a flag value")
     try:
-        typed = action.type(str(val)) if action.type else str(val)
+        typed = spec.get("type", str)(str(val))
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"config {key}: invalid value {val!r}") from exc
-    if action.choices is not None and typed not in action.choices:
+    choices = spec.get("choices")
+    if choices is not None and typed not in choices:
         raise InvalidInputError(f"config {key}: {val!r} is not one of "
-                                f"{list(action.choices)}")
+                                f"{list(choices)}")
     return typed
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv) -> argparse.Namespace:
-    if not args.config:
-        return args
-    with open(args.config) as fh:
+def _config_defaults(path: str, command: str) -> dict:
+    """The config file's values for `command`, typed, by destination."""
+    with open(path) as fh:
         try:
-            defaults = json.load(fh)
+            values = json.load(fh)
         except ValueError as exc:
-            raise InvalidInputError(f"config {args.config}: {exc}") from exc
-    if not isinstance(defaults, dict):
-        raise InvalidInputError(f"config {args.config}: top level must be "
+            raise InvalidInputError(f"config {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise InvalidInputError(f"config {path}: top level must be "
                                 "a JSON object")
-    actions = _flag_actions(parser, args.command)
-    unknown = {k for k in defaults if k.replace("-", "_") not in actions}
+    specs = {flag[2:].replace("-", "_"): spec
+             for flag, spec in COMMON_FLAGS + COMMANDS[command].flags}
+    unknown = {k for k in values if k.replace("-", "_") not in specs}
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    # Flags explicitly present on the command line override the file.
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
-    for key, val in defaults.items():
-        attr = key.replace("-", "_")
-        if attr not in explicit:
-            setattr(args, attr, _config_value(actions[attr], key, val))
-    return args
+    return {k.replace("-", "_"): _config_value(specs[k.replace("-", "_")], k, v)
+            for k, v in values.items()}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        args = _apply_config_file(args, parser, argv)
+        if args.config:
+            # The file's values become the defaults, so argparse itself
+            # lets every flag given on the command line win.
+            defaults = _config_defaults(args.config, args.command)
+            args = build_parser(defaults).parse_args(argv)
         if args.out is None:
             args.out = f"tmlab_{args.command}.{args.format}"
-        return args.func(args)
+        grid = RadialGrid.default(args.grid_n)
+        return _emit(args, COMMANDS[args.command].run(args, grid))
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -271,9 +271,7 @@ class ProbeReport:
             "family": self.family,
             "form": self.form,
             "rows": [
-                {"k": r.k, "Q": r.q,
-                 "J": ("inf" if math.isinf(r.j_normalized)
-                       else r.j_normalized),
+                {"k": r.k, "Q": r.q, "J": r.j_normalized,
                  "overflow": r.overflow, "error": r.error}
                 for r in self.rows
             ],

@@ -104,6 +104,23 @@ def test_probe_commands(tmp_path, capsys):
     assert "verdict=Divergent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    # With no remainder S is finite (Moser 1971); this once read Divergent,
+    # probing the form `none` with the ground states of leray.
+    ["probe", "--form", "none", "--family", "gsapprox", "--potential", "leray"],
+    ["probe", "--form", "none", "--family", "gsapprox"],
+    ["probe", "--form", "lp:1.0:4", "--family", "gsapprox"],
+    # --seed was accepted and ignored by these commands.
+    ["eval", "--u", "zero", "--seed", "1"],
+    ["groundstate", "--potential", "leray", "--seed", "1"],
+    ["probe", "--form", "none", "--seed", "1"],
+    ["rearrange", "--u", "zero", "--seed", "1"],
+])
+def test_flags_without_meaning_are_usage_errors(tmp_path, argv, capsys):
+    assert run(argv + ["--grid-n", "64", "--out", str(tmp_path / "o")]) == 2
+    assert "verdict=" not in capsys.readouterr().out
+
+
 def test_probe_lp_form(tmp_path, capsys):
     assert run(["probe", "--form", "lp:1.0:4", "--family", "moser",
                 "--kmax-pow", "8",
@@ -182,6 +199,14 @@ def test_config_file(tmp_path, capsys):
     bad.write_text(json.dumps({"grid_n": 512, "bogus_key": 1}))
     assert run(["--config", str(bad), "audit", "--ineq", "onofri",
                 "--form", "none", "--out", str(out)]) == 2
+    # A flag on the command line beats the file, abbreviated or not.
+    cfg.write_text(json.dumps({"grid_n": 512, "samples": 7}))
+    for flag in (["--samples", "3"], ["--samp", "3"], ["--samp=3"]):
+        assert run(["--config", str(cfg), "audit", "--ineq", "onofri",
+                    "--form", "none", "--out", str(out)] + flag) == 0
+        text = out.read_text()
+        assert '"samples": 3' in text, flag
+        assert text.splitlines()[-3].startswith("2,"), flag
 
 
 def test_config_values_typed_like_flags(tmp_path, capsys):
@@ -397,13 +422,46 @@ def _argv(draw):
 @given(_argv())
 def test_exit_code_contract(tmp_path, case):
     argv, bad_flag = case
-    code = run(argv + ["--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = run(argv + ["--out", str(out)])
     if bad_flag is not None:
         assert code == 2, argv
-    elif argv[0] == "audit":
-        assert code in (0, 1), argv
+        return
+    assert code in ((0, 1) if argv[0] == "audit" else (0,)), argv
+    # The file is in the format asked for.
+    if argv[argv.index("--format") + 1] == "json":
+        json.loads(out.read_text())
     else:
-        assert code == 0, argv
+        assert out.read_text().startswith("# tool=tm-lab"), argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, check", [
+    # NaN and +-inf are not RFC 8259 JSON: they are written null / "inf".
+    (["audit", "--ineq", "adimurthi-druet", "--form", "none", "--samples",
+      "3"], lambda d: d["min_slack"] is None),  # no sample has 0 < psi < 1
+    (["probe", "--form", "none", "--kmax-pow", "1"],
+     lambda d: d["fit"]["residual"] is None),  # a one-row sweep
+    # These once wrote CSV under --format json ...
+    (["groundstate", "--potential", "leray"], lambda d: d["s_at_1"] == "inf"),
+    (["groundstate", "--potential", "constant:12.0"],
+     lambda d: d["classification"] == "Indefinite" and d["rows"] == []),
+    (["rearrange", "--u", "moser:8"], lambda d: len(d["rows"]) > 1),
+    # ... and this JSON under --format csv.
+    (["probe", "--form", "potential:constant:12.0", "--family", "gsapprox"],
+     lambda d: d["verdict"] == "Divergent"),
+])
+def test_output_is_in_the_format_asked(tmp_path, argv, check):
+    out = tmp_path / "o"
+    argv = argv + ["--grid-n", "256", "--out", str(out)]
+    assert run(argv + ["--format", "json"]) == 0
+    assert check(json.loads(out.read_text(),
+                            parse_constant=_reject_constant)["data"])
+    assert run(argv + ["--format", "csv"]) == 0
+    assert out.read_text().startswith("# tool=tm-lab version=")
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,7 @@ rearrange    decreasing rearrangement of a profile CSV
 lambda       Rayleigh-quotient estimates (first eigenvalue / L^p constant)
 
 Every command takes --grid-n, --out and --format (csv or json) and writes
-its result in that format; `audit` and `lambda` also take --seed.
+its result in that format; `audit` and `lambda --which p` also take --seed.
 Exit codes: 0 success (any verdict), 1 inequality violation found,
 2 usage error, 3 numerical failure.  Identical configuration and seed
 produce byte-identical output files; every file carries a provenance
@@ -33,9 +33,9 @@ from . import __version__
 from .errors import InvalidInputError, SingularEvaluationError, TmLabError
 from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
                     luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
-from .groundstate import GroundStateConfig, classify_coercivity
+from .groundstate import DELTA_PHI, classify_coercivity
 from .potentials import parse_potential
-from .probe import (ProbeConfig, ProbeReport, estimate_lambda_1,
+from .probe import (ProbeReport, estimate_lambda_1,
                     estimate_lambda_p, ground_state_family, moser_family,
                     moser_function, probe_supremum)
 from .radial import RadialFunction, RadialGrid, gradient_norm_sq
@@ -152,10 +152,8 @@ def cmd_eval(args, grid: RadialGrid) -> Output:
 
 def cmd_groundstate(args, grid: RadialGrid) -> Output:
     pot = parse_potential(args.potential)
-    cfg = GroundStateConfig()
-    if args.delta_phi is not None:
-        cfg.delta_phi = args.delta_phi
-    verdict = classify_coercivity(pot, grid, cfg)
+    verdict = classify_coercivity(
+        pot, grid, DELTA_PHI if args.delta_phi is None else args.delta_phi)
     line = f"classification={verdict.classification} ({verdict.detail})"
     gs = verdict.result
     if gs is None:
@@ -186,7 +184,7 @@ def cmd_probe(args, grid: RadialGrid) -> Output:
             return Output(f"verdict=Divergent (indefinite form: {res.detail})",
                           ProbeReport.CSV_HEADER, footer=footer, payload=footer)
         family = ground_state_family(res.result)
-    report = probe_supremum(form, family, ProbeConfig(exponent_coeff=args.coeff))
+    report = probe_supremum(form, family, args.coeff)
     return Output(f"verdict={report.verdict}", report.CSV_HEADER,
                   report.csv_rows(), {"verdict": report.verdict},
                   report.to_json_dict())
@@ -264,8 +262,15 @@ def cmd_rearrange(args, grid: RadialGrid) -> Output:
 
 def cmd_lambda(args, grid: RadialGrid) -> Output:
     if args.which == "1":
+        if args.p is not None or args.seed is not None:
+            raise InvalidInputError("lambda --which 1 takes no --p or --seed")
         value, _ = estimate_lambda_1(grid)
         return _record({"lambda_1": value})
+    # Filled in here, so the config echo records the values used.
+    if args.p is None:
+        args.p = 4.0
+    if args.seed is None:
+        args.seed = 0
     est = estimate_lambda_p(args.p, grid, seed=args.seed)
     return _record({"lambda_p": est.value, "p": args.p, "spread": est.spread})
 
@@ -338,8 +343,9 @@ COMMANDS = {
                        "default": "hyperbolic"}))),
     "lambda": Command("eigenvalue / L^p constant estimates", cmd_lambda, (
         ("--which", {"choices": ("1", "p"), "default": "1"}),
-        ("--p", {"type": finite_float, "default": 4.0}),
-        _SEED)),
+        # --which p only; the defaults 4 and 0 are filled in by cmd_lambda.
+        ("--p", {"type": finite_float, "default": None}),
+        ("--seed", {"type": nonneg_int, "default": None}))),
 }
 
 

@@ -155,6 +155,7 @@ def orlicz_integral(u: RadialFunction, t: float) -> float:
 # beyond an evaluated point is decided by that point's value.
 _REPLAY_MARGIN = 1e-12
 _SECANT_STEPS = 12
+_BISECTION_REL_TOL = 1e-10  # relative width at which luxemburg_norm stops
 
 
 def _root_bracket(u: RadialFunction, a, b: float, fb: float):
@@ -194,7 +195,7 @@ def _root_bracket(u: RadialFunction, a, b: float, fb: float):
     return a, b
 
 
-def luxemburg_norm(u: RadialFunction, rel_tol: float = 1e-10) -> float:
+def luxemburg_norm(u: RadialFunction) -> float:
     """Gauge norm: smallest t > 0 with orlicz_integral(u, t) <= 1.
 
     The integral is strictly decreasing in t, so bisection is safe once
@@ -231,7 +232,7 @@ def luxemburg_norm(u: RadialFunction, rel_tol: float = 1e-10) -> float:
     a, b = _root_bracket(u, a, hi, f_hi)
     below = -math.inf if a is None else a * (1.0 - _REPLAY_MARGIN)
     above = b * (1.0 + _REPLAY_MARGIN)
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _BISECTION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mid < below:
             lo = mid

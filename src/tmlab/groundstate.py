@@ -32,8 +32,9 @@ dichotomy driving everything downstream is whether s(1) is finite:
 Numerically s(1) is classified from the growth of log s over the last
 grid decades in (1 - r): a borderline ground state produces increments
 that stay large decade after decade, a coercive potential produces
-increments collapsing at a geometric rate.  The thresholds live in
-GroundStateConfig and the raw increments are reported for audit.
+increments collapsing at a geometric rate.  The thresholds are module
+constants (only the rim threshold delta_phi is a parameter, of
+classify_coercivity) and the raw increments are reported for audit.
 """
 
 from __future__ import annotations
@@ -55,15 +56,13 @@ GROUND_STATE = "GroundStateDetected"
 INDEFINITE = "Indefinite"
 
 
-@dataclass
-class GroundStateConfig:
-    # phi(1) threshold: below this the rim value counts as zero.
-    delta_phi: float = 1e-6
-    # log s increment over the last (1-r)-decade that flags divergence,
-    # provided the increments are not collapsing geometrically.
-    div_increment: float = 0.2
-    div_ratio: float = 0.6
-    kato_alpha: float = 0.5
+# phi(1) threshold: below this the rim value counts as zero.
+DELTA_PHI = 1e-6
+# log s increment over the last (1-r)-decade that flags divergence,
+# provided the increments are not collapsing geometrically.
+DIV_INCREMENT = 0.2
+DIV_RATIO = 0.6
+KATO_ALPHA = 0.5  # the Kato-class tag's exponent (check_kato)
 
 
 @dataclass
@@ -137,8 +136,7 @@ def _magnus_propagators(pot: Potential, mesh: np.ndarray):
                 cos_part - sinc * c)
 
 
-def shoot(pot: Potential, grid: RadialGrid,
-          config: GroundStateConfig | None = None) -> GroundStateResult:
+def shoot(pot: Potential, grid: RadialGrid) -> GroundStateResult:
     """Integrate the radial equation across the grid; phi normalized to
     max 1 (attained at the center for admissible potentials).
 
@@ -151,8 +149,6 @@ def shoot(pot: Potential, grid: RadialGrid,
     finite at a Gauss point) raises StepFailureError when the solution
     reaches that cell: a numerical failure, never a verdict.
     """
-    if config is None:
-        config = GroundStateConfig()
     # The last node is r = 1 where catalogue potentials may blow up; the
     # mesh ends at the last interior node.
     t_nodes = np.log(grid.nodes[:-1])
@@ -183,14 +179,13 @@ def shoot(pot: Potential, grid: RadialGrid,
     full = full / peak
     phi = RadialFunction(grid, full, dirichlet=False)
     try:
-        kato_ok = bool(check_kato(pot, config.kato_alpha).ok)
+        kato_ok = bool(check_kato(pot, KATO_ALPHA).ok)
     except SingularEvaluationError:  # V is not finite on the sampled radii
         kato_ok = False
     return GroundStateResult(pot, phi, float(full[-1]), kato_ok)
 
 
-def transform_s(gs: GroundStateResult,
-                config: GroundStateConfig | None = None) -> GroundStateResult:
+def transform_s(gs: GroundStateResult) -> GroundStateResult:
     """Fill the stretch table s(r), anchored so s(1/e) = 1 exactly.
 
     d(log s)/dt = 1/phi(t)^2 in t = log r, integrated cumulatively by the
@@ -198,8 +193,6 @@ def transform_s(gs: GroundStateResult,
     log s increments over the last two (1-r)-decades fail to collapse,
     else extrapolated geometrically.
     """
-    if config is None:
-        config = GroundStateConfig()
     nodes = gs.phi.grid.nodes
     phi = gs.phi.values
     if np.any(phi[:-1] <= 0.0):
@@ -220,8 +213,7 @@ def transform_s(gs: GroundStateResult,
         inc_last = float(ls_probe[-1] - ls_probe[-2])
     else:
         inc_prev = inc_last = 0.0
-    divergent = (inc_last > config.div_increment
-                 and inc_last > config.div_ratio * inc_prev)
+    divergent = inc_last > DIV_INCREMENT and inc_last > DIV_RATIO * inc_prev
 
     # Continuation over the final cell and geometric tail estimate; the
     # continuation is capped so a vanishing rim value (critical case,
@@ -257,10 +249,9 @@ def transform_s(gs: GroundStateResult,
     return gs
 
 
-def ground_state_analysis(pot: Potential, grid: RadialGrid,
-                          config: GroundStateConfig | None = None
+def ground_state_analysis(pot: Potential, grid: RadialGrid
                           ) -> GroundStateResult:
-    return transform_s(shoot(pot, grid, config), config)
+    return transform_s(shoot(pot, grid))
 
 
 def jacobi_identity_residual(gs: GroundStateResult, u: RadialFunction) -> float:
@@ -291,8 +282,7 @@ class CoercivityResult:
 
 
 def classify_coercivity(pot: Potential, grid: RadialGrid,
-                        config: GroundStateConfig | None = None
-                        ) -> CoercivityResult:
+                        delta_phi: float = DELTA_PHI) -> CoercivityResult:
     """Weakly coercive / ground state / indefinite verdict for Q_V.
 
     WeaklyCoercive: finite stretch s(1) and phi(1) above delta_phi.
@@ -301,10 +291,8 @@ def classify_coercivity(pot: Potential, grid: RadialGrid,
     Indefinite: the shot solution crosses zero (V too strong).
     An integrator failure is no verdict: its StepFailureError propagates.
     """
-    if config is None:
-        config = GroundStateConfig()
     try:
-        gs = ground_state_analysis(pot, grid, config)
+        gs = ground_state_analysis(pot, grid)
     except NodalSolutionError as exc:
         return CoercivityResult(INDEFINITE, None,
                                 f"nodal solution at r = {exc.radius:.6g}")
@@ -313,7 +301,7 @@ def classify_coercivity(pot: Potential, grid: RadialGrid,
             GROUND_STATE, gs,
             "stretch diverges (log s increment "
             f"{gs.diagnostics['inc_last_decade']:.4g} per decade)")
-    if gs.phi_at_1 <= config.delta_phi:
+    if gs.phi_at_1 <= delta_phi:
         return CoercivityResult(GROUND_STATE, gs,
                                 f"phi(1) = {gs.phi_at_1:.3g} below threshold")
     return CoercivityResult(WEAKLY_COERCIVE, gs,

@@ -42,13 +42,6 @@ class Potential:
     def __call__(self, r):
         raise NotImplementedError
 
-    def eval(self, r):
-        """Evaluate at points strictly inside (0, 1); domain-checked."""
-        r_arr = np.asarray(r, dtype=float)
-        if np.any((r_arr <= 0.0) | (r_arr >= 1.0)):
-            raise InvalidInputError("potential defined on 0 < r < 1")
-        return self(r)
-
     def spec_string(self) -> str:
         return self.name
 

@@ -15,22 +15,25 @@ verdict:
   * logarithmic cutoffs w_k(s) in the stretched coordinate s(r) of a
     ground-state analysis, composed back as u_k = phi * w_k(s(r)) (the
     family that exhibits divergence when the stretch is infinite);
-  * a projected-ascent maximizer over nonincreasing Dirichlet profiles
+  * a gradient-ascent maximizer over nonincreasing Dirichlet profiles
     (reported strictly as a lower bound for S).  Its direction is the
     energy (Sobolev H^1) gradient: the nodal gradient of J preconditioned
     by the Dirichlet stiffness, solved in closed form on the radial path
     graph.  That direction is itself nonnegative and nonincreasing, so
-    every ascent candidate stays in the monotone cone and the projection
-    pools nothing.
+    every ascent candidate stays in the monotone cone; only the scaling
+    onto Q = 1 projects it.
 
 Also here: Rayleigh-quotient estimators for the first Dirichlet
 eigenvalue lambda_1 (inverse-power iteration on the tridiagonal
-discretization; second-order accurate) and for the L^p Sobolev constant
+discretization, each step a closed-form stiffness solve; second-order
+accurate) and for the L^p Sobolev constant
 lambda_p = inf { |grad u|_2^2 : ||u||_p = 1 } (projected descent with
 seeded multistarts; an upper bound).
 
-Every randomized search takes an explicit seed; per-parameter rows are
-independent and assembled in deterministic order.
+The verdict thresholds are module constants; only the exponent
+coefficient of probe_supremum is a parameter.  Every randomized search
+takes an explicit seed; per-parameter rows are independent and
+assembled in deterministic order.
 """
 
 from __future__ import annotations
@@ -51,23 +54,21 @@ DIVERGENT = "Divergent"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
-class ProbeConfig:
-    exponent_coeff: float = FOUR_PI
-    fit_window: int = 8
-    # Divergent needs monotone growth and a clearly sustained log-log
-    # slope; saturating sweeps show the slope collapsing instead.
-    min_divergent_slope: float = 0.05
-    slope_decay_ratio: float = 0.75
-    # A log-log slope persistently above this is power growth regardless
-    # of a mildly drifting rate.
-    strong_slope: float = 0.3
-    residual_ratio: float = 0.5
-    min_growth_rows: int = 5
-    # A constrained value this far above the classical disk supremum
-    # (finite at the 4 pi exponent, and above pi (1 + e) ~ 11.68 by
-    # Carleson-Chang) counts as divergence evidence.
-    divergence_j_threshold: float = 1e6
+# Verdict thresholds: classify_growth's, then the maximizer's.
+FIT_WINDOW = 8  # trailing rows the verdict is judged on
+# Divergent needs monotone growth and a clearly sustained log-log
+# slope; saturating sweeps show the slope collapsing instead.
+MIN_DIVERGENT_SLOPE = 0.05
+SLOPE_DECAY_RATIO = 0.75
+# A log-log slope persistently above this is power growth regardless
+# of a mildly drifting rate.
+STRONG_SLOPE = 0.3
+RESIDUAL_RATIO = 0.5  # best fit's residual against the constant fit's
+MIN_GROWTH_ROWS = 5  # trailing increments that must all be positive
+# A constrained value this far above the classical disk supremum
+# (finite at the 4 pi exponent, and above pi (1 + e) ~ 11.68 by
+# Carleson-Chang) counts as divergence evidence.
+DIVERGENCE_J_THRESHOLD = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +104,9 @@ class WkCutoff:
     2 pi int_k^{k^2} (1/(k s))^2 s ds = 2 pi log(k) / k^2.
     """
 
-    def __init__(self, k: float, s_max: float | None = None):
+    def __init__(self, k: float):
         if k <= 1.0:
             raise InvalidInputError("cutoff needs k > 1")
-        if s_max is not None and k * k > s_max:
-            raise InvalidInputError(
-                f"cutoff needs k^2 <= available stretch range {s_max:g}")
         self.k = float(k)
 
     def __call__(self, s):
@@ -163,7 +161,7 @@ def ground_state_family(gs: GroundStateResult, ks=None) -> TrialFamily:
     phi = gs.phi.values
 
     def make(k):
-        w = WkCutoff(k, s_max=None)
+        w = WkCutoff(k)
         vals = phi * w(s_vals)
         vals[-1] = 0.0
         return RadialFunction(grid, vals, dirichlet=True)
@@ -186,8 +184,7 @@ class GrowthFit:
     slopes: list = field(default_factory=list)
 
 
-def classify_growth(ks, js, overflowed, config: ProbeConfig
-                    ) -> tuple[str, GrowthFit]:
+def classify_growth(ks, js, overflowed) -> tuple[str, GrowthFit]:
     """Verdict from the J sweep.
 
     Overflow anywhere is divergence evidence.  Otherwise the sweep is
@@ -202,7 +199,7 @@ def classify_growth(ks, js, overflowed, config: ProbeConfig
     js = np.asarray(js, dtype=float)
     if ks.size < 2:
         return INCONCLUSIVE, GrowthFit("short", (), math.nan)
-    w = min(config.fit_window, ks.size)
+    w = min(FIT_WINDOW, ks.size)
     kw, jw = ks[-w:], js[-w:]
     inc = np.diff(jw)
     rel = np.abs(inc) / np.maximum(1.0, np.abs(jw[:-1]))
@@ -231,16 +228,16 @@ def classify_growth(ks, js, overflowed, config: ProbeConfig
         fit = GrowthFit("power", (math.exp(a_pow), float(b_pow)),
                         pow_resid, slopes)
 
-    grow_window = min(config.min_growth_rows, len(inc))
+    grow_window = min(MIN_GROWTH_ROWS, len(inc))
     monotone_growth = bool(np.all(inc[-grow_window:] > 0))
-    strong = min(slopes[-3:]) > config.strong_slope
-    sustained = (slopes[-1] > config.min_divergent_slope
-                 and slopes[-1] > config.slope_decay_ratio * slopes[0])
-    best_wins = fit.residual < config.residual_ratio * max(const_resid, 1e-300)
+    strong = min(slopes[-3:]) > STRONG_SLOPE
+    sustained = (slopes[-1] > MIN_DIVERGENT_SLOPE
+                 and slopes[-1] > SLOPE_DECAY_RATIO * slopes[0])
+    best_wins = fit.residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
     if monotone_growth and (strong or (sustained and best_wins)):
         return DIVERGENT, fit
-    if slopes[-1] <= config.min_divergent_slope or not monotone_growth \
-            or slopes[-1] <= config.slope_decay_ratio * slopes[0]:
+    if slopes[-1] <= MIN_DIVERGENT_SLOPE or not monotone_growth \
+            or slopes[-1] <= SLOPE_DECAY_RATIO * slopes[0]:
         return BOUNDED, fit
     return INCONCLUSIVE, fit
 
@@ -292,14 +289,13 @@ class ProbeReport:
 
 
 def probe_supremum(form: Remainder, family: TrialFamily,
-                   config: ProbeConfig | None = None) -> ProbeReport:
-    """Sweep the family, normalize each profile to Q = 1, record J.
+                   coeff: float = FOUR_PI) -> ProbeReport:
+    """Sweep the family, normalize each profile to Q = 1, record J with
+    exponent coefficient `coeff`.
 
     A profile with Q <= 0 is immediate divergence evidence (J of its
     large multiples blows up), reported without further fitting.
     """
-    if config is None:
-        config = ProbeConfig()
     rows: list[ProbeRow] = []
     for k in family.params:
         try:
@@ -318,18 +314,223 @@ def probe_supremum(form: Remainder, family: TrialFamily,
             return ProbeReport(family.name, form.spec_string(), rows,
                                DIVERGENT,
                                GrowthFit("indefinite-direction", (), 0.0))
-        j = eval_J(u.scaled(1.0 / math.sqrt(q)), config.exponent_coeff)
+        j = eval_J(u.scaled(1.0 / math.sqrt(q)), coeff)
         rows.append(ProbeRow(float(k), q, j, math.isinf(j)))
     good = [r for r in rows if not r.error]
     verdict, fit = classify_growth([r.k for r in good],
                                    [r.j_normalized for r in good],
-                                   [r.overflow for r in good], config)
+                                   [r.overflow for r in good])
     return ProbeReport(family.name, form.spec_string(), rows, verdict, fit)
 
 
 # ---------------------------------------------------------------------------
 # constrained maximization (lower bound for S)
 # ---------------------------------------------------------------------------
+
+def _energy_solve(ke: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve A w = g for the Dirichlet-reduced stiffness A of a radial
+    path graph with cell coefficients ke (see _cell_stiffness), in closed
+    form; returns w (with w[-1] = 0) and its energy w^T A w.
+
+    Summing rows 0..i of A w = g telescopes to ke_i (w_i - w_{i+1}) = F_i,
+    F_i = g_0 + ... + g_i, so the slopes d = F / ke give w as the reverse
+    cumulative sum of d, and w^T A w = sum ke d^2 = sum F d.  The load at
+    the Dirichlet node, g[-1], is ignored.  For g >= 0 the slopes are
+    nonnegative and the sequential reverse sum is nonnegative and
+    nonincreasing bit for bit (rounding is monotone).
+    """
+    f = np.cumsum(g[:-1])
+    d = f / ke
+    w = np.zeros(len(g))
+    w[:-1] = np.cumsum(d[::-1])[::-1]
+    return w, float(f @ d)
+
+
+@dataclass
+class MaximizeResult:
+    best_j: float
+    profile: RadialFunction
+    divergence_evidence: bool
+    iterations: int
+    accepted: int = 0  # ascent steps that raised J
+
+
+def maximize_J_constrained(form: Remainder, grid: RadialGrid,
+                           budget: int = 400, seed: int = 0
+                           ) -> MaximizeResult:
+    """Projected gradient ascent of J (exponent 4 pi) over { Q <= 1 }
+    intersected with nonnegative nonincreasing Dirichlet profiles.
+
+    The direction is the energy gradient: the nodal gradient g of J
+    solved against the Dirichlet stiffness (A w = g, by _energy_solve)
+    and normalized in the energy norm sqrt(w^T A w).  On the doubly
+    graded grid the Euclidean gradient is dominated by the tiny cells;
+    the energy gradient weighs cells by the form's own metric.  Every
+    start is nonnegative and nonincreasing, and since g >= 0 on that
+    cone, so is w and every candidate u + s w: the cone is invariant, so
+    no monotone projection is needed.
+
+    The Q constraint is enforced by the scaling projection u -> u/sqrt(Q)
+    (valid because every remainder here is quadratically homogeneous).
+    The returned value is a lower bound for the supremum, never the
+    supremum itself; an overflow or a Q <= 0 witness short-circuits with
+    divergence evidence.
+    """
+    if budget < 1:
+        raise InvalidInputError("budget must be >= 1")
+    coeff = FOUR_PI
+    rng = np.random.default_rng(seed)
+    # Seed with the best plateau profiles found by a quick family sweep,
+    # so the ascent dominates the best Moser value by construction.
+    moser_ks = [2, 4, 8, 16, 32, 64, 128, 256]
+    scored = []
+    for k in moser_ks:
+        m = moser_function(grid, k)
+        qm = eval_Q(form, m)
+        if qm <= 0.0:
+            return MaximizeResult(math.inf, m, True, 0)
+        scored.append((eval_J(m.scaled(1.0 / math.sqrt(qm)), coeff), k))
+    scored.sort(reverse=True)
+    starts = [moser_function(grid, k) for _, k in scored[:3]]
+    r = grid.nodes
+    # Log-spike seed: the shape that witnesses divergence for borderline
+    # Hardy-type remainders.
+    spike = np.sqrt(np.maximum(np.log(1.0 / r), 0.0))
+    spike[-1] = 0.0
+    starts.append(RadialFunction(grid, spike, dirichlet=True))
+    for _ in range(3):
+        width = rng.uniform(0.05, 0.5)
+        amp = rng.uniform(0.2, 1.5)
+        vals = amp * np.exp(-(r / width) ** 2)
+        vals[-1] = 0.0
+        starts.append(RadialFunction(grid, vals, dirichlet=True))
+
+    def project(vals: np.ndarray) -> RadialFunction | None:
+        out = RadialFunction(grid, vals, dirichlet=True)
+        q = eval_Q(form, out)
+        if q <= 0.0:
+            return None  # divergence witness
+        # Scale onto the constraint boundary Q = 1: J is monotone in |u|,
+        # so sitting below the boundary is never optimal.
+        return out.scaled(1.0 / math.sqrt(q))
+
+    best_j = -math.inf
+    best_u = starts[0]
+    iters_used = accepted = 0
+    per_start = max(budget // len(starts), 1)
+    areas = grid.cell_areas
+    ke = _cell_stiffness(grid)
+    for u0 in starts:
+        u = project(u0.values)
+        if u is None:
+            return MaximizeResult(math.inf, u0, True, iters_used, accepted)
+        j = eval_J(u, coeff)
+        if math.isinf(j):
+            return MaximizeResult(math.inf, u, True, iters_used, accepted)
+        step = 0.05
+        for _ in range(per_start):
+            iters_used += 1
+            um = u.at_mids()
+            glue = np.exp(np.minimum(coeff * um * um, EXP_GRAD_CAP)) \
+                * 2.0 * coeff * um * areas
+            grad = np.zeros(len(grid))
+            grad[:-1] += 0.5 * glue
+            grad[1:] += 0.5 * glue
+            w, energy = _energy_solve(ke, grad)
+            if energy == 0.0:
+                break
+            cand = project(u.values + (step / math.sqrt(energy)) * w)
+            if cand is None:
+                return MaximizeResult(math.inf, u, True, iters_used, accepted)
+            jc = eval_J(cand, coeff)
+            if math.isinf(jc):
+                return MaximizeResult(math.inf, cand, True, iters_used,
+                                      accepted)
+            if jc > j:
+                u, j = cand, jc
+                accepted += 1
+                step = min(step * 2.0, 1.0)
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        if j > best_j:
+            best_j, best_u = j, u
+    evidence = best_j > DIVERGENCE_J_THRESHOLD
+    return MaximizeResult(best_j, best_u, evidence, iters_used, accepted)
+
+
+EXP_GRAD_CAP = 680.0  # keeps the ascent direction finite near overflow
+
+
+# ---------------------------------------------------------------------------
+# Rayleigh-quotient estimators
+# ---------------------------------------------------------------------------
+
+def _cell_stiffness(grid: RadialGrid) -> np.ndarray:
+    """Cell energy coefficients area / width^2: the Dirichlet energy of a
+    piecewise-linear profile is sum ke * (u_i - u_{i+1})^2."""
+    h = grid.widths
+    return grid.cell_areas / (h * h)
+
+
+def _stiffness_mass(grid: RadialGrid):
+    """Tridiagonal stiffness/mass pairs for the radial Rayleigh quotient.
+
+    With hat-function coefficients on the cells: energy uses cellwise
+    slopes against the cell areas, mass uses midpoint values, both exactly
+    matching gradient_norm_sq and the midpoint L^2 quadrature.
+    """
+    ke = _cell_stiffness(grid)
+    me = 0.25 * grid.cell_areas  # cell mass coefficient (midpoint rule)
+    n = len(grid)
+    a_diag = np.zeros(n)
+    a_off = np.zeros(n - 1)
+    m_diag = np.zeros(n)
+    m_off = np.zeros(n - 1)
+    a_diag[:-1] += ke
+    a_diag[1:] += ke
+    a_off -= ke
+    m_diag[:-1] += me
+    m_diag[1:] += me
+    m_off += me
+    return a_diag, a_off, m_diag, m_off
+
+
+def _tridiag_apply(diag, off, x):
+    """Product of the symmetric tridiagonal matrix (diag, off) with x."""
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
+# Inverse-power steps for lambda_1.  The relative stopping test sits
+# below the Rayleigh quotient's roundoff, so the loop may run all its
+# steps; each costs about 0.1 ms at n = 4096.
+LAMBDA_1_STEPS = 60
+LAMBDA_1_TOL = 1e-14
+
+
+def estimate_lambda_1(grid: RadialGrid) -> tuple[float, RadialFunction]:
+    """First Dirichlet eigenvalue of the disk Laplacian by inverse-power
+    iteration on the tridiagonal discretization; returns the minimizing
+    radial profile alongside.  Each step solves against the
+    Dirichlet-reduced stiffness in closed form (_energy_solve)."""
+    a_diag, a_off, m_diag, m_off = _stiffness_mass(grid)
+    ke = _cell_stiffness(grid)
+    x = 1.0 - grid.nodes ** 2
+    lam = math.nan
+    for _ in range(LAMBDA_1_STEPS):
+        x, _ = _energy_solve(ke, _tridiag_apply(m_diag, m_off, x))
+        x /= math.sqrt(float(x @ _tridiag_apply(m_diag, m_off, x)))
+        new_lam = float(x @ _tridiag_apply(a_diag, a_off, x))
+        if not math.isnan(lam) and abs(new_lam - lam) < LAMBDA_1_TOL * new_lam:
+            lam = new_lam
+            break
+        lam = new_lam
+    return lam, RadialFunction(grid, x / np.max(np.abs(x)), dirichlet=True)
+
 
 def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators projection onto nonincreasing sequences.
@@ -392,245 +593,6 @@ def _pav_nonincreasing(y: np.ndarray) -> np.ndarray:
     for lv, w, end in below:
         out[end - w:end] = lv
     return out[::-1]
-
-
-def _energy_solve(ke: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve A w = g for the Dirichlet-reduced stiffness A of a radial
-    path graph with cell coefficients ke (see _cell_stiffness), in closed
-    form; returns w (with w[-1] = 0) and its energy w^T A w.
-
-    Summing rows 0..i of A w = g telescopes to ke_i (w_i - w_{i+1}) = F_i,
-    F_i = g_0 + ... + g_i, so the slopes d = F / ke give w as the reverse
-    cumulative sum of d, and w^T A w = sum ke d^2 = sum F d.  The load at
-    the Dirichlet node, g[-1], is ignored.  For g >= 0 the slopes are
-    nonnegative and the sequential reverse sum is nonnegative and
-    nonincreasing bit for bit (rounding is monotone).
-    """
-    f = np.cumsum(g[:-1])
-    d = f / ke
-    w = np.zeros(len(g))
-    w[:-1] = np.cumsum(d[::-1])[::-1]
-    return w, float(f @ d)
-
-
-@dataclass
-class MaximizeResult:
-    best_j: float
-    profile: RadialFunction
-    divergence_evidence: bool
-    iterations: int
-    accepted: int = 0  # ascent steps that raised J
-
-
-def maximize_J_constrained(form: Remainder, grid: RadialGrid,
-                           budget: int = 400, seed: int = 0,
-                           config: ProbeConfig | None = None
-                           ) -> MaximizeResult:
-    """Projected gradient ascent of J over { Q <= 1 } intersected with
-    nonnegative nonincreasing Dirichlet profiles.
-
-    The direction is the energy gradient: the nodal gradient g of J
-    solved against the Dirichlet stiffness (A w = g, by _energy_solve)
-    and normalized in the energy norm sqrt(w^T A w).  On the doubly
-    graded grid the Euclidean gradient is dominated by the tiny cells,
-    and its steps are undone by the projection; the energy gradient
-    weighs cells by the form's own metric.  Since g >= 0 on the cone, w
-    is nonnegative and nonincreasing, and so is every candidate u + s w:
-    the cone is invariant, and the pool-adjacent-violators projection
-    below pools nothing.
-
-    The Q constraint is enforced by the scaling projection u -> u/sqrt(Q)
-    (valid because every remainder here is quadratically homogeneous) and
-    monotonicity by pool-adjacent-violators.  The returned value is a
-    lower bound for the supremum, never the supremum itself; an overflow
-    or a Q <= 0 witness short-circuits with divergence evidence.
-    """
-    if config is None:
-        config = ProbeConfig()
-    if budget < 1:
-        raise InvalidInputError("budget must be >= 1")
-    coeff = config.exponent_coeff
-    rng = np.random.default_rng(seed)
-    # Seed with the best plateau profiles found by a quick family sweep,
-    # so the ascent dominates the best Moser value by construction.
-    moser_ks = [2, 4, 8, 16, 32, 64, 128, 256]
-    scored = []
-    for k in moser_ks:
-        m = moser_function(grid, k)
-        qm = eval_Q(form, m)
-        if qm <= 0.0:
-            return MaximizeResult(math.inf, m, True, 0)
-        scored.append((eval_J(m.scaled(1.0 / math.sqrt(qm)), coeff), k))
-    scored.sort(reverse=True)
-    starts = [moser_function(grid, k) for _, k in scored[:3]]
-    r = grid.nodes
-    # Log-spike seed: the shape that witnesses divergence for borderline
-    # Hardy-type remainders.
-    spike = np.sqrt(np.maximum(np.log(1.0 / r), 0.0))
-    spike[-1] = 0.0
-    starts.append(RadialFunction(grid, spike, dirichlet=True))
-    for _ in range(3):
-        width = rng.uniform(0.05, 0.5)
-        amp = rng.uniform(0.2, 1.5)
-        vals = amp * np.exp(-(r / width) ** 2)
-        vals[-1] = 0.0
-        starts.append(RadialFunction(grid, vals, dirichlet=True))
-
-    def project(u: RadialFunction) -> RadialFunction | None:
-        vals = _pav_nonincreasing(np.maximum(u.values, 0.0))
-        vals[-1] = 0.0
-        out = RadialFunction(grid, vals, dirichlet=True)
-        q = eval_Q(form, out)
-        if q <= 0.0:
-            return None  # divergence witness
-        # Scale onto the constraint boundary Q = 1: J is monotone in |u|,
-        # so sitting below the boundary is never optimal.
-        return out.scaled(1.0 / math.sqrt(q))
-
-    best_j = -math.inf
-    best_u = starts[0]
-    iters_used = accepted = 0
-    per_start = max(budget // len(starts), 1)
-    areas = grid.cell_areas
-    ke = _cell_stiffness(grid)
-    for u0 in starts:
-        u = project(u0)
-        if u is None:
-            return MaximizeResult(math.inf, u0, True, iters_used, accepted)
-        j = eval_J(u, coeff)
-        if math.isinf(j):
-            return MaximizeResult(math.inf, u, True, iters_used, accepted)
-        step = 0.05
-        for _ in range(per_start):
-            iters_used += 1
-            um = u.at_mids()
-            glue = np.exp(np.minimum(coeff * um * um, EXP_GRAD_CAP)) \
-                * 2.0 * coeff * um * areas
-            grad = np.zeros(len(grid))
-            grad[:-1] += 0.5 * glue
-            grad[1:] += 0.5 * glue
-            w, energy = _energy_solve(ke, grad)
-            if energy == 0.0:
-                break
-            cand = RadialFunction(grid, u.values + (step / math.sqrt(energy))
-                                  * w, dirichlet=False)
-            cand = project(cand)
-            if cand is None:
-                return MaximizeResult(math.inf, u, True, iters_used, accepted)
-            jc = eval_J(cand, coeff)
-            if math.isinf(jc):
-                return MaximizeResult(math.inf, cand, True, iters_used,
-                                      accepted)
-            if jc > j:
-                u, j = cand, jc
-                accepted += 1
-                step = min(step * 2.0, 1.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if j > best_j:
-            best_j, best_u = j, u
-    evidence = best_j > config.divergence_j_threshold
-    return MaximizeResult(best_j, best_u, evidence, iters_used, accepted)
-
-
-EXP_GRAD_CAP = 680.0  # keeps the ascent direction finite near overflow
-
-
-# ---------------------------------------------------------------------------
-# Rayleigh-quotient estimators
-# ---------------------------------------------------------------------------
-
-def _cell_stiffness(grid: RadialGrid) -> np.ndarray:
-    """Cell energy coefficients area / width^2: the Dirichlet energy of a
-    piecewise-linear profile is sum ke * (u_i - u_{i+1})^2."""
-    h = grid.widths
-    return grid.cell_areas / (h * h)
-
-
-def _stiffness_mass(grid: RadialGrid):
-    """Tridiagonal stiffness/mass pairs for the radial Rayleigh quotient.
-
-    With hat-function coefficients on the cells: energy uses cellwise
-    slopes against the cell areas, mass uses midpoint values, both exactly
-    matching gradient_norm_sq and the midpoint L^2 quadrature.
-    """
-    ke = _cell_stiffness(grid)
-    me = 0.25 * grid.cell_areas  # cell mass coefficient (midpoint rule)
-    n = len(grid)
-    a_diag = np.zeros(n)
-    a_off = np.zeros(n - 1)
-    m_diag = np.zeros(n)
-    m_off = np.zeros(n - 1)
-    a_diag[:-1] += ke
-    a_diag[1:] += ke
-    a_off -= ke
-    m_diag[:-1] += me
-    m_diag[1:] += me
-    m_off += me
-    return a_diag, a_off, m_diag, m_off
-
-
-def _tridiag_apply(diag, off, x):
-    """Product of the symmetric tridiagonal matrix (diag, off) with x."""
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
-
-
-def _thomas_factor(diag, off):
-    """Elimination step of the Thomas algorithm for a symmetric
-    tridiagonal matrix: multipliers m[i] = off[i-1] / d[i-1] and pivots
-    d[i], as Python lists.  They depend on the matrix only, so repeated
-    solves factor once."""
-    c = off.tolist()
-    d = diag.tolist()
-    m = [0.0] * len(d)
-    for i in range(1, len(d)):
-        m[i] = c[i - 1] / d[i - 1]
-        d[i] -= m[i] * c[i - 1]
-    return m, d, c
-
-
-def _tridiag_solve(factors, b):
-    """Forward and back sweeps of the Thomas algorithm on a matrix
-    factored by _thomas_factor."""
-    m, d, c = factors
-    x = b.tolist()
-    prev = x[0]
-    for i in range(1, len(x)):
-        prev = x[i] = x[i] - m[i] * prev
-    prev = x[-1] = prev / d[-1]
-    for i in range(len(x) - 2, -1, -1):
-        prev = x[i] = (x[i] - c[i] * prev) / d[i]
-    return np.array(x)
-
-
-def estimate_lambda_1(grid: RadialGrid, iterations: int = 60,
-                      tol: float = 1e-14) -> tuple[float, RadialFunction]:
-    """First Dirichlet eigenvalue of the disk Laplacian by inverse-power
-    iteration on the tridiagonal discretization; returns the minimizing
-    radial profile alongside."""
-    a_diag, a_off, m_diag, m_off = _stiffness_mass(grid)
-    # Dirichlet: eliminate the last node.
-    ad, ao = a_diag[:-1].copy(), a_off[:-1].copy()
-    md, mo = m_diag[:-1].copy(), m_off[:-1].copy()
-    factors = _thomas_factor(ad, ao)
-    x = 1.0 - grid.nodes[:-1] ** 2
-    lam = math.nan
-    for _ in range(iterations):
-        x = _tridiag_solve(factors, _tridiag_apply(md, mo, x))
-        x /= math.sqrt(float(x @ _tridiag_apply(md, mo, x)))
-        new_lam = float(x @ _tridiag_apply(ad, ao, x))
-        if not math.isnan(lam) and abs(new_lam - lam) < tol * new_lam:
-            lam = new_lam
-            break
-        lam = new_lam
-    vals = np.concatenate([x, [0.0]])
-    vals /= np.max(np.abs(vals))
-    return lam, RadialFunction(grid, vals, dirichlet=True)
 
 
 @dataclass

@@ -8,7 +8,8 @@ Simpson quadrature after the log substitution L = log(1/r).
 The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
 bit for bit, except the RK45 shooter, which the Magnus shooter must
-match to within the adaptive integrator's own accuracy.  The lambda_p
+match to within the adaptive integrator's own accuracy, and the Thomas
+solve, which the closed-form stiffness solve must match to roundoff.  The lambda_p
 descent copy recomputes the descent direction on every step, accepted
 or rejected.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from tmlab import forms
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           SingularEvaluationError, StepFailureError)
-from tmlab.groundstate import GroundStateConfig, GroundStateResult
+from tmlab.groundstate import KATO_ALPHA, GroundStateResult
 from tmlab.potentials import check_kato
 from tmlab.probe import (LambdaPEstimate, _pav_nonincreasing, _stiffness_mass,
                          _tridiag_apply, estimate_lambda_1)
@@ -195,15 +196,13 @@ def luxemburg_norm_bisection(u, rel_tol=1e-10):
     return hi
 
 
-def shoot_rk45(pot, grid, config=None, rtol=1e-10, atol=1e-12):
+def shoot_rk45(pot, grid, rtol=1e-10, atol=1e-12):
     """The adaptive RK45 shooter that the Magnus propagator replaced:
     scipy's solve_ivp in t = log r with a zero-crossing event, one
     Python right-hand-side call (and one potential evaluation) per stage.
     """
     from scipy.integrate import solve_ivp
 
-    if config is None:
-        config = GroundStateConfig()
     nodes = grid.nodes
     # The last node is r = 1 where catalogue potentials may blow up;
     # integrate to the last interior node and extrapolate the final cell.
@@ -242,10 +241,29 @@ def shoot_rk45(pot, grid, config=None, rtol=1e-10, atol=1e-12):
     full = full / peak
     phi = RadialFunction(grid, full, dirichlet=False)
     try:
-        kato_ok = bool(check_kato(pot, config.kato_alpha).ok)
+        kato_ok = bool(check_kato(pot, KATO_ALPHA).ok)
     except SingularEvaluationError:  # V is not finite on the sampled radii
         kato_ok = False
     return GroundStateResult(pot, phi, float(full[-1]), kato_ok)
+
+
+def thomas_solve(diag, off, b):
+    """Solve the symmetric tridiagonal system (diag, off) x = b by the
+    Thomas algorithm: elimination, then forward and back sweeps."""
+    c = off.tolist()
+    d = diag.tolist()
+    m = [0.0] * len(d)
+    for i in range(1, len(d)):
+        m[i] = c[i - 1] / d[i - 1]
+        d[i] -= m[i] * c[i - 1]
+    x = b.tolist()
+    prev = x[0]
+    for i in range(1, len(x)):
+        prev = x[i] = x[i] - m[i] * prev
+    prev = x[-1] = prev / d[-1]
+    for i in range(len(x) - 2, -1, -1):
+        prev = x[i] = (x[i] - c[i] * prev) / d[i]
+    return np.array(x)
 
 
 def estimate_lambda_p_descent(p, grid, seed=0, n_starts=32, iterations=120):

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
                                jacobi_identity_residual)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, WangYePotential)
-from tmlab.probe import (BOUNDED, DIVERGENT, ProbeConfig, WkCutoff,
+from tmlab.probe import (BOUNDED, DIVERGENT, WkCutoff,
                          estimate_lambda_1, ground_state_family,
                          moser_family, probe_supremum)
 from tmlab.radial import (RadialFunction, RadialGrid, integral_weighted,
@@ -102,16 +101,14 @@ def test_c05_coercivity_supremum_dichotomy(grid, lambda1):
 
 def test_c06_sharp_exponent_separation(grid):
     fam = moser_family(grid)
-    cfg = ProbeConfig()
-    rep = probe_supremum(NoRemainder(), fam, cfg)
+    rep = probe_supremum(NoRemainder(), fam)
     assert rep.verdict == BOUNDED
     js = [r.j_normalized for r in rep.rows]
     assert all(math.isfinite(j) for j in js)
     incs = np.abs(np.diff(js[-8:]))
     assert np.all(np.diff(incs[-4:]) < 0)    # trailing increments decay
     assert np.max(incs) < 0.02 * js[-1]      # and are already small
-    over = dataclasses.replace(cfg, exponent_coeff=4.4 * math.pi)
-    rep44 = probe_supremum(NoRemainder(), fam, over)
+    rep44 = probe_supremum(NoRemainder(), fam, 4.4 * math.pi)
     assert rep44.verdict == DIVERGENT
     _report(6, "4pi sweep bounded with decaying increments; "
                "4.4pi sweep classified divergent")

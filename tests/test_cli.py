@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tmlab
-from tmlab.cli import main
+from tmlab.cli import COMMANDS, main
 from tmlab.radial import RadialFunction, RadialGrid
 
 
@@ -169,6 +171,16 @@ def test_rearrange_command(tmp_path):
     assert body[0] == "r,value"
     vals = np.array([float(l.split(",")[1]) for l in body[1:]])
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+def test_readme_flag_table_matches_commands():
+    # The README's "Command line" table lists each command's own flags,
+    # in the order of its help.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", readme, re.M)
+    table = {name: re.findall(r"`(--[a-z-]+)", cell) for name, cell in rows}
+    assert table == {name: [flag for flag, _ in command.flags]
+                     for name, command in COMMANDS.items()}
 
 
 def test_lambda_command(tmp_path, capsys):
@@ -377,7 +389,8 @@ _bad_profile = st.sampled_from(["spline:3", "bogus"])
 _seed = st.integers(0, 1000).map(str)
 _negative = st.integers(-5, -1).map(str)
 
-# command -> {flag: (valid values, invalid values or None)}
+# command and its fixed options -> {flag: (valid values, invalid values
+# or None)}.  --p and --seed mean something only with --which p.
 _COMMANDS = {
     "eval": {"--u": (_profile, _bad_profile), "--form": (_form, _bad_form),
              "--coeff": (_num(1.0, 4 * math.pi), _non_finite)},
@@ -395,9 +408,9 @@ _COMMANDS = {
     "rearrange": {"--u": (_profile, _bad_profile),
                   "--measure": (st.sampled_from(["hyperbolic", "euclidean"]),
                                 None)},
-    "lambda": {"--which": (st.sampled_from(["1", "p"]), None),
-               "--p": (_num(2.5, 6.0), _non_finite),
-               "--seed": (_seed, _negative)},
+    "lambda --which=1": {},
+    "lambda --which=p": {"--p": (_num(2.5, 6.0), _non_finite),
+                         "--seed": (_seed, _negative)},
 }
 
 
@@ -407,11 +420,12 @@ def _argv(draw):
     slots = _COMMANDS[command]
     values = {flag: draw(valid) for flag, (valid, _) in slots.items()}
     corruptible = [flag for flag, (_, bad) in slots.items() if bad is not None]
-    bad_flag = draw(st.none() | st.sampled_from(corruptible))
+    bad_flag = draw(st.none() | st.sampled_from(corruptible)) \
+        if corruptible else None
     if bad_flag is not None:
         values[bad_flag] = draw(slots[bad_flag][1])
     # --flag=value keeps a value such as "-inf" from reading as a flag.
-    argv = [command, "--grid-n", "64",
+    argv = [*command.split(), "--grid-n", "64",
             "--format", draw(st.sampled_from(["csv", "json"]))]
     argv += [f"{flag}={value}" for flag, value in values.items()]
     return argv, bad_flag
@@ -474,6 +488,9 @@ def test_output_is_in_the_format_asked(tmp_path, argv, check):
     ["audit", "--ineq", "onofri", "--samples", "0"],
     ["audit", "--ineq", "onofri", "--samples", "-3"],
     ["probe", "--form", "none", "--kmax-pow", "0"],
+    # lambda_1 reads neither; both were once echoed and ignored.
+    ["lambda", "--which", "1", "--seed", "5"],
+    ["lambda", "--which", "1", "--p", "3"],
 ])
 def test_non_finite_and_non_positive_are_usage_errors(tmp_path, argv):
     # Each of these once printed a verdict or numbers (or exited 3).

@@ -8,7 +8,7 @@ from tmlab import groundstate
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           StepFailureError)
 from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
-                               GroundStateConfig, classify_coercivity,
+                               classify_coercivity,
                                ground_state_analysis, jacobi_identity_residual,
                                shoot)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
@@ -167,13 +167,6 @@ def test_phi_normalization(gs_cache):
 def test_kato_tagging(gs_cache):
     assert gs_cache["leray"].kato_ok is False
     assert gs_cache["wangye"].kato_ok is True
-
-
-def test_kato_invalid_alpha_is_not_a_verdict(grid):
-    # Only "cannot assess" (a non-finite sample) reads kato_ok=False; a bad
-    # configuration is an error, not a silent False.
-    with pytest.raises(InvalidInputError):
-        shoot(ConstantPotential(2.0), grid, GroundStateConfig(kato_alpha=0))
 
 
 def tabulated_gamma05(table_grid):

@@ -23,13 +23,6 @@ def test_eval_examples():
     assert WangYePotential()(np.array([0.0]))[0] == 1.0
 
 
-def test_eval_domain_error():
-    with pytest.raises(InvalidInputError):
-        LerayPotential().eval(np.array([1.5]))
-    with pytest.raises(InvalidInputError):
-        LerayPotential().eval(np.array([0.0]))
-
-
 def test_gamma_needs_positive_exponent():
     with pytest.raises(InvalidInputError):
         GammaPotential(0.0)

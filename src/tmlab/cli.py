@@ -252,7 +252,6 @@ def cmd_rearrange(args, grid: RadialGrid) -> Output:
     measure = (hyperbolic_measure() if args.measure == "hyperbolic"
                else euclidean_measure())
     vals = np.abs(u.values)
-    vals[-1] = 0.0 if u.dirichlet else vals[-1]
     out = rearrange_decreasing(
         RadialFunction(u.grid, vals, dirichlet=u.dirichlet), measure)
     return Output(f"rearranged {len(u.grid)}-node profile onto "

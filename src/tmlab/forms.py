@@ -15,7 +15,8 @@ Also provided: both sides of the Onofri inequality on the disk,
         <=  1 + (1/(16 pi)) * Q(u),
 
 the Luxemburg gauge norm of the Orlicz space generated by
-exp(4 pi s^2) - 1, and the scalar subadditivity check for
+exp(4 pi s^2) - 1 (to relative 1e-10, by safeguarded secant steps on
+the gauge integral), and the scalar subadditivity check for
 F(t) = log t + 1/t.
 
 J is overflow-safe: if any quadrature cell's exponent exceeds 700 the
@@ -149,32 +150,35 @@ def orlicz_integral(u: RadialFunction, t: float) -> float:
     return exact_sum(np.expm1(expo) * areas)
 
 
-# Relative margin of the bisection replay in luxemburg_norm.  The computed
-# orlicz_integral is monotone in t except within a few ulps (expm1 is only
-# faithfully rounded); 1e-12 is thousands of ulps, so a midpoint this far
-# beyond an evaluated point is decided by that point's value.
-_REPLAY_MARGIN = 1e-12
-_SECANT_STEPS = 12
-_BISECTION_REL_TOL = 1e-10  # relative width at which luxemburg_norm stops
+_GAUGE_REL_TOL = 1e-10  # relative bracket width where luxemburg_norm stops
 
 
-def _root_bracket(u: RadialFunction, a, b: float, fb: float):
-    """Tightest evaluated a < b with orlicz_integral(u, a) > 1 >=
-    orlicz_integral(u, b) after a few secant steps on (log t, log f)
-    toward f = 1; `a` is None while no point with f > 1 is known.
+def luxemburg_norm(u: RadialFunction) -> float:
+    """Gauge norm: smallest t > 0 with orlicz_integral(u, t) <= 1, to
+    relative 1e-10.  Returns 0 for the zero profile.
 
-    Every step stays strictly inside the bracket.  log f has slope <= -2
-    in log t, so from b alone the slope -2 step b sqrt(f(b)) cannot pass
-    the root.  Each step lands 2 margins beyond the secant estimate, away
-    from the last point, so the root ends up between close points on
-    both sides; the steps stop once those are 8 margins apart.
+    f(t) = orlicz_integral(u, t) is decreasing, and every term of it has
+    d log / d log t <= -2.  The bracket starts at a = 0 (no point with
+    f > 1 known yet) and b = 10 max|u|, where |u/b| <= 1/10 and the areas
+    sum to pi, so f(b) <= pi expm1(4 pi / 100) ~ 0.42 < 1.  Each step is a
+    secant step on (log t, log f) toward f = 1 through the last two
+    finite evaluations, its slope clamped to <= -2 (slope -2 from one
+    point), landing a quarter tolerance beyond the estimated root so the
+    bracket closes from both sides.  A step outside (a, b), or one after
+    two steps that did not halve the bracket, is replaced by the midpoint
+    (b / 4 while a = 0, else sqrt(a b)): log f is strongly convex on
+    centre-cap spikes, where plain secant steps stall.  The result is the
+    bracket's upper end, so orlicz_integral(u, result) <= 1 as computed.
     """
-    last = (math.log(b), math.log(fb)) if fb > 0.0 else None
+    peak = float(np.max(np.abs(u.values)))
+    if peak == 0.0:
+        return 0.0
+    a, b = 0.0, 10.0 * peak
+    ft = orlicz_integral(u, b)
+    last = (math.log(b), math.log(ft)) if ft > 0.0 else None
     prev = None
-    for _ in range(_SECANT_STEPS):
-        floor = 0.0 if a is None else a
-        if b - floor <= 8.0 * _REPLAY_MARGIN * b:
-            break
+    widths = [math.inf, math.inf]  # bracket widths two steps and one ago
+    while b - a > _GAUGE_REL_TOL * b:
         t = math.nan
         if last is not None:
             slope = -2.0
@@ -182,9 +186,10 @@ def _root_bracket(u: RadialFunction, a, b: float, fb: float):
                 slope = min((last[1] - prev[1]) / (last[0] - prev[0]), -2.0)
             step = -last[1] / slope
             t = math.exp(last[0] + step
-                         + math.copysign(2.0 * _REPLAY_MARGIN, step))
-        if not floor < t < b:
-            t = 0.25 * b if a is None else math.sqrt(a * b)
+                         + math.copysign(0.25 * _GAUGE_REL_TOL, step))
+        if not a < t < b or b - a > 0.5 * widths[0]:
+            t = 0.25 * b if a == 0.0 else math.sqrt(a * b)
+        widths = [widths[1], b - a]
         ft = orlicz_integral(u, t)
         if ft > 1.0:
             a = t
@@ -192,57 +197,7 @@ def _root_bracket(u: RadialFunction, a, b: float, fb: float):
             b = t
         if 0.0 < ft < math.inf:
             prev, last = last, (math.log(t), math.log(ft))
-    return a, b
-
-
-def luxemburg_norm(u: RadialFunction) -> float:
-    """Gauge norm: smallest t > 0 with orlicz_integral(u, t) <= 1.
-
-    The integral is strictly decreasing in t, so bisection is safe once
-    bracketed.  Returns 0 for the zero profile.
-
-    The bisection runs from lo = 1e-12 and hi expanded by 4 until
-    orlicz_integral(u, hi) <= 1, but most of its evaluations are skipped
-    and the result is the same bit for bit.  _root_bracket first finds
-    evaluated points a < b around the root, f(a) > 1 >= f(b) with
-    f = orlicz_integral(u, .).  The bisection is then replayed: a
-    midpoint below a (1 - margin) sets lo without an evaluation, one
-    above b (1 + margin) sets hi, and only those in between are
-    evaluated.  A skipped decision is the one an evaluation would give:
-    every term (e^(c/t^2) - 1) area of the integral has
-    d log / d log t <= -2, so a relative move of the margin (1e-12)
-    changes f by at least twice that, and each computed step (division
-    by t, squaring, scaling, expm1, multiplying by the areas, the
-    correctly rounded exact_sum) is monotone in t except within a few
-    ulps of expm1's faithful rounding.  So f(mid) > 1 below a and
-    f(mid) <= 1 above b as computed, too.  About 9 evaluations replace
-    the bisection's 37 on the audit's profiles.
-    """
-    peak = float(np.max(np.abs(u.values)))
-    if peak == 0.0:
-        return 0.0
-    lo = 1e-12
-    hi = max(1.0, 10.0 * peak)
-    a = None
-    while (f_hi := orlicz_integral(u, hi)) > 1.0:
-        a = hi
-        hi *= 4.0
-        if hi > 1e30:
-            raise InvalidInputError("Luxemburg bracket expansion failed")
-    a, b = _root_bracket(u, a, hi, f_hi)
-    below = -math.inf if a is None else a * (1.0 - _REPLAY_MARGIN)
-    above = b * (1.0 + _REPLAY_MARGIN)
-    while hi - lo > _BISECTION_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if mid < below:
-            lo = mid
-        elif mid > above:
-            hi = mid
-        elif orlicz_integral(u, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return b
 
 
 def subadditive_gap(t1: float, t2: float) -> float:

@@ -169,6 +169,11 @@ def parse_potential(text: str) -> Potential:
 # admissibility checks
 # ---------------------------------------------------------------------------
 
+CLASS_V_SLACK = 1e-12  # check_class_v's rounding slack, relative to max(1, g)
+KATO_TINY = 1e-6  # check_kato: h below this counts as vanished
+KATO_SLOPE_TOL = 0.02  # check_kato: least decay of log h against log m
+
+
 @dataclass
 class ClassVReport:
     ok: bool
@@ -177,12 +182,11 @@ class ClassVReport:
     violation_values: tuple[float, float] | None = None
 
 
-def check_class_v(pot: Potential, grid: RadialGrid,
-                  slack: float = 1e-12) -> ClassVReport:
+def check_class_v(pot: Potential, grid: RadialGrid) -> ClassVReport:
     """Is g(r) = (1 - r^2)^2 V(r) nonincreasing at the grid nodes?
 
-    The slack is relative to max(1, |g|) and absorbs floating rounding of
-    (1 - r^2)^2 near r = 1.  On failure the first offending node pair is
+    CLASS_V_SLACK is relative to max(1, |g|) and absorbs floating rounding
+    of (1 - r^2)^2 near r = 1.  On failure the first offending node pair is
     reported.
     """
     r = grid.nodes[:-1]  # V may be singular at r = 1 exactly
@@ -190,7 +194,7 @@ def check_class_v(pot: Potential, grid: RadialGrid,
     if not np.all(np.isfinite(g)):
         i = int(np.argmax(~np.isfinite(g)))
         raise SingularEvaluationError(r[i], g[i])
-    tol = slack * np.maximum(1.0, np.abs(g[:-1]))
+    tol = CLASS_V_SLACK * np.maximum(1.0, np.abs(g[:-1]))
     bad = g[1:] > g[:-1] + tol
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -206,20 +210,18 @@ class KatoReport:
     values: np.ndarray
 
 
-def check_kato(pot: Potential, alpha: float,
-               m_range=(2, 12), tiny: float = 1e-6,
-               slope_tol: float = 0.02) -> KatoReport:
+def check_kato(pot: Potential, alpha: float) -> KatoReport:
     """Does h(r) = r^2 log(1/r)^(2+alpha) V(r) vanish as r -> 0?
 
-    h is sampled along r = 10^-m, m = m_range[0]..m_range[1].  The verdict
-    is True when h is decreasing over the last five samples and either has
-    dropped below `tiny` or trends to zero with a definitely negative
-    log-log slope.  The raw sequence is always returned; the boolean is
+    h is sampled along r = 10^-m, m = 2..12.  The verdict is True when h
+    is decreasing over the last five samples and either has dropped below
+    KATO_TINY or trends to zero with a log-log slope below
+    -KATO_SLOPE_TOL.  The raw sequence is always returned; the boolean is
     advisory (tabulated potentials have no formula to inspect).
     """
     if alpha <= 0:
         raise InvalidInputError("alpha must be positive")
-    m = np.arange(m_range[0], m_range[1] + 1)
+    m = np.arange(2, 13)
     r = 10.0 ** (-m.astype(float))
     L = np.log(1.0 / r)
     h = r * r * L ** (2.0 + alpha) * np.asarray(pot(r), dtype=float)
@@ -227,47 +229,40 @@ def check_kato(pot: Potential, alpha: float,
         i = int(np.argmax(~np.isfinite(h)))
         raise SingularEvaluationError(r[i], h[i])
     tail = h[-5:]
-    if np.max(tail) < tiny:
+    if np.max(tail) < KATO_TINY:
         return KatoReport(True, r, h)
     decreasing = bool(np.all(np.diff(tail) < 0))
     if not decreasing:
         return KatoReport(False, r, h)
-    if tail[-1] < tiny:
+    if tail[-1] < KATO_TINY:
         return KatoReport(True, r, h)
     # Slow decay (e.g. a negative power of log 1/r): detect via the
     # log-log slope of h against m over the tail.
     slope = np.polyfit(np.log(m[-5:].astype(float)), np.log(tail), 1)[0]
-    return KatoReport(bool(slope < -slope_tol), r, h)
+    return KatoReport(bool(slope < -KATO_SLOPE_TOL), r, h)
 
 
 # ---------------------------------------------------------------------------
 # rearranged potential
 # ---------------------------------------------------------------------------
 
-def rearranged_potential(pot: Potential, scale: float = 1.0,
+def rearranged_potential(pot: Potential,
                          grid: RadialGrid | None = None) -> TabulatedPotential:
     """Monotone replacement for a radial potential.
 
-    Forms g(r) = (1 - r^2)^2 * scale^2 * V(r), replaces g by its
+    Forms g(r) = (1 - r^2)^2 * V(r), replaces g by its
     decreasing rearrangement with respect to the hyperbolic measure of the
     Poincare disk, and divides by (1 - r^2)^2.  The result is tabulated,
     passes check_class_v by construction, and is idempotent: already
     monotone g comes back unchanged up to interpolation error.
-
-    `scale` is the radius normalization of the original domain (area
-    pi * scale^2); the potential samples are indexed by the rescaled
-    radius and carry the 2-D Hardy scaling scale^2.
     """
     from .rearrange import hyperbolic_measure, rearrange_decreasing
 
-    if scale <= 0:
-        raise InvalidInputError("scale must be positive")
     if grid is None:
         grid = RadialGrid.default()
     r = grid.nodes
     rr = np.minimum(r, 1.0 - 1e-14)  # g is evaluated up to r = 1
-    g_vals = (scale * scale) * np.asarray(pot(rr), dtype=float) \
-        * one_minus_r_sq(rr) ** 2
+    g_vals = np.asarray(pot(rr), dtype=float) * one_minus_r_sq(rr) ** 2
     if not np.all(np.isfinite(g_vals)):
         i = int(np.argmax(~np.isfinite(g_vals)))
         raise SingularEvaluationError(r[i], g_vals[i])

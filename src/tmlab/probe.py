@@ -135,7 +135,7 @@ def moser_family(grid: RadialGrid, ks=None) -> TrialFamily:
                        lambda k: moser_function(grid, int(k)))
 
 
-def ground_state_family(gs: GroundStateResult, ks=None) -> TrialFamily:
+def ground_state_family(gs: GroundStateResult) -> TrialFamily:
     """u_k = phi * w_k(s(r)) on the ground-state grid.
 
     Q on this family is evaluated on the stretched side, where the form
@@ -148,13 +148,12 @@ def ground_state_family(gs: GroundStateResult, ks=None) -> TrialFamily:
         raise InvalidInputError("family needs a completed stretch table")
     s_vals = np.exp(gs.log_s)
     s_max = math.inf if gs.s_divergent else float(gs.s_at_1)
-    if ks is None:
-        ks = []
-        k = 2.0
-        while k * k <= min(s_max, s_vals[-2] if gs.s_divergent else s_max) \
-                and len(ks) < 14:
-            ks.append(k)
-            k *= 2.0
+    ks = []
+    k = 2.0
+    while k * k <= min(s_max, s_vals[-2] if gs.s_divergent else s_max) \
+            and len(ks) < 14:
+        ks.append(k)
+        k *= 2.0
     if not ks:
         raise InvalidInputError("stretch range admits no cutoff parameters")
     grid = gs.phi.grid
@@ -169,7 +168,7 @@ def ground_state_family(gs: GroundStateResult, ks=None) -> TrialFamily:
     def q_eval(form, u, k):
         return WkCutoff(k).ramp_energy()
 
-    return TrialFamily("gsapprox", list(ks), make, q_eval=q_eval)
+    return TrialFamily("gsapprox", ks, make, q_eval=q_eval)
 
 
 # ---------------------------------------------------------------------------

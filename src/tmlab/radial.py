@@ -88,17 +88,18 @@ class RadialGrid:
         )
 
     @classmethod
-    def default(cls, n: int = DEFAULT_N, edge: float = DEFAULT_EDGE) -> "RadialGrid":
+    def default(cls, n: int = DEFAULT_N) -> "RadialGrid":
         """Doubly graded grid: geometric toward r=0 and toward r=1.
 
-        nodes[0] = edge, nodes[n-2] = 1 - edge, nodes[n-1] = 1.
+        nodes[0] = e, nodes[n-2] = 1 - e, nodes[n-1] = 1 with
+        e = DEFAULT_EDGE.
         """
         if n < 16:
             raise InvalidInputError("default grid needs n >= 16")
         n_left = n // 2
         n_right = n - n_left
-        left = np.geomspace(edge, 0.5, n_left)
-        right = 1.0 - np.geomspace(0.5, edge, n_right)[1:]
+        left = np.geomspace(DEFAULT_EDGE, 0.5, n_left)
+        right = 1.0 - np.geomspace(0.5, DEFAULT_EDGE, n_right)[1:]
         return cls(np.concatenate([left, right, [1.0]]))
 
 

@@ -231,22 +231,22 @@ _GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
                    0.3399810435848563, 0.8611363115940526])
 _GL4_W = np.array([0.34785484513745385, 0.6521451548625461,
                    0.6521451548625461, 0.34785484513745385])
+_MU_MAX_WIDTH = 0.005  # widest cell _mu_quadrature integrates unsplit
 
 
-def _mu_quadrature(F, nodes: np.ndarray, measure: RadialMeasure,
-                   max_width: float = 0.005) -> float:
+def _mu_quadrature(F, nodes: np.ndarray, measure: RadialMeasure) -> float:
     """int F dmu over the cells of `nodes` by 4-point Gauss per cell.
 
-    Wide cells are subdivided first so the density's curvature cannot
-    leak into the result; the rule is then effectively exact for
-    piecewise-polynomial F (products and small powers of piecewise-linear
-    profiles).  The center cap, where F is constant, uses the exact cap
-    measure.
+    Cells wider than _MU_MAX_WIDTH are subdivided first so the density's
+    curvature cannot leak into the result; the rule is then effectively
+    exact for piecewise-polynomial F (products and small powers of
+    piecewise-linear profiles).  The center cap, where F is constant,
+    uses the exact cap measure.
     """
     refined = [nodes]
-    wide = np.diff(nodes) > max_width
+    wide = np.diff(nodes) > _MU_MAX_WIDTH
     for i in np.nonzero(wide)[0]:
-        m = int(math.ceil((nodes[i + 1] - nodes[i]) / max_width))
+        m = int(math.ceil((nodes[i + 1] - nodes[i]) / _MU_MAX_WIDTH))
         refined.append(np.linspace(nodes[i], nodes[i + 1], m + 1)[1:-1])
     pts = np.unique(np.concatenate(refined))
     a, b = pts[:-1], pts[1:]
@@ -301,10 +301,8 @@ def hardy_littlewood_gap(f: RadialFunction, g: RadialFunction,
         mu_product_integral(f, g, measure)
 
 
-def polya_szego_gap(f: RadialFunction,
-                    measure: RadialMeasure | None = None) -> float:
-    """Dirichlet energy drop under rearrangement (>= 0 up to grid error)."""
-    if measure is None:
-        measure = hyperbolic_measure()
-    fs = rearrange_decreasing(f, measure)
+def polya_szego_gap(f: RadialFunction) -> float:
+    """Dirichlet energy drop under hyperbolic rearrangement (>= 0 up to
+    grid error)."""
+    fs = rearrange_decreasing(f, hyperbolic_measure())
     return gradient_norm_sq(f) - gradient_norm_sq(fs)

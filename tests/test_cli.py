@@ -86,9 +86,13 @@ def test_groundstate_verdicts(tmp_path, capsys):
         assert expected in capsys.readouterr().out
         text = out.read_text()
         assert f"classification={expected}" in text
-        if expected != "Indefinite":
-            assert text.splitlines()[2] == "r,phi,s"
-            assert "# phi_at_1=" in text
+        assert text.splitlines()[2] == "r,phi,s"
+        footers = [line[2:].partition("=")[0]
+                   for line in text.splitlines()[3:] if line.startswith("# ")]
+        assert footers == (["classification", "detail"]
+                           if expected == "Indefinite" else
+                           ["phi_at_1", "s_at_1", "classification",
+                            "kato_ok", "gamma_fit"])
 
 
 def test_probe_commands(tmp_path, capsys):

@@ -156,19 +156,25 @@ def _spike(rng, cap_exp):
     return RadialFunction(RadialGrid(nodes), vals)
 
 
+def _assert_gauge(u, t):
+    """t agrees with plain bisection to 2e-10 relative and is the upper
+    end of a bracket of relative width 1e-10 around the root."""
+    assert t == pytest.approx(luxemburg_norm_bisection(u), rel=2e-10, abs=0)
+    assert orlicz_integral(u, t) <= 1.0 < orlicz_integral(u, t * (1 - 1e-10))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0),
        st.sampled_from(["bump", "spike"]), st.floats(8.0, 150.0))
-def test_luxemburg_bit_identical_to_bisection(seed, log_scale, kind, cap_exp):
+def test_luxemburg_agrees_with_bisection(seed, log_scale, kind, cap_exp):
     rng = np.random.default_rng(seed)
     u = (bump_profile(rng, RadialGrid.default(512)) if kind == "bump"
          else _spike(rng, cap_exp))
     u = u.scaled(10.0 ** log_scale)
-    assert luxemburg_norm(u) == luxemburg_norm_bisection(u)
+    _assert_gauge(u, luxemburg_norm(u))
 
 
-def test_luxemburg_evaluation_count(grid, monkeypatch):
-    u = nonneg_profile(np.random.default_rng(5), grid)
+def _count_integrals(monkeypatch, u):
     calls = []
     real = forms.orlicz_integral
 
@@ -178,8 +184,39 @@ def test_luxemburg_evaluation_count(grid, monkeypatch):
 
     monkeypatch.setattr(forms, "orlicz_integral", counted)
     value = luxemburg_norm(u)
-    assert len(calls) <= 14
-    assert value == luxemburg_norm_bisection(u)
+    monkeypatch.setattr(forms, "orlicz_integral", real)
+    return value, len(calls)
+
+
+def test_luxemburg_evaluation_count(grid, monkeypatch):
+    u = nonneg_profile(np.random.default_rng(5), grid)
+    value, calls = _count_integrals(monkeypatch, u)
+    assert calls <= 14
+    _assert_gauge(u, value)
+
+
+def test_luxemburg_spike_budget(monkeypatch):
+    # log f is strongly convex on centre-cap spikes; plain secant steps
+    # stall there, and only the halving rule keeps the count bounded
+    rng = np.random.default_rng(2024)
+    worst = 0
+    for _ in range(200):
+        u = _spike(rng, rng.uniform(8.0, 150.0)).scaled(
+            10.0 ** rng.uniform(-3.0, 3.0))
+        value, calls = _count_integrals(monkeypatch, u)
+        assert orlicz_integral(u, value) <= 1.0
+        worst = max(worst, calls)
+    assert worst <= 60
+
+
+def test_luxemburg_start_bracket(grid):
+    # the search starts at b = 10 max|u|, where |u/b| <= 1/10 and the
+    # areas sum to pi: a constant attains the bound pi expm1(4 pi / 100)
+    bound = math.pi * math.expm1(FOUR_PI / 100.0)
+    assert bound < 1.0
+    for c in (1e-3, 0.7, 3.0, 1e4):
+        u = RadialFunction.constant(grid, c)
+        assert orlicz_integral(u, 10.0 * c) == pytest.approx(bound, rel=1e-12)
 
 
 def test_luxemburg_step_closed_form():

@@ -110,12 +110,12 @@ def test_rearranged_potential_monotone_identity(grid_1024):
     # Node values are reproduced exactly for monotone inputs;
     # between nodes the tabulation carries ordinary chord error.
     pot = ConstantPotential(3.0)
-    out = rearranged_potential(pot, 1.0, grid_1024)
+    out = rearranged_potential(pot, grid_1024)
     r = grid_1024.nodes[(grid_1024.nodes > 0.01) & (grid_1024.nodes < 0.99)]
     assert np.allclose(out(r), 3.0, atol=1e-10)
 
     gam = GammaPotential(0.5)
-    out2 = rearranged_potential(gam, 1.0, grid_1024)
+    out2 = rearranged_potential(gam, grid_1024)
     assert np.allclose(out2(r), gam(r), rtol=1e-9)
 
 
@@ -125,7 +125,7 @@ def test_rearranged_potential_increasing_g(grid_1024):
     r = grid_1024.nodes
     rr = np.minimum(r, 1 - 1e-12)
     pot = TabulatedPotential(r, rr**2 / (1 - rr**2)**2)
-    out = rearranged_potential(pot, 1.0, grid_1024)
+    out = rearranged_potential(pot, grid_1024)
     assert check_class_v(out, grid_1024).ok
     g_in = RadialFunction(grid_1024, rr**2, dirichlet=False)
     out_r = out.radii
@@ -142,7 +142,7 @@ def test_rearranged_potential_idempotent(grid_1024):
     r = grid_1024.nodes
     rr = np.minimum(r, 1 - 1e-12)
     pot = TabulatedPotential(r, rr**2 / (1 - rr**2)**2)
-    once = rearranged_potential(pot, 1.0, grid_1024)
-    twice = rearranged_potential(once, 1.0, grid_1024)
+    once = rearranged_potential(pot, grid_1024)
+    twice = rearranged_potential(once, grid_1024)
     probe_r = np.linspace(0.05, 0.95, 80)
     assert np.allclose(twice(probe_r), once(probe_r), rtol=1e-6, atol=1e-9)

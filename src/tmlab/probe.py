@@ -15,20 +15,15 @@ verdict:
   * logarithmic cutoffs w_k(s) in the stretched coordinate s(r) of a
     ground-state analysis, composed back as u_k = phi * w_k(s(r)) (the
     family that exhibits divergence when the stretch is infinite);
-  * a gradient-ascent maximizer over nonincreasing Dirichlet profiles
-    (reported strictly as a lower bound for S).  Its direction is the
-    energy (Sobolev H^1) gradient: the nodal gradient of J preconditioned
-    by the Dirichlet stiffness, solved in closed form on the radial path
-    graph.  That direction is itself nonnegative and nonincreasing, so
-    every ascent candidate stays in the monotone cone; only the scaling
-    onto Q = 1 projects it.
+  * an energy-gradient ascent over nonincreasing Dirichlet profiles
+    (reported strictly as a lower bound for S).
 
 Also here: Rayleigh-quotient estimators for the first Dirichlet
-eigenvalue lambda_1 (inverse-power iteration on the tridiagonal
-discretization, each step a closed-form stiffness solve; second-order
-accurate) and for the L^p Sobolev constant
-lambda_p = inf { |grad u|_2^2 : ||u||_p = 1 } (projected descent with
-seeded multistarts; an upper bound).
+eigenvalue lambda_1 (inverse-power iteration, second-order accurate) and
+for the L^p Sobolev constant lambda_p = inf { |grad u|_2^2 : ||u||_p = 1 }
+(projected descent with seeded multistarts; an upper bound).  They and
+the maximizer use the tridiagonal operator of radial (stiffness, midpoint
+mass, scatter onto nodes, closed-form stiffness solve); none is built here.
 
 The verdict thresholds are module constants; only the exponent
 coefficient of probe_supremum is a parameter.  Every randomized search
@@ -43,11 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TmLabError
 from .forms import FOUR_PI, Remainder, eval_J, eval_Q
 from .groundstate import GroundStateResult
-from .radial import (RadialFunction, RadialGrid, gradient_norm_sq, log_inv,
-                     lp_norm)
+from .radial import (RadialFunction, RadialGrid, cell_stiffness, energy_solve,
+                     gradient_norm_sq, log_inv, lp_norm, scatter, tridiag_apply,
+                     tridiagonal)
 
 BOUNDED = "Bounded"
 DIVERGENT = "Divergent"
@@ -69,6 +65,7 @@ MIN_GROWTH_ROWS = 5  # trailing increments that must all be positive
 # (finite at the 4 pi exponent, and above pi (1 + e) ~ 11.68 by
 # Carleson-Chang) counts as divergence evidence.
 DIVERGENCE_J_THRESHOLD = 1e6
+EXP_GRAD_CAP = 680.0  # keeps the ascent direction finite near overflow
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +296,7 @@ def probe_supremum(form: Remainder, family: TrialFamily,
     for k in family.params:
         try:
             u = family.make(k)
-        except Exception as exc:  # generation errors are per-row, not fatal
+        except TmLabError as exc:  # the lab's own errors are per-row notes
             rows.append(ProbeRow(float(k), math.nan, math.nan, False,
                                  f"{type(exc).__name__}: {exc}"))
             continue
@@ -326,25 +323,6 @@ def probe_supremum(form: Remainder, family: TrialFamily,
 # constrained maximization (lower bound for S)
 # ---------------------------------------------------------------------------
 
-def _energy_solve(ke: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve A w = g for the Dirichlet-reduced stiffness A of a radial
-    path graph with cell coefficients ke (see _cell_stiffness), in closed
-    form; returns w (with w[-1] = 0) and its energy w^T A w.
-
-    Summing rows 0..i of A w = g telescopes to ke_i (w_i - w_{i+1}) = F_i,
-    F_i = g_0 + ... + g_i, so the slopes d = F / ke give w as the reverse
-    cumulative sum of d, and w^T A w = sum ke d^2 = sum F d.  The load at
-    the Dirichlet node, g[-1], is ignored.  For g >= 0 the slopes are
-    nonnegative and the sequential reverse sum is nonnegative and
-    nonincreasing bit for bit (rounding is monotone).
-    """
-    f = np.cumsum(g[:-1])
-    d = f / ke
-    w = np.zeros(len(g))
-    w[:-1] = np.cumsum(d[::-1])[::-1]
-    return w, float(f @ d)
-
-
 @dataclass
 class MaximizeResult:
     best_j: float
@@ -361,7 +339,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
     intersected with nonnegative nonincreasing Dirichlet profiles.
 
     The direction is the energy gradient: the nodal gradient g of J
-    solved against the Dirichlet stiffness (A w = g, by _energy_solve)
+    solved against the Dirichlet stiffness (A w = g, by radial.energy_solve)
     and normalized in the energy norm sqrt(w^T A w).  On the doubly
     graded grid the Euclidean gradient is dominated by the tiny cells;
     the energy gradient weighs cells by the form's own metric.  Every
@@ -417,8 +395,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
     best_u = starts[0]
     iters_used = accepted = 0
     per_start = max(budget // len(starts), 1)
-    areas = grid.cell_areas
-    ke = _cell_stiffness(grid)
+    ke = cell_stiffness(grid)
     for u0 in starts:
         u = project(u0.values)
         if u is None:
@@ -431,11 +408,8 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
             iters_used += 1
             um = u.at_mids()
             glue = np.exp(np.minimum(coeff * um * um, EXP_GRAD_CAP)) \
-                * 2.0 * coeff * um * areas
-            grad = np.zeros(len(grid))
-            grad[:-1] += 0.5 * glue
-            grad[1:] += 0.5 * glue
-            w, energy = _energy_solve(ke, grad)
+                * 2.0 * coeff * um * grid.cell_areas
+            w, energy = energy_solve(ke, scatter(0.5 * glue))
             if energy == 0.0:
                 break
             cand = project(u.values + (step / math.sqrt(energy)) * w)
@@ -459,50 +433,9 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
     return MaximizeResult(best_j, best_u, evidence, iters_used, accepted)
 
 
-EXP_GRAD_CAP = 680.0  # keeps the ascent direction finite near overflow
-
-
 # ---------------------------------------------------------------------------
 # Rayleigh-quotient estimators
 # ---------------------------------------------------------------------------
-
-def _cell_stiffness(grid: RadialGrid) -> np.ndarray:
-    """Cell energy coefficients area / width^2: the Dirichlet energy of a
-    piecewise-linear profile is sum ke * (u_i - u_{i+1})^2."""
-    h = grid.widths
-    return grid.cell_areas / (h * h)
-
-
-def _stiffness_mass(grid: RadialGrid):
-    """Tridiagonal stiffness/mass pairs for the radial Rayleigh quotient.
-
-    With hat-function coefficients on the cells: energy uses cellwise
-    slopes against the cell areas, mass uses midpoint values, both exactly
-    matching gradient_norm_sq and the midpoint L^2 quadrature.
-    """
-    ke = _cell_stiffness(grid)
-    me = 0.25 * grid.cell_areas  # cell mass coefficient (midpoint rule)
-    n = len(grid)
-    a_diag = np.zeros(n)
-    a_off = np.zeros(n - 1)
-    m_diag = np.zeros(n)
-    m_off = np.zeros(n - 1)
-    a_diag[:-1] += ke
-    a_diag[1:] += ke
-    a_off -= ke
-    m_diag[:-1] += me
-    m_diag[1:] += me
-    m_off += me
-    return a_diag, a_off, m_diag, m_off
-
-
-def _tridiag_apply(diag, off, x):
-    """Product of the symmetric tridiagonal matrix (diag, off) with x."""
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
-
 
 # Inverse-power steps for lambda_1.  The relative stopping test sits
 # below the Rayleigh quotient's roundoff, so the loop may run all its
@@ -515,19 +448,18 @@ def estimate_lambda_1(grid: RadialGrid) -> tuple[float, RadialFunction]:
     """First Dirichlet eigenvalue of the disk Laplacian by inverse-power
     iteration on the tridiagonal discretization; returns the minimizing
     radial profile alongside.  Each step solves against the
-    Dirichlet-reduced stiffness in closed form (_energy_solve)."""
-    a_diag, a_off, m_diag, m_off = _stiffness_mass(grid)
-    ke = _cell_stiffness(grid)
+    Dirichlet-reduced stiffness in closed form (radial.energy_solve)."""
+    ke = cell_stiffness(grid)
+    stiffness = tridiagonal(ke, -1.0)
+    mass = tridiagonal(0.25 * grid.cell_areas, 1.0)  # no center cap
     x = 1.0 - grid.nodes ** 2
     lam = math.nan
     for _ in range(LAMBDA_1_STEPS):
-        x, _ = _energy_solve(ke, _tridiag_apply(m_diag, m_off, x))
-        x /= math.sqrt(float(x @ _tridiag_apply(m_diag, m_off, x)))
-        new_lam = float(x @ _tridiag_apply(a_diag, a_off, x))
-        if not math.isnan(lam) and abs(new_lam - lam) < LAMBDA_1_TOL * new_lam:
-            lam = new_lam
+        x, _ = energy_solve(ke, tridiag_apply(mass, x))
+        x /= math.sqrt(float(x @ tridiag_apply(mass, x)))
+        lam, prev = float(x @ tridiag_apply(stiffness, x)), lam
+        if abs(lam - prev) < LAMBDA_1_TOL * lam:  # False while prev is nan
             break
-        lam = new_lam
     return lam, RadialFunction(grid, x / np.max(np.abs(x)), dirichlet=True)
 
 
@@ -614,8 +546,7 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
     if p <= 2:
         raise InvalidInputError("lambda_p estimator needs p > 2")
     rng = np.random.default_rng(seed)
-    a_diag, a_off, _, _ = _stiffness_mass(grid)
-    ad, ao = a_diag[:-1], a_off[:-1]
+    stiffness = tridiagonal(cell_stiffness(grid), -1.0)
 
     def normalized(vals):
         # Restricting to the monotone cone loses nothing (rearrangement
@@ -640,8 +571,8 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
     def descent_direction(u):
         # Energy gradient 2 A u (zero at the Dirichlet node) and its norm;
         # it depends on u alone, so rejected steps reuse it.
-        g = 2.0 * _tridiag_apply(ad, ao, u.values[:-1])
-        g = np.concatenate([g, [0.0]])
+        g = 2.0 * tridiag_apply(stiffness, u.values)
+        g[-1] = 0.0
         return g, max(np.linalg.norm(g), 1e-300)
 
     minima = []
@@ -669,6 +600,5 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
         minima.append(e)
         if e < best[0]:
             best = (e, u)
-    vals = np.asarray(minima)
-    return LambdaPEstimate(best[0], float(np.max(vals) - np.min(vals)),
-                           best[1], minima)
+    return LambdaPEstimate(best[0], max(minima) - min(minima), best[1],
+                           minima)

@@ -13,6 +13,10 @@ and are evaluated by composite rules on the grid cells:
     so weights with log/power singularities at the endpoints stay finite),
   * cellwise slopes for the Dirichlet energy 2 pi int u'(r)^2 r dr.
 
+Both are one tridiagonal form in the node values, Q(u) = u^T (A - M_V) u;
+its operator (cell stiffness, cell-to-node scatter, (diag, off) pairs,
+their product, the closed-form stiffness solve) lives here beside them.
+
 Every quadrature sum is correctly rounded: `exact_sum` returns the float
 nearest the exact sum of its terms (the value math.fsum gives), so the
 result does not depend on the order of the terms.  It stops extracting as
@@ -278,3 +282,53 @@ def integral_weighted(u: RadialFunction, w) -> float:
         raise SingularEvaluationError(rm[i], wm[i])
     um, areas = mids_with_cap(u)
     return exact_sum(wm * um * um * areas)
+
+
+# ---------------------------------------------------------------------------
+# the discrete quadratic form: Q(u) = u^T (A - M_V) u
+# ---------------------------------------------------------------------------
+
+def cell_stiffness(grid: RadialGrid) -> np.ndarray:
+    """Cell coefficients ke = area / width^2 of the stiffness A:
+    gradient_norm_sq(u) = sum ke (u_i - u_{i+1})^2 in exact arithmetic."""
+    h = grid.widths
+    return grid.cell_areas / (h * h)
+
+
+def scatter(cells: np.ndarray) -> np.ndarray:
+    """Each cell value added to both of its nodes: the transpose of
+    at_mids, the average onto midpoints, up to its factor 1/2."""
+    out = np.zeros(cells.size + 1)
+    out[:-1] += cells
+    out[1:] += cells
+    return out
+
+
+def tridiagonal(cells: np.ndarray, sign: float):
+    """(diag, off) of the symmetric T with x^T T x = sum c_i (x_i + sign
+    x_{i+1})^2.  The stiffness A is (cell_stiffness, -1); the midpoint
+    mass M_V of integral_weighted is (0.25 V(mid) area, +1) plus the cap
+    term V(r0/2) cap on entry 0 of diag."""
+    return scatter(cells), sign * cells
+
+
+def tridiag_apply(matrix, x: np.ndarray) -> np.ndarray:
+    """The product T x of a (diag, off) pair from tridiagonal."""
+    diag, off = matrix
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
+def energy_solve(ke: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """w with A w = g for the Dirichlet-reduced stiffness A (w[-1] = 0,
+    g[-1] ignored) and w^T A w, in closed form: rows 0..i sum to
+    ke_i (w_i - w_{i+1}) = F_i = g_0 + ... + g_i, so w is the reverse
+    cumsum of d = F / ke and w^T A w = sum F d.  For g >= 0 rounding is
+    monotone, so w is nonnegative and nonincreasing bit for bit."""
+    f = np.cumsum(g[:-1])
+    d = f / ke
+    w = np.zeros(len(g))
+    w[:-1] = np.cumsum(d[::-1])[::-1]
+    return w, float(f @ d)

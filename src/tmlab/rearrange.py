@@ -154,9 +154,9 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
                          levels: int = 2048) -> RadialFunction:
     """Nonincreasing profile equimeasurable with f (w.r.t. the measure).
 
-    Levels are equispaced over f's value range, augmented with every node
-    value (so kinks are sampled exactly) and with two-sided values at
-    plateaus (so flat pieces are reproduced exactly).
+    Levels are equispaced over f's value range, refined where their
+    radii spread, plus every node value (kinks are sampled exactly) and
+    two-sided values at plateaus (flat pieces are reproduced exactly).
     """
     if np.any(f.values < 0):
         raise InvalidInputError("rearrangement input must be nonnegative")
@@ -168,7 +168,6 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
 
     grid_levels = np.linspace(vmin, vmax, levels)
     sample = np.unique(np.concatenate([grid_levels, f.values]))[::-1]
-
     # Values held on a set of positive measure: constant cells, plus the
     # center cap where the profile extends constantly (keeping the cap
     # makes rearrangement exactly the identity on monotone inputs).
@@ -177,8 +176,23 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
     plateau_vals = set(np.unique(fa[fa == fb]).tolist())
     plateau_vals.add(float(f.values[0]))
 
-    lam_strict = distribution_function(f, measure, sample, strict=True)
-    rho_strict = measure.M_inv(lam_strict)
+    rho_strict = measure.M_inv(
+        distribution_function(f, measure, sample, strict=True))
+    # Where f is nearly flat off its plateaus, rho(t) bends like a square
+    # root and equispaced levels fall too far apart in rho for f#, linear
+    # in r between them: a gap wider than 1/levels gets levels * width more.
+    gap = np.diff(rho_strict)
+    wide = np.flatnonzero((gap > 1.0 / levels)
+                          & ~np.isin(sample[:-1], list(plateau_vals)))
+    if wide.size:
+        extra = np.concatenate([np.linspace(sample[j], sample[j + 1],
+                                            int(gap[j] * levels) + 2)[1:-1]
+                                for j in wide])
+        rho_extra = distribution_function(f, measure, extra, strict=True)
+        order = np.argsort(np.concatenate([sample, extra]))[::-1]
+        sample = np.concatenate([sample, extra])[order]
+        rho_strict = np.concatenate(
+            [rho_strict, measure.M_inv(rho_extra)])[order]
 
     rho_pts: list[float] = []
     val_pts: list[float] = []

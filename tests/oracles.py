@@ -9,9 +9,11 @@ The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
 bit for bit, except the RK45 shooter, which the Magnus shooter must
 match to within the adaptive integrator's own accuracy, and the Thomas
-solve, which the closed-form stiffness solve must match to roundoff.  The lambda_p
-descent copy recomputes the descent direction on every step, accepted
-or rejected.
+solve, which the closed-form stiffness solve must match to roundoff.
+Both the Thomas solve and the lambda_p descent copy work on the
+Dirichlet-reduced stiffness built here from the grid's cell geometry,
+not on the package's tridiagonal operator.  The descent copy recomputes
+the descent direction on every step, accepted or rejected.
 """
 
 import math
@@ -23,8 +25,7 @@ from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           SingularEvaluationError, StepFailureError)
 from tmlab.groundstate import KATO_ALPHA, GroundStateResult
 from tmlab.potentials import check_kato
-from tmlab.probe import (LambdaPEstimate, _pav_nonincreasing, _stiffness_mass,
-                         _tridiag_apply, estimate_lambda_1)
+from tmlab.probe import LambdaPEstimate, _pav_nonincreasing, estimate_lambda_1
 from tmlab.radial import RadialFunction, gradient_norm_sq, lp_norm
 from tmlab.rearrange import _domain_stop
 
@@ -247,6 +248,24 @@ def shoot_rk45(pot, grid, rtol=1e-10, atol=1e-12):
     return GroundStateResult(pot, phi, float(full[-1]), kato_ok)
 
 
+def reduced_stiffness(grid):
+    """(diag, off) of the stiffness on the interior nodes, the Dirichlet
+    row and column dropped: cell i couples nodes i and i + 1 with
+    coefficient area_i / width_i^2 (the energy sum ke (u_i - u_{i+1})^2)."""
+    ke = grid.cell_areas / (grid.widths * grid.widths)
+    diag = ke.copy()
+    diag[1:] += ke[:-1]
+    return diag, -ke[:-1]
+
+
+def tridiag_product(diag, off, x):
+    """(diag, off) x for a symmetric tridiagonal matrix."""
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
 def thomas_solve(diag, off, b):
     """Solve the symmetric tridiagonal system (diag, off) x = b by the
     Thomas algorithm: elimination, then forward and back sweeps."""
@@ -271,8 +290,7 @@ def estimate_lambda_p_descent(p, grid, seed=0, n_starts=32, iterations=120):
     descent direction across rejected steps: g and its norm are formed
     afresh at every step."""
     rng = np.random.default_rng(seed)
-    a_diag, a_off, _, _ = _stiffness_mass(grid)
-    ad, ao = a_diag[:-1], a_off[:-1]
+    ad, ao = reduced_stiffness(grid)
 
     def normalized(vals):
         v = _pav_nonincreasing(np.maximum(vals, 0.0))
@@ -301,7 +319,7 @@ def estimate_lambda_p_descent(p, grid, seed=0, n_starts=32, iterations=120):
         e = gradient_norm_sq(u)
         step = 0.1
         for _ in range(iterations):
-            g = 2.0 * _tridiag_apply(ad, ao, u.values[:-1])
+            g = 2.0 * tridiag_product(ad, ao, u.values[:-1])
             g = np.concatenate([g, [0.0]])
             cand = normalized(u.values - step * g / max(np.linalg.norm(g), 1e-300))
             if cand is None:

@@ -299,6 +299,19 @@ def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
     assert "KeyError" in capsys.readouterr().err
 
 
+def test_defect_in_trial_family_exits_3(tmp_path, monkeypatch, capsys):
+    # A defect while building a trial profile is no verdict either.
+    import tmlab.probe as probe
+
+    def broken(grid, k):
+        raise TypeError("defect")
+
+    monkeypatch.setattr(probe, "moser_function", broken)
+    assert run(["probe", "--form", "none", "--family", "moser",
+                "--grid-n", "64", "--out", str(tmp_path / "p.csv")]) == 3
+    assert "TypeError" in capsys.readouterr().err
+
+
 def test_value_error_in_kernel_exits_3(tmp_path, monkeypatch, capsys):
     import tmlab.cli as cli
 

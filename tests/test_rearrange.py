@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import distribution_function_broadcast
@@ -98,10 +98,13 @@ def test_distribution_function_bit_identical(values, repeat, radii, extra,
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**32 - 1))
+@example(39695)
 def test_rearrangement_equimeasurable(seed):
     # f# is exact at its sampled levels and linear in r between them, so
     # off those levels the measures differ by a level-sampling error:
-    # below 1e-6 on most step profiles, 1.26e-6 at seed 815.
+    # below 1e-6 on most step profiles, 1.26e-6 at seed 815.  At seed
+    # 39695 a shallow ramp between two close plateaus left the equispaced
+    # levels 0.005 apart in rho (1.0e-4) until such gaps got more levels.
     f = step_profile(np.random.default_rng(seed))
     fs = rearrange_decreasing(f, hyperbolic_measure())
     assert check_equimeasurable(f, fs, hyperbolic_measure(), 300) < 1e-5

@@ -7,8 +7,10 @@ closed-form cumulative function M(r) = mu(B_r):
     euclidean    dmu = dx,                   M(r) = pi r^2
 
 For a nonnegative piecewise-linear profile f the distribution function
-lambda(t) = mu{f > t} is computed exactly per grid cell (linear crossing
-radius against the closed-form M), and the rearranged profile
+lambda(t) = mu{f > t} is computed exactly by a sorted sweep: the cells
+wholly above t are a suffix sum of their measures, and each cell that
+straddles t adds its part up to the linear crossing radius (against the
+closed-form M).  The rearranged profile
 
     f#(r) = inf{ t : lambda(t) <= M(r) }
 
@@ -36,9 +38,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .radial import (RadialFunction, RadialGrid, exact_sum, gradient_norm_sq,
                      one_minus_r_sq)
-
-_CHUNK = 256  # level-chunk size for the (levels x cells) broadcasts
-
 
 class RadialMeasure:
     """Radial measure with closed-form cumulative M and inverse."""
@@ -103,13 +102,16 @@ def distribution_function(f: RadialFunction, measure: RadialMeasure,
     (possibly truncated) measure; the center disk r < nodes[0] counts as
     a plateau at the first node value.
 
-    Per chunk of levels, a (levels x cells) matrix holds each cell's
-    share of the level set, summed along the cells: the whole cell dM
-    where f stays above t, nothing where it stays below, and the part cut
-    at the linear crossing radius where the cell straddles t.  Only the
-    straddled (level, cell) pairs, a thin band around each level's
-    crossings, have their crossing radius and M evaluated.  A constant
-    cell is never straddled, so it contributes all or nothing.
+    A sorted sweep: a cell lies wholly in the level set when its lower
+    value lo exceeds t (or equals it, non-strict), so with the cells
+    sorted by lo the whole cells of each level are a suffix sum of dM.
+    A cell straddles the contiguous run of sorted levels in [lo, hi)
+    (strict) or (lo, hi); only those (level, cell) pairs have their
+    linear crossing radius and M evaluated, and their cut shares are
+    added per level with a bincount.  A constant cell straddles no
+    level, so it contributes all or nothing.  Time and memory are
+    O((levels + cells) log cells + pairs); each level's value does not
+    depend on the other levels of the call.
     """
     if np.any(f.values < 0):
         raise InvalidInputError("rearrangement input must be nonnegative")
@@ -120,34 +122,30 @@ def distribution_function(f: RadialFunction, measure: RadialMeasure,
     a, b = nodes[:stop], nodes[1:stop + 1]
     fa, fb = vals[:stop], vals[1:stop + 1]
     Ma, Mb = measure.M(a), measure.M(b)
-    dM = Mb - Ma
     lo = np.minimum(fa, fb)
     hi = np.maximum(fa, fb)
-    decreasing = fa > fb
-    cap = measure.M(nodes[0])  # center disk, constant value vals[0]
+    side = "right" if strict else "left"
 
-    out = np.empty(levels.size)
-    # One chunk matrix for the whole call: a fresh one per chunk would be
-    # built while the previous one is still alive, doubling the peak.
-    buf = np.empty((min(levels.size, _CHUNK), stop))
-    for start in range(0, levels.size, _CHUNK):
-        t = levels[start:start + _CHUNK][:, None]
-        full = (t < lo) if strict else (t <= lo)
-        shares = buf[:t.shape[0]]
-        shares.fill(0.0)
-        np.copyto(shares, dM, where=full)
-        row, cell = np.nonzero((t < hi) & ~full)
-        ca, cfa = a[cell], fa[cell]
-        r_cross = ca + (b[cell] - ca) * (cfa - t[row, 0]) / (cfa - fb[cell])
-        M_cross = measure.M(np.clip(r_cross, ca, b[cell]))
-        shares[row, cell] = np.where(decreasing[cell], M_cross - Ma[cell],
-                                     Mb[cell] - M_cross)
-        if strict:
-            cap_part = np.where(vals[0] > t[:, 0], cap, 0.0)
-        else:
-            cap_part = np.where(vals[0] >= t[:, 0], cap, 0.0)
-        out[start:start + _CHUNK] = shares.sum(axis=1) + cap_part
-    return out
+    by_lo = np.argsort(lo, kind="stable")
+    suffix = np.append(np.cumsum((Mb - Ma)[by_lo][::-1])[::-1], 0.0)
+    whole = suffix[np.searchsorted(lo[by_lo], levels, side=side)]
+
+    by_level = np.argsort(levels, kind="stable")
+    t_sorted = levels[by_level]
+    first = np.searchsorted(t_sorted, lo, side="left" if strict else "right")
+    count = np.maximum(np.searchsorted(t_sorted, hi, side="left") - first, 0)
+    cell = np.repeat(np.arange(stop), count)
+    pos = np.arange(cell.size) - np.repeat(np.cumsum(count) - count - first,
+                                           count)
+    ca, cfa, cfb = a[cell], fa[cell], fb[cell]
+    r_cross = ca + (b[cell] - ca) * (cfa - t_sorted[pos]) / (cfa - cfb)
+    M_cross = measure.M(np.clip(r_cross, ca, b[cell]))
+    cut = np.where(cfa > cfb, M_cross - Ma[cell], Mb[cell] - M_cross)
+    straddled = np.empty(levels.size)
+    straddled[by_level] = np.bincount(pos, weights=cut, minlength=levels.size)
+
+    cap_in = (vals[0] > levels) if strict else (vals[0] >= levels)
+    return whole + straddled + np.where(cap_in, measure.M(nodes[0]), 0.0)
 
 
 def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
@@ -158,6 +156,8 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
     radii spread, plus every node value (kinks are sampled exactly) and
     two-sided values at plateaus (flat pieces are reproduced exactly).
     """
+    if levels < 2:
+        raise InvalidInputError(f"levels must be at least 2, got {levels}")
     if np.any(f.values < 0):
         raise InvalidInputError("rearrangement input must be nonnegative")
     vmin = float(np.min(f.values))
@@ -173,8 +173,7 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
     # makes rearrangement exactly the identity on monotone inputs).
     stop = _domain_stop(f, measure)
     fa, fb = f.values[:stop], f.values[1:stop + 1]
-    plateau_vals = set(np.unique(fa[fa == fb]).tolist())
-    plateau_vals.add(float(f.values[0]))
+    plateau_vals = np.append(fa[fa == fb], f.values[0])
 
     rho_strict = measure.M_inv(
         distribution_function(f, measure, sample, strict=True))
@@ -183,7 +182,7 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
     # in r between them: a gap wider than 1/levels gets levels * width more.
     gap = np.diff(rho_strict)
     wide = np.flatnonzero((gap > 1.0 / levels)
-                          & ~np.isin(sample[:-1], list(plateau_vals)))
+                          & ~np.isin(sample[:-1], plateau_vals))
     if wide.size:
         extra = np.concatenate([np.linspace(sample[j], sample[j + 1],
                                             int(gap[j] * levels) + 2)[1:-1]
@@ -194,30 +193,26 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
         rho_strict = np.concatenate(
             [rho_strict, measure.M_inv(rho_extra)])[order]
 
-    rho_pts: list[float] = []
-    val_pts: list[float] = []
-    last_rho = 0.0
-    for t, rs in zip(sample, rho_strict):
-        pair = [(float(rs), float(t))]
-        if t in plateau_vals:
-            lam_ge = distribution_function(f, measure, [t], strict=False)[0]
-            pair.append((float(measure.M_inv(lam_ge)), float(t)))
-        for rho, v in pair:
-            if rho > last_rho:
-                rho_pts.append(rho)
-                val_pts.append(v)
-                last_rho = rho
+    # Each plateau level enters twice, at mu{f > t} and then mu{f >= t};
+    # a point is kept where its radius is a strict new running maximum.
+    twice = np.isin(sample, plateau_vals)
+    at = np.repeat(np.arange(sample.size), np.where(twice, 2, 1))
+    second = np.flatnonzero(np.diff(at, prepend=-1) == 0)
+    rho = rho_strict[at]
+    rho[second] = measure.M_inv(
+        distribution_function(f, measure, sample[twice], strict=False))
+    keep = rho > np.maximum.accumulate(np.append(0.0, rho))[:-1]
+    rho_pts, val_pts = rho[keep], sample[at][keep]
 
-    if not rho_pts:
+    if not rho_pts.size:
         return RadialFunction(f.grid, np.full(len(f.grid), vmax),
                               dirichlet=(vmax == 0.0))
     if rho_pts[-1] < 1.0:
-        rho_pts.append(1.0)
-        val_pts.append(vmin)
+        rho_pts = np.append(rho_pts, 1.0)
+        val_pts = np.append(val_pts, vmin)
     else:
         val_pts[-1] = vmin
-    out_grid = RadialGrid(np.asarray(rho_pts))
-    return RadialFunction(out_grid, np.asarray(val_pts),
+    return RadialFunction(RadialGrid(rho_pts), val_pts,
                           dirichlet=(vmin == 0.0))
 
 
@@ -228,6 +223,8 @@ def check_equimeasurable(f: RadialFunction, g: RadialFunction,
     Levels are strict cell midpoints of (0, max value), avoiding the exact
     jump values of either profile.
     """
+    if levels < 2:
+        raise InvalidInputError(f"levels must be at least 2, got {levels}")
     tmax = max(float(np.max(f.values)), float(np.max(g.values)))
     if tmax <= 0.0:
         return 0.0

@@ -8,8 +8,10 @@ Simpson quadrature after the log substitution L = log(1/r).
 The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
 bit for bit, except the RK45 shooter, which the Magnus shooter must
-match to within the adaptive integrator's own accuracy, and the Thomas
-solve, which the closed-form stiffness solve must match to roundoff.
+match to within the adaptive integrator's own accuracy, the Thomas
+solve, which the closed-form stiffness solve must match to roundoff,
+and the broadcast distribution function, which the sorted sweep sums in
+another order and must match to cells * 2^-52 relative.
 Both the Thomas solve and the lambda_p descent copy work on the
 Dirichlet-reduced stiffness built here from the grid's cell geometry,
 not on the package's tridiagonal operator.  The descent copy recomputes
@@ -26,8 +28,9 @@ from tmlab.errors import (InvalidInputError, NodalSolutionError,
 from tmlab.groundstate import KATO_ALPHA, GroundStateResult
 from tmlab.potentials import check_kato
 from tmlab.probe import LambdaPEstimate, _pav_nonincreasing, estimate_lambda_1
-from tmlab.radial import RadialFunction, gradient_norm_sq, lp_norm
-from tmlab.rearrange import _domain_stop
+from tmlab.radial import (RadialFunction, RadialGrid, gradient_norm_sq,
+                          lp_norm)
+from tmlab.rearrange import _domain_stop, distribution_function
 
 
 def bessel_j0(x: float) -> float:
@@ -175,6 +178,60 @@ def distribution_function_broadcast(f, measure, levels, strict=True):
             cap_part = np.where(vals[0] >= t[:, 0], cap, 0.0)
         out[start:start + 256] = sloped.sum(axis=1) + cap_part
     return out
+
+
+def rearrange_decreasing_loop(f, measure, levels=2048):
+    """rearrange_decreasing with one non-strict distribution_function
+    call per plateau level and a Python loop keeping each point whose
+    radius exceeds the last kept one."""
+    vmin = float(np.min(f.values))
+    vmax = float(np.max(f.values))
+    if vmax == vmin:
+        return RadialFunction(f.grid, f.values.copy(),
+                              dirichlet=(vmax == 0.0))
+    sample = np.unique(np.concatenate([np.linspace(vmin, vmax, levels),
+                                       f.values]))[::-1]
+    stop = _domain_stop(f, measure)
+    fa, fb = f.values[:stop], f.values[1:stop + 1]
+    plateau_vals = set(np.unique(fa[fa == fb]).tolist())
+    plateau_vals.add(float(f.values[0]))
+    rho_strict = measure.M_inv(
+        distribution_function(f, measure, sample, strict=True))
+    gap = np.diff(rho_strict)
+    wide = np.flatnonzero((gap > 1.0 / levels)
+                          & ~np.isin(sample[:-1], list(plateau_vals)))
+    if wide.size:
+        extra = np.concatenate([np.linspace(sample[j], sample[j + 1],
+                                            int(gap[j] * levels) + 2)[1:-1]
+                                for j in wide])
+        rho_extra = distribution_function(f, measure, extra, strict=True)
+        order = np.argsort(np.concatenate([sample, extra]))[::-1]
+        sample = np.concatenate([sample, extra])[order]
+        rho_strict = np.concatenate(
+            [rho_strict, measure.M_inv(rho_extra)])[order]
+
+    rho_pts, val_pts = [], []
+    last_rho = 0.0
+    for t, rs in zip(sample, rho_strict):
+        pair = [(float(rs), float(t))]
+        if t in plateau_vals:
+            lam_ge = distribution_function(f, measure, [t], strict=False)[0]
+            pair.append((float(measure.M_inv(lam_ge)), float(t)))
+        for rho, v in pair:
+            if rho > last_rho:
+                rho_pts.append(rho)
+                val_pts.append(v)
+                last_rho = rho
+    if not rho_pts:
+        return RadialFunction(f.grid, np.full(len(f.grid), vmax),
+                              dirichlet=(vmax == 0.0))
+    if rho_pts[-1] < 1.0:
+        rho_pts.append(1.0)
+        val_pts.append(vmin)
+    else:
+        val_pts[-1] = vmin
+    return RadialFunction(RadialGrid(np.asarray(rho_pts)),
+                          np.asarray(val_pts), dirichlet=(vmin == 0.0))
 
 
 def luxemburg_norm_bisection(u, rel_tol=1e-10):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import distribution_function_broadcast
+from oracles import (distribution_function_broadcast,
+                     rearrange_decreasing_loop)
 
 from tmlab.errors import InvalidInputError
 from tmlab.forms import PotentialRemainder, eval_J, eval_Q
@@ -16,7 +18,7 @@ from tmlab.rearrange import (RadialMeasure, check_equimeasurable,
                              hardy_littlewood_gap, hyperbolic_measure,
                              mu_integral, polya_szego_gap,
                              rearrange_decreasing)
-from tmlab.sampling import step_profile
+from tmlab.sampling import nonneg_profile, step_profile
 
 
 def test_measure_cumulatives():
@@ -81,8 +83,12 @@ _df_radii = st.one_of(
 @given(_df_values, st.integers(1, 4), _df_radii,
        st.lists(st.floats(-1.0, 12.0), max_size=40),
        st.sampled_from(["hyperbolic", "euclidean"]), st.booleans())
-def test_distribution_function_bit_identical(values, repeat, radii, extra,
-                                             kind, strict):
+def test_distribution_function_agrees_with_broadcast(values, repeat, radii,
+                                                     extra, kind, strict):
+    # The sweep sums the same nonnegative terms as the broadcast in
+    # another order: recursive summation of at most `cells` terms bounds
+    # the difference by cells * 2^-52 relative.  A wrong tie rule moves a
+    # whole cell's dM, far outside it.
     grid = (RadialGrid.default(radii) if isinstance(radii, int)
             else RadialGrid(np.append(np.unique(radii), 1.0)))
     vals = np.resize(np.repeat(values, repeat), len(grid))
@@ -93,7 +99,50 @@ def test_distribution_function_bit_identical(values, repeat, radii, extra,
     got = distribution_function(f, measure, levels, strict)
     with np.errstate(over="ignore"):  # crossings of cells far from t
         want = distribution_function_broadcast(f, measure, levels, strict)
-    assert got.tobytes() == want.tobytes()
+    cells = len(grid) - 1
+    assert np.all(np.abs(got - want) <= cells * 2.0**-52 * want)
+    assert np.array_equal(got[want == 0.0], want[want == 0.0])
+
+
+def test_distribution_function_memory():
+    # O(levels + cells + straddled pairs) floats, 1-2 MB here; a block of
+    # the (levels x cells) matrix for 256 levels would alone take 8.4 MB.
+    f = nonneg_profile(np.random.default_rng(0), RadialGrid.default(4096))
+    levels = np.unique(np.concatenate(
+        [np.linspace(0.0, np.max(f.values), 2048), f.values]))[::-1]
+    assert levels.size == 6142  # rearrange_decreasing's sampled levels
+    tracemalloc.start()
+    try:
+        distribution_function(f, hyperbolic_measure(), levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("levels", [1, 0, -3])
+def test_level_count_below_two_rejected(grid, levels):
+    f = RadialFunction.from_callable(grid, lambda r: 1 - r)
+    with pytest.raises(InvalidInputError, match="levels"):
+        rearrange_decreasing(f, hyperbolic_measure(), levels=levels)
+    with pytest.raises(InvalidInputError, match="levels"):
+        check_equimeasurable(f, f, hyperbolic_measure(), levels=levels)
+
+
+def test_rearrange_bit_identical_to_loop():
+    # Plateau levels batched into one non-strict call and the running-
+    # maximum mask reproduce the per-level loop bit for bit.
+    rng = np.random.default_rng(59)
+    profiles = [step_profile(rng) for _ in range(40)]
+    profiles.append(nonneg_profile(np.random.default_rng(0),
+                                   RadialGrid.default(4096)))
+    for f in profiles:
+        for measure in (hyperbolic_measure(), euclidean_measure()):
+            got = rearrange_decreasing(f, measure)
+            want = rearrange_decreasing_loop(f, measure)
+            assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.dirichlet == want.dirichlet
 
 
 @settings(deadline=None, max_examples=30)

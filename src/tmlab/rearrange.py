@@ -201,6 +201,9 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
     rho = rho_strict[at]
     rho[second] = measure.M_inv(
         distribution_function(f, measure, sample[twice], strict=False))
+    # M_inv of the whole disk's measure may round a few ulps below 1:
+    # that radius is the rim, not the start of a cell ulps wide.
+    rho[rho > 1.0 - 4.0 * np.finfo(float).epsneg] = 1.0
     keep = rho > np.maximum.accumulate(np.append(0.0, rho))[:-1]
     rho_pts, val_pts = rho[keep], sample[at][keep]
 
@@ -275,15 +278,18 @@ def mu_integral(f: RadialFunction, measure: RadialMeasure,
                 power: float = 1.0) -> float:
     """int f^power dmu (Gauss per cell against the measure density).
 
-    Hyperbolic measure: the integral runs over [0, nodes[-2]]; a nonzero
-    value there with power < 2 would make the true integral diverge, and
-    math.inf is returned in that case.
+    Hyperbolic measure: the integral runs over [0, nodes[-2]], plus a
+    tail estimate of the rim cell where f is nonzero at nodes[-2].  The
+    true integral diverges unless f(1) = 0 and power > 1, and math.inf
+    is returned in that case.
     """
     nodes = f.grid.nodes
     stop = _domain_stop(f, measure)
     total = _mu_quadrature(lambda r: f(r) ** power, nodes[:stop + 1], measure)
     if measure.kind == "hyperbolic" and f.values[stop] > 0:
-        if power < 2.0:
+        # The density grows like 2 pi / (1 - r)^2 at the rim, so the
+        # integral is finite iff f vanishes at r = 1 and power > 1.
+        if power <= 1.0 or f.values[-1] != 0:
             return math.inf
         # Tail estimate on the dropped rim cell, f linear to f(1).
         xs = np.geomspace(1e-16, 1.0 - nodes[stop], 64)

@@ -2,8 +2,9 @@
 
 The analytic oracles are computed without touching the package's
 quadrature or solver paths: Bessel values come from the power series,
-zeros from bisection on that series, and exponential integrals from 1-D
-Simpson quadrature after the log substitution L = log(1/r).
+zeros from bisection on that series, exponential integrals from 1-D
+Simpson quadrature after the log substitution L = log(1/r), and the disk
+extremal's J* from scipy's DOP853 shooting of its Euler-Lagrange equation.
 
 The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
@@ -64,6 +65,46 @@ def j0_first_zero() -> float:
 
 
 LAMBDA_1 = j0_first_zero() ** 2  # first Dirichlet eigenvalue of the disk
+
+
+def disk_extremal() -> tuple[float, float]:
+    """(a*, J*) of the radial extremal of sup { J(u) : |grad u|_2^2 <= 1 }
+    on the disk (Carleson-Chang 1986; Flucher 1992).
+
+    The extremal solves -Delta u = mu u exp(4 pi u^2), u(1) = 0.  In
+    t = log r that is v_tt = -e^(2t) v exp(4 pi v^2); shoot it with scipy's
+    DOP853 from v = a, v_t = 0 to the first zero t = log R, carrying the
+    energy 2 pi int v_t^2 dt and J = (2 pi / R^2) int exp(4 pi v^2) e^(2t) dt
+    (both dilation invariant after u(x) = v(log(R |x|))), and find the
+    root of energy(a) = 1.  The energy crosses 1 once below its peak near
+    a = 1.12, inside the bracket [0.5, 1].
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    t0 = -25.0  # e^(2 t0) ~ 2e-22: the start's curvature is below rtol
+
+    def rhs(t, y):
+        g = math.exp(4.0 * math.pi * y[0] ** 2 + 2.0 * t)
+        return [y[1], -g * y[0], y[1] ** 2, g]
+
+    def hit_zero(t, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    def shoot(a):
+        # J's integral over t < t0, where v = a, enters in closed form.
+        y0 = [a, 0.0, 0.0, 0.5 * math.exp(4.0 * math.pi * a * a + 2.0 * t0)]
+        sol = solve_ivp(rhs, (t0, 10.0), y0, method="DOP853", rtol=1e-12,
+                        atol=1e-14, events=hit_zero)
+        t_end, (_, _, e, j) = sol.t_events[0][0], sol.y_events[0][0]
+        return 2.0 * math.pi * e, 2.0 * math.pi * j * math.exp(-2.0 * t_end)
+
+    a = brentq(lambda a: shoot(a)[0] - 1.0, 0.5, 1.0, xtol=1e-14,
+               rtol=1e-14)
+    return a, float(shoot(a)[1])
 
 
 def simpson(f, a: float, b: float, n: int = 20001) -> float:
@@ -183,7 +224,8 @@ def distribution_function_broadcast(f, measure, levels, strict=True):
 def rearrange_decreasing_loop(f, measure, levels=2048):
     """rearrange_decreasing with one non-strict distribution_function
     call per plateau level and a Python loop keeping each point whose
-    radius exceeds the last kept one."""
+    radius exceeds the last kept one (a radius within 4 ulps of 1 is
+    the rim, 1.0)."""
     vmin = float(np.min(f.values))
     vmax = float(np.max(f.values))
     if vmax == vmin:
@@ -218,6 +260,8 @@ def rearrange_decreasing_loop(f, measure, levels=2048):
             lam_ge = distribution_function(f, measure, [t], strict=False)[0]
             pair.append((float(measure.M_inv(lam_ge)), float(t)))
         for rho, v in pair:
+            if rho > 1.0 - 4.0 * np.finfo(float).epsneg:
+                rho = 1.0
             if rho > last_rho:
                 rho_pts.append(rho)
                 val_pts.append(v)

@@ -166,6 +166,27 @@ def test_audit_violation_exit_code(tmp_path, capsys):
     assert "# violations=" in (tmp_path / "v.csv").read_text()
 
 
+def test_audit_adimurthi_druet_rows(tmp_path, capsys):
+    # A remainder with 0 < psi < 1 on every bump reaches the scalar and
+    # exponential comparisons, which `--form none` never does.
+    out = tmp_path / "ad.csv"
+    assert run(["audit", "--ineq", "adimurthi-druet", "--form", "gamma:0.5",
+                "--samples", "20", "--grid-n", "1024", "--seed", "0",
+                "--out", str(out)]) == 0
+    assert "violations=0" in capsys.readouterr().out
+    body = [l for l in out.read_text().splitlines()
+            if l and not l.startswith("#")]
+    assert body[0] == "sample,psi,scalar_slack,J_slack,note"
+    assert len(body) == 21
+    for line in body[1:]:
+        _, psi, scalar, j_slack, note = line.split(",")
+        psi, scalar, j_slack = float(psi), float(scalar), float(j_slack)
+        assert note == ""
+        assert 0.0 < psi < 1.0
+        assert j_slack > 0.0
+        assert abs(scalar - psi * psi) <= 1e-15
+
+
 def test_rearrange_command(tmp_path):
     out = tmp_path / "re.csv"
     assert run(["rearrange", "--u", "moser:8", "--measure", "hyperbolic",

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (LAMBDA_1, bessel_j0, estimate_lambda_p_descent,
-                     j0_first_zero, pav_nonincreasing_stack,
-                     reduced_stiffness, simpson, thomas_solve,
-                     tridiag_product)
+from oracles import (LAMBDA_1, bessel_j0, disk_extremal,
+                     estimate_lambda_p_descent, j0_first_zero,
+                     pav_nonincreasing_stack, reduced_stiffness, simpson,
+                     thomas_solve, tridiag_product)
 from tmlab import probe
 from tmlab.errors import InvalidInputError
-from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_Q,
-                         parse_form)
+from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_J,
+                         eval_Q, parse_form)
 from tmlab.groundstate import GROUND_STATE, classify_coercivity
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, TabulatedPotential,
                               WangYePotential)
-from tmlab.probe import (BOUNDED, DIVERGENT, TrialFamily,
+from tmlab.probe import (BOUNDED, DIVERGENT, INCONCLUSIVE, TrialFamily,
                          WkCutoff, estimate_lambda_1, estimate_lambda_p,
                          ground_state_family, maximize_J_constrained,
                          moser_family, moser_function, probe_supremum)
@@ -153,6 +153,21 @@ def test_probe_report_serialization(grid):
     assert all(len(row) == len(rep.CSV_HEADER) for row in rows)
 
 
+def test_growth_flat_sweep_is_bounded():
+    ks = [2.0 ** m for m in range(1, 15)]
+    verdict, fit = probe.classify_growth(ks, [12.5] * 14, [False] * 14)
+    assert (verdict, fit.model) == (BOUNDED, "flat")
+
+
+def test_growth_late_jump_is_inconclusive():
+    # Monotone with a sustained last slope (0.059), but the jump from 10
+    # to 30 defeats every fit: neither Divergent nor Bounded.
+    ks = [2.0 ** m for m in range(7, 15)]
+    js = [10, 10.01, 10.02, 30, 30.01, 30.02, 31.2, 32.5]
+    verdict, _ = probe.classify_growth(ks, js, [False] * 8)
+    assert verdict == INCONCLUSIVE
+
+
 def test_growth_fit_overflow_is_silent(grid):
     # The ground-state sweep of gamma:0.113 reaches J ~ 1e240, whose
     # squared residuals overflow to inf: a legitimate value, so no
@@ -249,6 +264,46 @@ def test_maximize_leray_divergence_evidence(grid):
     assert res.best_j > 1e6
 
 
+def test_maximize_above_lambda_1_stops_without_overflow(grid):
+    # Above lambda_1 a Moser start already has J > 1e6.  The ascent once
+    # climbed on to J ~ 1e181 and overflowed in the stiffness solve.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = maximize_J_constrained(parse_form("constant:6.5"), grid)
+    assert res.divergence_evidence
+    assert res.best_j > probe.DIVERGENCE_J_THRESHOLD
+    assert res.iterations < 400
+
+
+def test_maximize_q_witness_is_infinite(grid):
+    # Far above lambda_1 every Moser profile has Q <= 0: J = inf, and the
+    # search ends before its first gradient.
+    res = maximize_J_constrained(parse_form("constant:20"), grid)
+    assert res.best_j == math.inf and res.divergence_evidence
+    assert res.iterations == 0
+    assert eval_Q(parse_form("constant:20"), res.profile) <= 0.0
+
+
+@pytest.mark.parametrize("spec", ["leray", "gamma:0.1"])
+def test_maximize_stops_at_first_j_above_threshold(grid, monkeypatch, spec):
+    # Each ascent step scores one candidate; the last scored value is the
+    # first above the threshold, and no gradient is taken after it.
+    seen = []
+
+    def spy(u, coeff):
+        seen.append(eval_J(u, coeff))
+        return seen[-1]
+
+    monkeypatch.setattr(probe, "eval_J", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = maximize_J_constrained(parse_form(spec), grid)
+    ascent = seen[len(seen) - res.iterations:]
+    assert 0 < res.iterations < 400
+    assert max(ascent[:-1]) <= probe.DIVERGENCE_J_THRESHOLD < ascent[-1]
+    assert res.best_j == ascent[-1] and res.divergence_evidence
+
+
 @pytest.fixture(scope="module")
 def maximized_none(grid):
     return maximize_J_constrained(NoRemainder(), grid)
@@ -271,6 +326,25 @@ def test_maximize_accepts_ascent_steps(maximized_none):
     # Pinned bit for bit: a change in the ascent's arithmetic shows here.
     assert maximized_none.best_j == 13.831147323624913
     assert maximized_none.accepted == maximized_none.iterations == 399
+
+
+@pytest.fixture(scope="module")
+def disk_extremal_j():
+    a_star, j_star = disk_extremal()
+    assert a_star == pytest.approx(0.92624450200, rel=1e-9)
+    return j_star
+
+
+def test_disk_extremal_oracle(disk_extremal_j):
+    # Above the Carleson-Chang concentration level pi (1 + e).
+    assert disk_extremal_j == pytest.approx(13.83159065978564, rel=1e-9)
+    assert disk_extremal_j > math.pi * (1.0 + math.e)
+
+
+def test_maximize_is_tight_against_the_extremal(maximized_none,
+                                                disk_extremal_j):
+    # 3.2e-5 relative below J* on the default grid.
+    assert maximized_none.best_j >= disk_extremal_j * (1.0 - 1e-4)
 
 
 @pytest.mark.parametrize("n", [64, 1024, 4096])

@@ -145,6 +145,19 @@ def test_rearrange_bit_identical_to_loop():
             assert got.dirichlet == want.dirichlet
 
 
+def test_no_rim_cell_ulps_wide():
+    # The Euclidean M_inv of the whole disk may round one or two ulps
+    # below 1; kept beside the appended 1.0 it made a rim cell that wide
+    # (58 of these 300).
+    rng = np.random.default_rng(0)
+    profiles = [step_profile(rng) for _ in range(300)]
+    for measure in (hyperbolic_measure(), euclidean_measure()):
+        for f in profiles:
+            nodes = rearrange_decreasing(f, measure).grid.nodes
+            assert 1.0 - nodes[-2] >= 4.0 * np.finfo(float).epsneg
+            assert nodes[-1] == 1.0
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2**32 - 1))
 @example(39695)
@@ -256,3 +269,25 @@ def test_radial_reduction_chain(grid):
         j_f = eval_J(f)
         j_fs = eval_J(fs)
         assert j_f <= j_fs + 1e-3 * max(1.0, j_f)
+
+
+def test_mu_integral_hyperbolic_rim_tail():
+    # dmu ~ 2 pi dr / (1 - r)^2 at the rim: int f^p dmu is finite iff
+    # f(1) = 0 and p > 1.  The rim cell's tail sum is off by 3e-6 relative
+    # at p = 1.5, 6e-10 at p = 2 and 1e-16 at p = 3.
+    from scipy.integrate import quad
+
+    hyp = hyperbolic_measure()
+    grid = RadialGrid.default(1024)
+    f = RadialFunction.from_callable(grid, lambda r: 1.0 - r)
+    for p, rel in ((1.5, 1e-5), (3.0, 1e-12)):
+        want = quad(lambda r: (1.0 - r) ** p * hyp.density(r), 0.0, 1.0,
+                    epsrel=1e-13, limit=200)[0]
+        assert mu_integral(f, hyp, p) == pytest.approx(want, rel=rel)
+    # Closed form: 8 pi int_0^1 r / (1 + r)^2 dr = 8 pi (log 2 - 1/2).
+    assert mu_integral(f, hyp, 2.0) == pytest.approx(
+        8.0 * math.pi * (math.log(2.0) - 0.5), rel=1e-8)
+    assert mu_integral(f, hyp, 1.0) == math.inf
+    half = RadialFunction.from_callable(grid, lambda r: 1.0 - 0.5 * r,
+                                        dirichlet=False)
+    assert mu_integral(half, hyp, 2.0) == math.inf

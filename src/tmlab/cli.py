@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import InvalidInputError, SingularEvaluationError, TmLabError
+from .errors import InvalidInputError, TmLabError
 from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
                     luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
 from .groundstate import DELTA_PHI, classify_coercivity
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (SingularEvaluationError, TmLabError, ArithmeticError) as exc:
+    except (TmLabError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except Exception:

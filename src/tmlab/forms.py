@@ -16,7 +16,7 @@ Also provided: both sides of the Onofri inequality on the disk,
 
 the Luxemburg gauge norm of the Orlicz space generated by
 exp(4 pi s^2) - 1 (to relative 1e-10, by safeguarded secant steps on
-the gauge integral), and the scalar subadditivity check for
+the gauge integral), and the subadditivity gap of
 F(t) = log t + 1/t.
 
 J is overflow-safe: if any quadrature cell's exponent exceeds 700 the
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .potentials import Potential, parse_potential, spec_float
 from .radial import (RadialFunction, exact_sum, gradient_norm_sq,
-                     integral_weighted, lp_norm, mids_with_cap)
+                     integral_weighted, lp_norm)
 
 FOUR_PI = 4.0 * math.pi
 EXP_OVERFLOW = 700.0
@@ -110,29 +110,26 @@ def eval_Q(form: Remainder, u: RadialFunction) -> float:
 
 def eval_J(u: RadialFunction, coeff: float = FOUR_PI) -> float:
     """J(u) = 2 pi int exp(coeff * u(r)^2) r dr; math.inf on overflow."""
-    um, areas = mids_with_cap(u)
-    expo = coeff * um * um
+    s = u.samples()
+    expo = coeff * s * s
     if np.max(expo) > EXP_OVERFLOW:
         return math.inf
-    return exact_sum(np.exp(expo) * areas)
+    return exact_sum(np.exp(expo) * u.grid.cap_areas)
 
 
 def onofri_lhs(u: RadialFunction) -> float:
     """log A + 1/A with A the disk average of e^u.
 
     Accepts non-Dirichlet profiles (constants are useful test inputs).
-    The average uses the quadrature's own disk measure, so u == 0 gives
-    exactly 1.0.
+    log A = m + log(mean e^(u - m)) with m = max u, so A may overflow
+    (1/A then underflows to 0).  The average uses the quadrature's own
+    disk measure, so u == 0 gives exactly 1.0.
     """
-    um, areas = mids_with_cap(u)
-    total = exact_sum(areas)
-    m = float(np.max(um))
-    if m > EXP_OVERFLOW:
-        # A overflows; evaluate log A in shifted form, 1/A underflows to 0.
-        log_a = m + math.log(exact_sum(np.exp(um - m) * areas) / total)
-        return log_a
-    a = exact_sum(np.exp(um) * areas) / total
-    return math.log(a) + 1.0 / a
+    s = u.samples()
+    areas = u.grid.cap_areas
+    m = float(np.max(s))
+    log_a = m + math.log(exact_sum(np.exp(s - m) * areas) / exact_sum(areas))
+    return log_a + math.exp(-log_a)
 
 
 def onofri_rhs(u: RadialFunction, form: Remainder) -> float:
@@ -142,12 +139,11 @@ def onofri_rhs(u: RadialFunction, form: Remainder) -> float:
 
 def orlicz_integral(u: RadialFunction, t: float) -> float:
     """2 pi int (exp(4 pi (u/t)^2) - 1) r dr; math.inf on overflow."""
-    um, areas = mids_with_cap(u)
-    um = um / t
-    expo = FOUR_PI * um * um
+    s = u.samples() / t
+    expo = FOUR_PI * s * s
     if np.max(expo) > EXP_OVERFLOW:
         return math.inf
-    return exact_sum(np.expm1(expo) * areas)
+    return exact_sum(np.expm1(expo) * u.grid.cap_areas)
 
 
 _GAUGE_REL_TOL = 1e-10  # relative bracket width where luxemburg_norm stops
@@ -209,8 +205,3 @@ def subadditive_gap(t1: float, t2: float) -> float:
         return math.log(t) + 1.0 / t
 
     return f(t1) + f(t2) - f(t1 + t2)
-
-
-def subadditivity_check(t1: float, t2: float) -> bool:
-    """F(t1 + t2) <= F(t1) + F(t2)."""
-    return subadditive_gap(t1, t2) >= 0.0

@@ -78,13 +78,6 @@ class GroundStateResult:
     gamma_fit: float = math.nan
     diagnostics: dict = field(default_factory=dict)
 
-    def s_of_r(self, r):
-        """Interpolate the stretch (linearly in log s against log r)."""
-        if self.log_s is None:
-            raise InvalidInputError("transform_s has not been run")
-        t = np.log(np.asarray(r, dtype=float))
-        return np.exp(np.interp(t, np.log(self.phi.grid.nodes), self.log_s))
-
 
 @functools.cache
 def _default_interior_t() -> np.ndarray:

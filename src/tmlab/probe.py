@@ -22,8 +22,9 @@ Also here: Rayleigh-quotient estimators for the first Dirichlet
 eigenvalue lambda_1 (inverse-power iteration, second-order accurate) and
 for the L^p Sobolev constant lambda_p = inf { |grad u|_2^2 : ||u||_p = 1 }
 (projected descent with seeded multistarts; an upper bound).  They and
-the maximizer use the tridiagonal operator of radial (stiffness, midpoint
-mass, scatter onto nodes, closed-form stiffness solve); none is built here.
+the maximizer use the tridiagonal operator of radial (stiffness, the mass
+of the cap-and-midpoint sampling, its transpose for the J-gradient,
+closed-form stiffness solve); none is built here.
 
 The verdict thresholds are module constants; only the exponent
 coefficient of probe_supremum is a parameter.  Every randomized search
@@ -42,8 +43,8 @@ from .errors import InvalidInputError, TmLabError
 from .forms import FOUR_PI, Remainder, eval_J, eval_Q
 from .groundstate import GroundStateResult
 from .radial import (RadialFunction, RadialGrid, cell_stiffness, energy_solve,
-                     gradient_norm_sq, log_inv, lp_norm, scatter, tridiag_apply,
-                     tridiagonal)
+                     gradient_norm_sq, log_inv, lp_norm, mass, tridiag_apply,
+                     tridiagonal, value_gradient)
 
 BOUNDED = "Bounded"
 DIVERGENT = "Divergent"
@@ -400,10 +401,9 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
             if j > DIVERGENCE_J_THRESHOLD:
                 break
             iters_used += 1
-            um = u.at_mids()
-            glue = np.exp(FOUR_PI * um * um) * 2.0 * FOUR_PI * um \
-                * grid.cell_areas
-            w, energy = energy_solve(ke, scatter(0.5 * glue))
+            s = u.samples()
+            g = value_gradient(u, np.exp(FOUR_PI * s * s) * 2.0 * FOUR_PI * s)
+            w, energy = energy_solve(ke, g)
             jc, cand = score(u.values + (step / math.sqrt(energy)) * w)
             if jc > j:
                 u, j = cand, jc
@@ -439,12 +439,12 @@ def estimate_lambda_1(grid: RadialGrid) -> tuple[float, RadialFunction]:
     Dirichlet-reduced stiffness in closed form (radial.energy_solve)."""
     ke = cell_stiffness(grid)
     stiffness = tridiagonal(ke, -1.0)
-    mass = tridiagonal(0.25 * grid.cell_areas, 1.0)  # no center cap
+    unit_mass = mass(grid, np.ones(len(grid)))
     x = 1.0 - grid.nodes ** 2
     lam = math.nan
     for _ in range(LAMBDA_1_STEPS):
-        x, _ = energy_solve(ke, tridiag_apply(mass, x))
-        x /= math.sqrt(float(x @ tridiag_apply(mass, x)))
+        x, _ = energy_solve(ke, tridiag_apply(unit_mass, x))
+        x /= math.sqrt(float(x @ tridiag_apply(unit_mass, x)))
         lam, prev = float(x @ tridiag_apply(stiffness, x)), lam
         if abs(lam - prev) < LAMBDA_1_TOL * lam:  # False while prev is nan
             break

@@ -9,13 +9,15 @@ integrals over B reduce to one-dimensional weighted integrals,
 
 and are evaluated by composite rules on the grid cells:
 
-  * midpoint sampling for value integrals (never touches r = 0 or r = 1,
-    so weights with log/power singularities at the endpoints stay finite),
+  * one sampling for every value integral: the center cap (u(r0) at
+    r0/2, area pi r0^2), then the cell midpoints; it never touches r = 0
+    or r = 1, so weights with log/power singularities there stay finite,
   * cellwise slopes for the Dirichlet energy 2 pi int u'(r)^2 r dr.
 
 Both are one tridiagonal form in the node values, Q(u) = u^T (A - M_V) u;
-its operator (cell stiffness, cell-to-node scatter, (diag, off) pairs,
-their product, the closed-form stiffness solve) lives here beside them.
+its operator (cell stiffness, the sampling's mass and transpose, (diag,
+off) pairs, their product, the closed-form stiffness solve) lives here
+beside them.
 
 Every quadrature sum is correctly rounded: `exact_sum` returns the float
 nearest the exact sum of its terms (the value math.fsum gives), so the
@@ -77,10 +79,15 @@ class RadialGrid:
         self.nodes = nodes
         # Cell geometry, reused by every quadrature below.
         self.widths = np.diff(nodes)
-        self.mids = 0.5 * (nodes[:-1] + nodes[1:])
-        self.cell_areas = 2.0 * math.pi * self.mids * self.widths
-        # Areas of the center cap r < nodes[0] followed by the cells.
-        self.cap_areas = np.concatenate([[center_cap_area(self)],
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        self.cell_areas = 2.0 * math.pi * mids * self.widths
+        # The sampling rule of every value integral: abscissae and areas
+        # of the center cap r < nodes[0], where profiles extend
+        # constantly, followed by the cells at their midpoints.  The cap
+        # is negligible (~1e-16) on default grids, but rearranged
+        # profiles can carry a wide top plateau entirely inside it.
+        self.sample_r = np.concatenate([[0.5 * nodes[0]], mids])
+        self.cap_areas = np.concatenate([[math.pi * nodes[0] ** 2],
                                          self.cell_areas])
 
     def __len__(self):
@@ -147,18 +154,15 @@ class RadialFunction:
         """Evaluate by linear interpolation (constant left of nodes[0])."""
         return np.interp(r, self.grid.nodes, self.values)
 
-    def at_mids(self) -> np.ndarray:
-        """Values of the interpolant at the cell midpoints."""
-        return 0.5 * (self.values[:-1] + self.values[1:])
+    def samples(self) -> np.ndarray:
+        """Values at grid.sample_r: u(r0) on the center cap, then the
+        interpolant at the cell midpoints."""
+        v = self.values
+        return np.concatenate([v[:1], 0.5 * (v[:-1] + v[1:])])
 
     def scaled(self, c: float) -> "RadialFunction":
         return RadialFunction(self.grid, c * self.values,
                               dirichlet=self.dirichlet)
-
-    def __mul__(self, c):
-        return self.scaled(float(c))
-
-    __rmul__ = __mul__
 
     # -- CSV round trip (two columns r,value; 17 significant digits) --
 
@@ -227,11 +231,6 @@ def exact_sum(x) -> float:
             return total
 
 
-def mids_with_cap(u: RadialFunction):
-    """Midpoint values and areas, led by the constant center cap."""
-    return np.concatenate([[u.values[0]], u.at_mids()]), u.grid.cap_areas
-
-
 def derivative(u: RadialFunction) -> np.ndarray:
     """Cellwise slope du/dr of the piecewise-linear interpolant."""
     return np.diff(u.values) / u.grid.widths
@@ -248,40 +247,31 @@ def gradient_norm_sq(u: RadialFunction) -> float:
     return exact_sum(s * s * u.grid.cell_areas)
 
 
-def center_cap_area(grid: RadialGrid) -> float:
-    """Area of the center disk r < nodes[0], where profiles extend
-    constantly.  Negligible (~1e-16) on default grids, but rearranged
-    profiles can carry a wide top plateau entirely inside it."""
-    return math.pi * grid.nodes[0] ** 2
-
-
 def lp_norm(u: RadialFunction, p: float) -> float:
-    """(2 pi int |u|^p r dr)^(1/p) by composite midpoint quadrature."""
+    """(2 pi int |u|^p r dr)^(1/p) over the cap-and-midpoint samples."""
     if p < 1:
         raise InvalidInputError(f"lp_norm needs p >= 1, got {p}")
-    um = np.abs(u.at_mids())
-    cap = abs(u.values[0]) ** p * center_cap_area(u.grid)
-    return (exact_sum(um**p * u.grid.cell_areas) + cap) ** (1.0 / p)
+    return exact_sum(np.abs(u.samples()) ** p * u.grid.cap_areas) ** (1.0 / p)
 
 
 def integral_weighted(u: RadialFunction, w) -> float:
-    """2 pi int_0^1 w(r) u(r)^2 r dr with midpoint sampling.
+    """2 pi int_0^1 w(r) u(r)^2 r dr over the cap-and-midpoint samples.
 
-    `w` is a callable scalar field on (0, 1); it is only evaluated at the
-    cell midpoints and the center-cap midpoint, so endpoint-singular
-    weights (Hardy/Leray type) stay finite.  A non-finite weight value
-    raises SingularEvaluationError naming the offending abscissa.
+    `w` is a callable scalar field on (0, 1); it is only evaluated at
+    grid.sample_r, so endpoint-singular weights (Hardy/Leray type) stay
+    finite.  A non-finite weight value raises SingularEvaluationError
+    naming the offending abscissa.
     """
-    rm = np.concatenate([[0.5 * u.grid.nodes[0]], u.grid.mids])
-    wm = np.asarray(w(rm), dtype=float)
-    if wm.shape != rm.shape:
-        wm = np.broadcast_to(wm, rm.shape)
-    bad = ~np.isfinite(wm)
+    rs = u.grid.sample_r
+    ws = np.asarray(w(rs), dtype=float)
+    if ws.shape != rs.shape:
+        ws = np.broadcast_to(ws, rs.shape)
+    bad = ~np.isfinite(ws)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise SingularEvaluationError(rm[i], wm[i])
-    um, areas = mids_with_cap(u)
-    return exact_sum(wm * um * um * areas)
+        raise SingularEvaluationError(rs[i], ws[i])
+    s = u.samples()
+    return exact_sum(ws * s * s * u.grid.cap_areas)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +286,40 @@ def cell_stiffness(grid: RadialGrid) -> np.ndarray:
 
 
 def scatter(cells: np.ndarray) -> np.ndarray:
-    """Each cell value added to both of its nodes: the transpose of
-    at_mids, the average onto midpoints, up to its factor 1/2."""
+    """Each cell value added to both of its nodes: the transpose of the
+    average onto midpoints, up to its factor 1/2."""
     out = np.zeros(cells.size + 1)
     out[:-1] += cells
     out[1:] += cells
     return out
 
 
+def value_gradient(u: RadialFunction, df: np.ndarray) -> np.ndarray:
+    """Nodal gradient of sum_s area_s F(u_s), u_s = u.samples(), given
+    df = F'(u_s): the sampling's transpose applied to area df (the cap
+    term on node 0, half of each cell's on both of its nodes)."""
+    c = df * u.grid.cap_areas
+    g = scatter(0.5 * c[1:])
+    g[0] += c[0]
+    return g
+
+
 def tridiagonal(cells: np.ndarray, sign: float):
     """(diag, off) of the symmetric T with x^T T x = sum c_i (x_i + sign
-    x_{i+1})^2.  The stiffness A is (cell_stiffness, -1); the midpoint
-    mass M_V of integral_weighted is (0.25 V(mid) area, +1) plus the cap
-    term V(r0/2) cap on entry 0 of diag."""
+    x_{i+1})^2.  The stiffness A is (cell_stiffness, -1); see mass for
+    M_w."""
     return scatter(cells), sign * cells
+
+
+def mass(grid: RadialGrid, w: np.ndarray):
+    """(diag, off) of the mass M_w with x^T M_w x = sum_s w_s area_s
+    (S x)_s^2, S the sampling of RadialFunction.samples and w given at
+    grid.sample_r: 0.25 w area on each cell's two nodes and their
+    coupling, plus the cap term w_0 cap on entry 0 of diag.
+    integral_weighted(u, V) is u^T M_V u."""
+    diag, off = tridiagonal(0.25 * w[1:] * grid.cell_areas, 1.0)
+    diag[0] += w[0] * grid.cap_areas[0]
+    return diag, off
 
 
 def tridiag_apply(matrix, x: np.ndarray) -> np.ndarray:

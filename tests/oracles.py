@@ -107,6 +107,40 @@ def disk_extremal() -> tuple[float, float]:
     return a, float(shoot(a)[1])
 
 
+def lane_emden_lambda_p(p: float) -> float:
+    """lambda_p = inf { |grad u|_2^2 : ||u||_p = 1 } on the disk, p > 2.
+
+    The minimizer is the positive radial solution of -Delta w = w^(p-1),
+    w(1) = 0 (Gidas-Ni-Nirenberg 1979; C.-S. Lin 1994), and testing the
+    equation with w gives |grad w|_2^2 = int_B w^p, so lambda_p =
+    (int_B w^p)^(1 - 2/p).  Shoot v'' + v'/r = -v^(p-1) with scipy's
+    DOP853 from v(0) = 1, v'(0) = 0 to the first zero R, carrying
+    int v^p r dr; w(r) = R^(2/(p-2)) v(R r) then has
+    int_B w^p = 2 pi R^(4/(p-2)) int_0^R v^p r dr.
+    """
+    from scipy.integrate import solve_ivp
+
+    # Below r0 the series v = 1 - r^2/4 + O(r^4) is exact to rounding.
+    r0 = 1e-6
+
+    def rhs(r, y):
+        v = y[0]
+        return [y[1], -y[1] / r - abs(v) ** (p - 2.0) * v, abs(v) ** p * r]
+
+    def hit_zero(r, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    y0 = [1.0 - 0.25 * r0 * r0, -0.5 * r0, 0.5 * r0 * r0]
+    sol = solve_ivp(rhs, (r0, 50.0), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-14, events=hit_zero)
+    big_r, integral = sol.t_events[0][0], sol.y_events[0][0][2]
+    mass = 2.0 * math.pi * big_r ** (4.0 / (p - 2.0)) * integral
+    return float(mass ** (1.0 - 2.0 / p))
+
+
 def simpson(f, a: float, b: float, n: int = 20001) -> float:
     """Composite Simpson rule (n odd)."""
     if n % 2 == 0:

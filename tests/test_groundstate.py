@@ -55,7 +55,9 @@ def test_transform_zero_potential(gs_cache, grid):
     gs = gs_cache["zero"]
     assert np.max(np.abs(gs.s_table.values - math.e * grid.nodes)) < 1e-6
     assert gs.s_at_1 == pytest.approx(math.e, abs=1e-6)
-    assert gs.s_of_r(1.0 / math.e) == pytest.approx(1.0, abs=1e-12)
+    # anchored: log s(1/e) = 0, with 1/e at log r = -1
+    log_r = np.log(gs.phi.grid.nodes)
+    assert np.interp(-1.0, log_r, gs.log_s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transform_leray_divergent(gs_cache):
@@ -70,7 +72,9 @@ def test_transform_constant_finite(gs_cache):
     gs = gs_cache["const2"]
     assert not gs.s_divergent
     assert math.isfinite(gs.s_at_1)
-    assert gs.s_of_r(1.0 / math.e) == pytest.approx(1.0, abs=1e-12)
+    # anchored: log s(1/e) = 0, with 1/e at log r = -1
+    log_r = np.log(gs.phi.grid.nodes)
+    assert np.interp(-1.0, log_r, gs.log_s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stretch_invariants_weakly_coercive(gs_cache, grid):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import (LAMBDA_1, bessel_j0, disk_extremal,
                      estimate_lambda_p_descent, j0_first_zero,
-                     pav_nonincreasing_stack, reduced_stiffness, simpson,
-                     thomas_solve, tridiag_product)
+                     lane_emden_lambda_p, pav_nonincreasing_stack,
+                     reduced_stiffness, simpson, thomas_solve,
+                     tridiag_product)
 from tmlab import probe
 from tmlab.errors import InvalidInputError
 from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_J,
@@ -23,9 +24,9 @@ from tmlab.probe import (BOUNDED, DIVERGENT, INCONCLUSIVE, TrialFamily,
                          ground_state_family, maximize_J_constrained,
                          moser_family, moser_function, probe_supremum)
 from tmlab.probe import _pav_nonincreasing
-from tmlab.radial import (RadialGrid, cell_stiffness, center_cap_area,
-                          energy_solve, gradient_norm_sq, lp_norm,
-                          tridiag_apply, tridiagonal)
+from tmlab.radial import (RadialGrid, cell_stiffness, energy_solve,
+                          gradient_norm_sq, lp_norm, mass, tridiag_apply,
+                          tridiagonal)
 from tmlab.rearrange import polya_szego_gap
 from tmlab.sampling import bump_profile
 
@@ -324,7 +325,9 @@ def test_maximize_accepts_ascent_steps(maximized_none):
     # The Euclidean-gradient ascent accepted none of its steps here.
     assert 0 < maximized_none.accepted <= maximized_none.iterations
     # Pinned bit for bit: a change in the ascent's arithmetic shows here.
-    assert maximized_none.best_j == 13.831147323624913
+    # The gradient with the center cap's term gives this; without it
+    # (cells only) the ascent reached 13.831147323624913.
+    assert maximized_none.best_j == 13.831147323625224
     assert maximized_none.accepted == maximized_none.iterations == 399
 
 
@@ -368,9 +371,9 @@ def test_energy_solve_matches_thomas(n):
 
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_tridiagonal_form_matches_eval_Q(n):
-    # Q(u) = u^T (A - M_V) u: A from the cell stiffness, M_V the midpoint
-    # mass 0.25 V(mid) area plus V(r0/2) cap on entry 0.  The bound is
-    # the roundoff of the tridiagonal product (worst seen 4.1e-12).
+    # Q(u) = u^T (A - M_V) u: A from the cell stiffness, M_V the mass of
+    # the cap-and-midpoint sampling.  The bound is the roundoff of the
+    # tridiagonal product (worst seen 4.1e-12).
     grid = RadialGrid.default(n)
     stiffness = tridiagonal(cell_stiffness(grid), -1.0)
     rng = np.random.default_rng(n)
@@ -390,11 +393,8 @@ def test_tridiagonal_form_matches_eval_Q(n):
             x = u.values
             q = float(x @ tridiag_apply(stiffness, x))
             if pot is not None:
-                mass = tridiagonal(0.25 * pot(grid.mids) * grid.cell_areas,
-                                   1.0)
-                cap = pot(np.array([0.5 * grid.nodes[0]]))[0] \
-                    * center_cap_area(grid)
-                q -= float(x @ tridiag_apply(mass, x)) + cap * x[0] ** 2
+                q -= float(x @ tridiag_apply(mass(grid, pot(grid.sample_r)),
+                                             x))
             assert abs(q - eval_Q(form, u)) <= 1e-11 * gradient_norm_sq(u), \
                 name
 
@@ -431,17 +431,20 @@ def test_lambda1_against_bessel(grid, grid_2048, lambda1):
 
 
 def test_lambda1_pinned(grid_1024):
-    # Computed with the closed-form stiffness solve (_energy_solve); the
-    # Thomas solve it replaced gave 5.783009870057265, 1.3e-14 relative
-    # away, which test_lambda1_against_bessel cannot tell apart.
-    assert estimate_lambda_1(grid_1024)[0] == 5.783009870057342
+    # Computed with the closed-form stiffness solve and the mass of the
+    # cap-and-midpoint sampling; the mass without the cap gave
+    # 5.783009870057342, 2.7e-14 relative away, which
+    # test_lambda1_against_bessel cannot tell apart.
+    assert estimate_lambda_1(grid_1024)[0] == 5.783009870057497
 
 
 def test_lambda4_pinned(lambda4_estimate):
     # Computed with the element-by-element stack PAV; the batched
     # projection keeps its arithmetic, so the descent and values are exact.
+    # The spread moved from 21.362422514531325 when lp_norm summed the
+    # center cap with the cells (one correctly rounded sum).
     assert lambda4_estimate.value == 6.906189276603689
-    assert lambda4_estimate.spread == 21.362422514531325
+    assert lambda4_estimate.spread == 21.362422514531346
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -454,6 +457,15 @@ def test_lambda_p_matches_descent_reference(seed):
     assert got.spread == want.spread
     assert got.local_minima == want.local_minima
     assert np.array_equal(got.minimizer.values, want.minimizer.values)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+def test_lambda_p_above_lane_emden(p):
+    # The estimate is the quotient of a profile on the grid, so it stays
+    # above the continuum value; the descent ends 0.8-2.9% above it.
+    exact = lane_emden_lambda_p(p)
+    value = estimate_lambda_p(p, RadialGrid.default(512)).value
+    assert exact <= value <= 1.05 * exact
 
 
 def test_lambda_p_limits(grid_1024, lambda4_estimate):

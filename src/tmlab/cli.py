@@ -44,6 +44,9 @@ from .sampling import bump_profile
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+# probe sweeps k = 2^1 .. 2^kmax_pow, and 2^1023 is the largest finite
+# power of two in a double.
+KMAX_POW_MAX = sys.float_info.max_exp - 1
 
 
 def _fmt(x) -> str:
@@ -169,6 +172,10 @@ def cmd_groundstate(args, grid: RadialGrid) -> Output:
 
 
 def cmd_probe(args, grid: RadialGrid) -> Output:
+    if args.kmax_pow > KMAX_POW_MAX:
+        raise InvalidInputError(f"--kmax-pow {args.kmax_pow} is above "
+                                f"{KMAX_POW_MAX}: 2^{args.kmax_pow} is not "
+                                f"a finite double")
     form = parse_form(args.form)
     if args.family == "moser":
         family = moser_family(grid, [2 ** m for m in range(1, args.kmax_pow + 1)])

@@ -14,10 +14,9 @@ Also provided: both sides of the Onofri inequality on the disk,
     log((1/pi) int_B e^u) + ((1/pi) int_B e^u)^(-1)
         <=  1 + (1/(16 pi)) * Q(u),
 
-the Luxemburg gauge norm of the Orlicz space generated by
+and the Luxemburg gauge norm of the Orlicz space generated by
 exp(4 pi s^2) - 1 (to relative 1e-10, by safeguarded secant steps on
-the gauge integral), and the subadditivity gap of
-F(t) = log t + 1/t.
+the gauge integral).
 
 J is overflow-safe: if any quadrature cell's exponent exceeds 700 the
 result is reported as math.inf rather than silently saturating, because
@@ -194,14 +193,3 @@ def luxemburg_norm(u: RadialFunction) -> float:
         if 0.0 < ft < math.inf:
             prev, last = last, (math.log(t), math.log(ft))
     return b
-
-
-def subadditive_gap(t1: float, t2: float) -> float:
-    """F(t1) + F(t2) - F(t1 + t2) for F(t) = log t + 1/t (nonnegative)."""
-    if t1 <= 0 or t2 <= 0:
-        raise InvalidInputError("subadditivity check needs positive inputs")
-
-    def f(t):
-        return math.log(t) + 1.0 / t
-
-    return f(t1) + f(t2) - f(t1 + t2)

@@ -45,11 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidInputError, NodalSolutionError,
-                     SingularEvaluationError, StepFailureError)
+from .errors import (NodalSolutionError, SingularEvaluationError,
+                     StepFailureError)
 from .potentials import Potential, check_kato
-from .radial import RadialFunction, RadialGrid, exact_sum
-from .forms import PotentialRemainder, eval_Q
+from .radial import RadialFunction, RadialGrid
 
 WEAKLY_COERCIVE = "WeaklyCoercive"
 GROUND_STATE = "GroundStateDetected"
@@ -242,31 +241,6 @@ def transform_s(gs: GroundStateResult) -> GroundStateResult:
     return gs
 
 
-def ground_state_analysis(pot: Potential, grid: RadialGrid
-                          ) -> GroundStateResult:
-    return transform_s(shoot(pot, grid))
-
-
-def jacobi_identity_residual(gs: GroundStateResult, u: RadialFunction) -> float:
-    """Relative defect of Q_V(u) = 2 pi int phi^2 ((u/phi)')^2 r dr.
-
-    The right side makes the nonnegativity of Q_V manifest whenever phi is
-    a positive solution for V; the residual measures how well the discrete
-    quadratures reproduce that identity.
-    """
-    if not u.dirichlet:
-        raise InvalidInputError("Jacobi identity residual needs Dirichlet u")
-    if u.grid is not gs.phi.grid and not (u.grid == gs.phi.grid):
-        raise InvalidInputError("u must live on the ground-state grid")
-    phi = gs.phi.values
-    w = u.values / phi
-    slopes = np.diff(w) / u.grid.widths
-    phi_mid = 0.5 * (phi[:-1] + phi[1:])
-    transformed = exact_sum(phi_mid**2 * slopes**2 * u.grid.cell_areas)
-    q = eval_Q(PotentialRemainder(gs.potential), u)
-    return abs(q - transformed) / max(1.0, abs(q))
-
-
 @dataclass
 class CoercivityResult:
     classification: str
@@ -285,7 +259,7 @@ def classify_coercivity(pot: Potential, grid: RadialGrid,
     An integrator failure is no verdict: its StepFailureError propagates.
     """
     try:
-        gs = ground_state_analysis(pot, grid)
+        gs = transform_s(shoot(pot, grid))
     except NodalSolutionError as exc:
         return CoercivityResult(INDEFINITE, None,
                                 f"nodal solution at r = {exc.radius:.6g}")

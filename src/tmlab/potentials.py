@@ -240,37 +240,3 @@ def check_kato(pot: Potential, alpha: float) -> KatoReport:
     # log-log slope of h against m over the tail.
     slope = np.polyfit(np.log(m[-5:].astype(float)), np.log(tail), 1)[0]
     return KatoReport(bool(slope < -KATO_SLOPE_TOL), r, h)
-
-
-# ---------------------------------------------------------------------------
-# rearranged potential
-# ---------------------------------------------------------------------------
-
-def rearranged_potential(pot: Potential,
-                         grid: RadialGrid | None = None) -> TabulatedPotential:
-    """Monotone replacement for a radial potential.
-
-    Forms g(r) = (1 - r^2)^2 * V(r), replaces g by its
-    decreasing rearrangement with respect to the hyperbolic measure of the
-    Poincare disk, and divides by (1 - r^2)^2.  The result is tabulated,
-    passes check_class_v by construction, and is idempotent: already
-    monotone g comes back unchanged up to interpolation error.
-    """
-    from .rearrange import hyperbolic_measure, rearrange_decreasing
-
-    if grid is None:
-        grid = RadialGrid.default()
-    r = grid.nodes
-    rr = np.minimum(r, 1.0 - 1e-14)  # g is evaluated up to r = 1
-    g_vals = np.asarray(pot(rr), dtype=float) * one_minus_r_sq(rr) ** 2
-    if not np.all(np.isfinite(g_vals)):
-        i = int(np.argmax(~np.isfinite(g_vals)))
-        raise SingularEvaluationError(r[i], g_vals[i])
-    g = RadialFunction(grid, g_vals, dirichlet=False)
-    g_sharp = rearrange_decreasing(g, hyperbolic_measure())
-    # Tabulate on the union with the build grid: the class-V screen then
-    # reads exact table values at its nodes, so monotonicity survives.
-    out_r = np.union1d(g_sharp.grid.nodes, grid.nodes)
-    rr_out = np.minimum(out_r, 1.0 - 1e-14)
-    v_out = g_sharp(out_r) / one_minus_r_sq(rr_out) ** 2
-    return TabulatedPotential(out_r, np.maximum(v_out, 0.0))

@@ -121,7 +121,7 @@ class TrialFamily:
     name: str
     params: list
     make: object  # k -> RadialFunction
-    # Optional replacement for eval_Q on the family's own profiles.
+    # Optional k -> Q, replacing eval_Q on the family's own profiles.
     q_eval: object = None
 
 
@@ -162,10 +162,8 @@ def ground_state_family(gs: GroundStateResult) -> TrialFamily:
         vals[-1] = 0.0
         return RadialFunction(grid, vals, dirichlet=True)
 
-    def q_eval(form, u, k):
-        return WkCutoff(k).ramp_energy()
-
-    return TrialFamily("gsapprox", ks, make, q_eval=q_eval)
+    return TrialFamily("gsapprox", ks, make,
+                       q_eval=lambda k: WkCutoff(k).ramp_energy())
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +298,7 @@ def probe_supremum(form: Remainder, family: TrialFamily,
                                  f"{type(exc).__name__}: {exc}"))
             continue
         if family.q_eval is not None:
-            q = float(family.q_eval(form, u, k))
+            q = float(family.q_eval(k))
         else:
             q = eval_Q(form, u)
         if q <= 0.0:

@@ -24,9 +24,11 @@ the discrete level:
     int f g dmu <= int f# g# dmu                (Hardy-Littlewood)
     int |grad f#|^2 dx <= int |grad f|^2 dx     (Polya-Szego)
 
+The test suite checks all three against its oracles (tests/oracles.py).
+
 The hyperbolic M diverges at r = 1, so hyperbolic distribution functions
-and mu-integrals are truncated at the profile's last interior node; the
-profiles fed to these routines should vanish near the boundary.
+are truncated at the profile's last interior node; the profiles fed to
+these routines should vanish near the boundary.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .radial import (RadialFunction, RadialGrid, exact_sum, gradient_norm_sq,
-                     one_minus_r_sq)
+from .radial import RadialFunction, RadialGrid, one_minus_r_sq
 
 class RadialMeasure:
     """Radial measure with closed-form cumulative M and inverse."""
@@ -46,13 +47,6 @@ class RadialMeasure:
         if kind not in ("hyperbolic", "euclidean"):
             raise InvalidInputError(f"unknown measure kind {kind!r}")
         self.kind = kind
-
-    def density(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "hyperbolic":
-            q = one_minus_r_sq(r)
-            return 8.0 * math.pi * r / (q * q)
-        return 2.0 * math.pi * r
 
     def M(self, r):
         r = np.asarray(r, dtype=float)
@@ -217,109 +211,3 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
         val_pts[-1] = vmin
     return RadialFunction(RadialGrid(rho_pts), val_pts,
                           dirichlet=(vmin == 0.0))
-
-
-def check_equimeasurable(f: RadialFunction, g: RadialFunction,
-                         measure: RadialMeasure, levels: int = 256) -> float:
-    """max over sampled levels t of |mu{f > t} - mu{g > t}|.
-
-    Levels are strict cell midpoints of (0, max value), avoiding the exact
-    jump values of either profile.
-    """
-    if levels < 2:
-        raise InvalidInputError(f"levels must be at least 2, got {levels}")
-    tmax = max(float(np.max(f.values)), float(np.max(g.values)))
-    if tmax <= 0.0:
-        return 0.0
-    t = (np.arange(levels) + 0.5) / levels * tmax
-    lf = distribution_function(f, measure, t, strict=True)
-    lg = distribution_function(g, measure, t, strict=True)
-    return float(np.max(np.abs(lf - lg)))
-
-
-# ---------------------------------------------------------------------------
-# mu-integrals and the classical comparison gaps
-# ---------------------------------------------------------------------------
-
-_GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
-                   0.3399810435848563, 0.8611363115940526])
-_GL4_W = np.array([0.34785484513745385, 0.6521451548625461,
-                   0.6521451548625461, 0.34785484513745385])
-_MU_MAX_WIDTH = 0.005  # widest cell _mu_quadrature integrates unsplit
-
-
-def _mu_quadrature(F, nodes: np.ndarray, measure: RadialMeasure) -> float:
-    """int F dmu over the cells of `nodes` by 4-point Gauss per cell.
-
-    Cells wider than _MU_MAX_WIDTH are subdivided first so the density's
-    curvature cannot leak into the result; the rule is then effectively
-    exact for piecewise-polynomial F (products and small powers of
-    piecewise-linear profiles).  The center cap, where F is constant,
-    uses the exact cap measure.
-    """
-    refined = [nodes]
-    wide = np.diff(nodes) > _MU_MAX_WIDTH
-    for i in np.nonzero(wide)[0]:
-        m = int(math.ceil((nodes[i + 1] - nodes[i]) / _MU_MAX_WIDTH))
-        refined.append(np.linspace(nodes[i], nodes[i + 1], m + 1)[1:-1])
-    pts = np.unique(np.concatenate(refined))
-    a, b = pts[:-1], pts[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total = 0.0
-    for x, w in zip(_GL4_X, _GL4_W):
-        r = mid + x * half
-        total += w * exact_sum(np.asarray(F(r), dtype=float)
-                               * measure.density(r) * half)
-    return total + float(F(np.asarray([pts[0]]))[0]) * measure.M(pts[0])
-
-
-def mu_integral(f: RadialFunction, measure: RadialMeasure,
-                power: float = 1.0) -> float:
-    """int f^power dmu (Gauss per cell against the measure density).
-
-    Hyperbolic measure: the integral runs over [0, nodes[-2]], plus a
-    tail estimate of the rim cell where f is nonzero at nodes[-2].  The
-    true integral diverges unless f(1) = 0 and power > 1, and math.inf
-    is returned in that case.
-    """
-    nodes = f.grid.nodes
-    stop = _domain_stop(f, measure)
-    total = _mu_quadrature(lambda r: f(r) ** power, nodes[:stop + 1], measure)
-    if measure.kind == "hyperbolic" and f.values[stop] > 0:
-        # The density grows like 2 pi / (1 - r)^2 at the rim, so the
-        # integral is finite iff f vanishes at r = 1 and power > 1.
-        if power <= 1.0 or f.values[-1] != 0:
-            return math.inf
-        # Tail estimate on the dropped rim cell, f linear to f(1).
-        xs = np.geomspace(1e-16, 1.0 - nodes[stop], 64)
-        rr = 1.0 - xs
-        ft = np.interp(rr, nodes, f.values)
-        total += exact_sum(np.diff(measure.M(rr[::-1])) *
-                           0.5 * (ft[::-1][:-1]**power + ft[::-1][1:]**power))
-    return total
-
-
-def mu_product_integral(f: RadialFunction, g: RadialFunction,
-                        measure: RadialMeasure) -> float:
-    """int f g dmu on the union of the two grids (truncated hyperbolic)."""
-    nodes = np.unique(np.concatenate([f.grid.nodes, g.grid.nodes]))
-    if measure.kind == "hyperbolic":
-        nodes = nodes[nodes <= max(f.grid.nodes[-2], g.grid.nodes[-2])]
-    return _mu_quadrature(lambda r: f(r) * g(r), nodes, measure)
-
-
-def hardy_littlewood_gap(f: RadialFunction, g: RadialFunction,
-                         measure: RadialMeasure) -> float:
-    """int f# g# dmu - int f g dmu (nonnegative up to grid error)."""
-    fs = rearrange_decreasing(f, measure)
-    gs = rearrange_decreasing(g, measure)
-    return mu_product_integral(fs, gs, measure) - \
-        mu_product_integral(f, g, measure)
-
-
-def polya_szego_gap(f: RadialFunction) -> float:
-    """Dirichlet energy drop under hyperbolic rearrangement (>= 0 up to
-    grid error)."""
-    fs = rearrange_decreasing(f, hyperbolic_measure())
-    return gradient_norm_sq(f) - gradient_norm_sq(fs)

@@ -12,10 +12,6 @@ from .radial import RadialFunction, RadialGrid
 
 MAX_BUMPS = 4  # bump_profile sums 1..MAX_BUMPS Gaussians
 BUMP_AMP = 1.0  # bump heights are drawn from [0.2, BUMP_AMP]
-MAX_STEPS = 5  # step_profile has 1..MAX_STEPS plateau edges
-STEP_SUPPORT = (0.02, 0.9)  # radii where plateau edges fall
-STEP_VMAX = 2.0  # plateau levels are drawn from [0, STEP_VMAX]
-STEP_RAMP = 1e-3  # width of the ramp after each plateau edge
 
 
 def bump_profile(rng: np.random.Generator, grid: RadialGrid) -> RadialFunction:
@@ -41,32 +37,3 @@ def nonneg_profile(rng: np.random.Generator,
     vals = np.abs(u.values)
     vals[-1] = 0.0
     return RadialFunction(grid, vals, dirichlet=True)
-
-
-def step_profile(rng: np.random.Generator) -> RadialFunction:
-    """Random nonnegative step profile on its own compact grid.
-
-    Plateau boundaries are drawn inside STEP_SUPPORT and connected by
-    ramps of width STEP_RAMP; the profile vanishes identically beyond the
-    support (so hyperbolic integrals stay finite).
-    """
-    lo, hi = STEP_SUPPORT
-    n_steps = int(rng.integers(1, MAX_STEPS + 1))
-    edges = np.sort(rng.uniform(lo, hi, n_steps))
-    # Enforce a gap so ramps do not overlap.
-    for i in range(1, edges.size):
-        edges[i] = max(edges[i], edges[i - 1] + 3.0 * STEP_RAMP)
-    edges = edges[edges < hi]
-    if edges.size == 0:
-        edges = np.array([0.5 * (lo + hi)])
-    levels = rng.uniform(0.0, STEP_VMAX, edges.size + 1)
-    levels[-1] = 0.0
-    nodes = [edges[0] * 0.1]
-    vals = [levels[0]]
-    for e, nxt in zip(edges, levels[1:]):
-        nodes.extend([e, e + STEP_RAMP])
-        vals.extend([vals[-1], nxt])
-    nodes.append(1.0)
-    vals.append(0.0)
-    return RadialFunction(RadialGrid(np.asarray(nodes)),
-                          np.asarray(vals), dirichlet=True)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tmlab.groundstate import ground_state_analysis
+from tmlab.groundstate import shoot, transform_s
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, WangYePotential)
 from tmlab.probe import estimate_lambda_1, estimate_lambda_p
@@ -47,5 +47,5 @@ def gs_cache(grid):
                      ("leray", LerayPotential()),
                      ("gamma05", GammaPotential(0.5)),
                      ("wangye", WangYePotential())]:
-        cache[key] = ground_state_analysis(pot, grid)
+        cache[key] = transform_s(shoot(pot, grid))
     return cache

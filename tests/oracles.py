@@ -6,6 +6,16 @@ zeros from bisection on that series, exponential integrals from 1-D
 Simpson quadrature after the log substitution L = log(1/r), and the disk
 extremal's J* from scipy's DOP853 shooting of its Euler-Lagrange equation.
 
+The comparison checks in the middle are the classical facts that the
+package's outputs must satisfy: the Jacobi identity of a ground state,
+and equimeasurability, Hardy-Littlewood and Polya-Szego for the
+rearrangement (with a seeded step-profile sampler, a rearranged
+potential and mu-integrals by 4-point Gauss against the measure's
+density).  They read the package's distribution function, Dirichlet
+energy and form on purpose: what they compare is the package's own
+discrete objects.  The Hardy-Littlewood and Polya-Szego gaps take the
+rearranged profiles from the caller, so each profile is rearranged once.
+
 The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
 bit for bit, except the RK45 shooter, which the Magnus shooter must
@@ -27,11 +37,12 @@ from tmlab import forms
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           SingularEvaluationError, StepFailureError)
 from tmlab.groundstate import KATO_ALPHA, GroundStateResult
-from tmlab.potentials import check_kato
+from tmlab.potentials import TabulatedPotential, check_kato
 from tmlab.probe import LambdaPEstimate, _pav_nonincreasing, estimate_lambda_1
-from tmlab.radial import (RadialFunction, RadialGrid, gradient_norm_sq,
-                          lp_norm)
-from tmlab.rearrange import _domain_stop, distribution_function
+from tmlab.radial import (RadialFunction, RadialGrid, exact_sum,
+                          gradient_norm_sq, lp_norm, one_minus_r_sq)
+from tmlab.rearrange import (_domain_stop, distribution_function,
+                             hyperbolic_measure, rearrange_decreasing)
 
 
 def bessel_j0(x: float) -> float:
@@ -177,6 +188,200 @@ def leray_sqrt_log_residual(r: np.ndarray) -> np.ndarray:
     lhs = 1.0 / (4.0 * r * r * L ** 1.5)
     rhs = (1.0 / (4.0 * r * r * L * L)) * np.sqrt(L)
     return lhs - rhs
+
+
+# The comparison checks: the classical facts that the package's outputs
+# must satisfy, read by the acceptance tests (c04, c07) and the module
+# tests.  No command calls them, so they live here.
+
+MAX_STEPS = 5  # step_profile has 1..MAX_STEPS plateau edges
+STEP_SUPPORT = (0.02, 0.9)  # radii where plateau edges fall
+STEP_VMAX = 2.0  # plateau levels are drawn from [0, STEP_VMAX]
+STEP_RAMP = 1e-3  # width of the ramp after each plateau edge
+
+
+def step_profile(rng: np.random.Generator) -> RadialFunction:
+    """Random nonnegative step profile on its own compact grid.
+
+    Plateau boundaries are drawn inside STEP_SUPPORT and connected by
+    ramps of width STEP_RAMP; the profile vanishes identically beyond the
+    support (so hyperbolic integrals stay finite).
+    """
+    lo, hi = STEP_SUPPORT
+    n_steps = int(rng.integers(1, MAX_STEPS + 1))
+    edges = np.sort(rng.uniform(lo, hi, n_steps))
+    # Enforce a gap so ramps do not overlap.
+    for i in range(1, edges.size):
+        edges[i] = max(edges[i], edges[i - 1] + 3.0 * STEP_RAMP)
+    edges = edges[edges < hi]
+    if edges.size == 0:
+        edges = np.array([0.5 * (lo + hi)])
+    levels = rng.uniform(0.0, STEP_VMAX, edges.size + 1)
+    levels[-1] = 0.0
+    nodes = [edges[0] * 0.1]
+    vals = [levels[0]]
+    for e, nxt in zip(edges, levels[1:]):
+        nodes.extend([e, e + STEP_RAMP])
+        vals.extend([vals[-1], nxt])
+    nodes.append(1.0)
+    vals.append(0.0)
+    return RadialFunction(RadialGrid(np.asarray(nodes)),
+                          np.asarray(vals), dirichlet=True)
+
+
+def jacobi_identity_residual(gs: GroundStateResult,
+                             u: RadialFunction) -> float:
+    """Relative defect of Q_V(u) = 2 pi int phi^2 ((u/phi)')^2 r dr.
+
+    The right side makes the nonnegativity of Q_V manifest whenever phi is
+    a positive solution for V; the residual measures how well the discrete
+    quadratures reproduce that identity.
+    """
+    if not u.dirichlet:
+        raise InvalidInputError("Jacobi identity residual needs Dirichlet u")
+    if u.grid is not gs.phi.grid and not (u.grid == gs.phi.grid):
+        raise InvalidInputError("u must live on the ground-state grid")
+    phi = gs.phi.values
+    w = u.values / phi
+    slopes = np.diff(w) / u.grid.widths
+    phi_mid = 0.5 * (phi[:-1] + phi[1:])
+    transformed = exact_sum(phi_mid**2 * slopes**2 * u.grid.cell_areas)
+    q = forms.eval_Q(forms.PotentialRemainder(gs.potential), u)
+    return abs(q - transformed) / max(1.0, abs(q))
+
+
+def rearranged_potential(pot, grid: RadialGrid) -> TabulatedPotential:
+    """Monotone replacement for a radial potential.
+
+    Forms g(r) = (1 - r^2)^2 * V(r), replaces g by its
+    decreasing rearrangement with respect to the hyperbolic measure of the
+    Poincare disk, and divides by (1 - r^2)^2.  The result is tabulated,
+    passes check_class_v by construction, and is idempotent: already
+    monotone g comes back unchanged up to interpolation error.
+    """
+    r = grid.nodes
+    rr = np.minimum(r, 1.0 - 1e-14)  # g is evaluated up to r = 1
+    g_vals = np.asarray(pot(rr), dtype=float) * one_minus_r_sq(rr) ** 2
+    if not np.all(np.isfinite(g_vals)):
+        i = int(np.argmax(~np.isfinite(g_vals)))
+        raise SingularEvaluationError(r[i], g_vals[i])
+    g = RadialFunction(grid, g_vals, dirichlet=False)
+    g_sharp = rearrange_decreasing(g, hyperbolic_measure())
+    # Tabulate on the union with the build grid: the class-V screen then
+    # reads exact table values at its nodes, so monotonicity survives.
+    out_r = np.union1d(g_sharp.grid.nodes, grid.nodes)
+    rr_out = np.minimum(out_r, 1.0 - 1e-14)
+    v_out = g_sharp(out_r) / one_minus_r_sq(rr_out) ** 2
+    return TabulatedPotential(out_r, np.maximum(v_out, 0.0))
+
+
+def check_equimeasurable(f: RadialFunction, g: RadialFunction, measure,
+                         levels: int) -> float:
+    """max over sampled levels t of |mu{f > t} - mu{g > t}|.
+
+    Levels are strict cell midpoints of (0, max value), avoiding the exact
+    jump values of either profile.
+    """
+    if levels < 2:
+        raise InvalidInputError(f"levels must be at least 2, got {levels}")
+    tmax = max(float(np.max(f.values)), float(np.max(g.values)))
+    if tmax <= 0.0:
+        return 0.0
+    t = (np.arange(levels) + 0.5) / levels * tmax
+    lf = distribution_function(f, measure, t, strict=True)
+    lg = distribution_function(g, measure, t, strict=True)
+    return float(np.max(np.abs(lf - lg)))
+
+
+def measure_density(measure, r):
+    """dM/dr of the rearrangement measure."""
+    r = np.asarray(r, dtype=float)
+    if measure.kind == "hyperbolic":
+        q = one_minus_r_sq(r)
+        return 8.0 * math.pi * r / (q * q)
+    return 2.0 * math.pi * r
+
+
+_GL4_X = np.array([-0.8611363115940526, -0.3399810435848563,
+                   0.3399810435848563, 0.8611363115940526])
+_GL4_W = np.array([0.34785484513745385, 0.6521451548625461,
+                   0.6521451548625461, 0.34785484513745385])
+_MU_MAX_WIDTH = 0.005  # widest cell _mu_quadrature integrates unsplit
+
+
+def _mu_quadrature(F, nodes: np.ndarray, measure) -> float:
+    """int F dmu over the cells of `nodes` by 4-point Gauss per cell.
+
+    Cells wider than _MU_MAX_WIDTH are subdivided first so the density's
+    curvature cannot leak into the result; the rule is then effectively
+    exact for piecewise-polynomial F (products and small powers of
+    piecewise-linear profiles).  The center cap, where F is constant,
+    uses the exact cap measure.
+    """
+    refined = [nodes]
+    wide = np.diff(nodes) > _MU_MAX_WIDTH
+    for i in np.nonzero(wide)[0]:
+        m = int(math.ceil((nodes[i + 1] - nodes[i]) / _MU_MAX_WIDTH))
+        refined.append(np.linspace(nodes[i], nodes[i + 1], m + 1)[1:-1])
+    pts = np.unique(np.concatenate(refined))
+    a, b = pts[:-1], pts[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    total = 0.0
+    for x, w in zip(_GL4_X, _GL4_W):
+        r = mid + x * half
+        total += w * exact_sum(np.asarray(F(r), dtype=float)
+                               * measure_density(measure, r) * half)
+    return total + float(F(np.asarray([pts[0]]))[0]) * measure.M(pts[0])
+
+
+def mu_integral(f: RadialFunction, measure, power: float) -> float:
+    """int f^power dmu (Gauss per cell against the measure density).
+
+    Hyperbolic measure: the integral runs over [0, nodes[-2]], plus a
+    tail estimate of the rim cell where f is nonzero at nodes[-2].  The
+    true integral diverges unless f(1) = 0 and power > 1, and math.inf
+    is returned in that case.
+    """
+    nodes = f.grid.nodes
+    stop = _domain_stop(f, measure)
+    total = _mu_quadrature(lambda r: f(r) ** power, nodes[:stop + 1], measure)
+    if measure.kind == "hyperbolic" and f.values[stop] > 0:
+        # The density grows like 2 pi / (1 - r)^2 at the rim, so the
+        # integral is finite iff f vanishes at r = 1 and power > 1.
+        if power <= 1.0 or f.values[-1] != 0:
+            return math.inf
+        # Tail estimate on the dropped rim cell, f linear to f(1).
+        xs = np.geomspace(1e-16, 1.0 - nodes[stop], 64)
+        rr = 1.0 - xs
+        ft = np.interp(rr, nodes, f.values)
+        total += exact_sum(np.diff(measure.M(rr[::-1])) *
+                           0.5 * (ft[::-1][:-1]**power + ft[::-1][1:]**power))
+    return total
+
+
+def mu_product_integral(f: RadialFunction, g: RadialFunction,
+                        measure) -> float:
+    """int f g dmu on the union of the two grids (truncated hyperbolic)."""
+    nodes = np.unique(np.concatenate([f.grid.nodes, g.grid.nodes]))
+    if measure.kind == "hyperbolic":
+        nodes = nodes[nodes <= max(f.grid.nodes[-2], g.grid.nodes[-2])]
+    return _mu_quadrature(lambda r: f(r) * g(r), nodes, measure)
+
+
+def hardy_littlewood_gap(f: RadialFunction, fs: RadialFunction,
+                         g: RadialFunction, gs: RadialFunction,
+                         measure) -> float:
+    """int f# g# dmu - int f g dmu (nonnegative up to grid error), with
+    fs, gs the rearrangements of f, g under `measure`."""
+    return mu_product_integral(fs, gs, measure) - \
+        mu_product_integral(f, g, measure)
+
+
+def polya_szego_gap(f: RadialFunction, fs: RadialFunction) -> float:
+    """Dirichlet energy drop from f to its hyperbolic rearrangement fs
+    (>= 0 up to grid error)."""
+    return gradient_norm_sq(f) - gradient_norm_sq(fs)
 
 
 def pav_nonincreasing_stack(y: np.ndarray) -> np.ndarray:

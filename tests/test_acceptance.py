@@ -9,13 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import LAMBDA_1, leray_sqrt_log_residual, simpson
+from oracles import (LAMBDA_1, check_equimeasurable, hardy_littlewood_gap,
+                     jacobi_identity_residual, leray_sqrt_log_residual,
+                     mu_integral, polya_szego_gap, simpson, step_profile)
 from tmlab.cli import main as cli_main
 from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder,
                          eval_Q, luxemburg_norm, onofri_lhs, onofri_rhs)
 from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
-                               classify_coercivity, ground_state_analysis,
-                               jacobi_identity_residual)
+                               classify_coercivity, shoot, transform_s)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, WangYePotential)
 from tmlab.probe import (BOUNDED, DIVERGENT, WkCutoff,
@@ -23,10 +24,8 @@ from tmlab.probe import (BOUNDED, DIVERGENT, WkCutoff,
                          moser_family, probe_supremum)
 from tmlab.radial import (RadialFunction, RadialGrid, integral_weighted,
                           lp_norm)
-from tmlab.rearrange import (check_equimeasurable, hardy_littlewood_gap,
-                             hyperbolic_measure, mu_integral, polya_szego_gap,
-                             rearrange_decreasing)
-from tmlab.sampling import bump_profile, nonneg_profile, step_profile
+from tmlab.rearrange import hyperbolic_measure, rearrange_decreasing
+from tmlab.sampling import bump_profile, nonneg_profile
 
 
 def _report(n, text):
@@ -69,7 +68,7 @@ def test_c04_jacobi_identity(gs_cache, grid):
         worst = max(worst, jacobi_identity_residual(gs, u))
     assert worst < 1e-3
     g2 = RadialGrid.default(8192)
-    gs2 = ground_state_analysis(ConstantPotential(2.0), g2)
+    gs2 = transform_s(shoot(ConstantPotential(2.0), g2))
     rng2 = np.random.default_rng(4)
     worst2 = max(jacobi_identity_residual(
         gs2, bump_profile(rng2, g2)) for _ in range(5))
@@ -125,8 +124,10 @@ def test_c07_rearrangement_suite():
                             check_equimeasurable(f, fs, hyp, 128))
         if i < 100:  # pair sweep for the product inequality
             g = step_profile(rng)
-            worst["hl"] = min(worst["hl"], hardy_littlewood_gap(f, g, hyp))
-        worst["ps"] = min(worst["ps"], polya_szego_gap(f))
+            gs = rearrange_decreasing(g, hyp)
+            worst["hl"] = min(worst["hl"],
+                              hardy_littlewood_gap(f, fs, g, gs, hyp))
+        worst["ps"] = min(worst["ps"], polya_szego_gap(f, fs))
         for p in (1, 2, 4):
             a = mu_integral(f, hyp, p)
             b = mu_integral(fs, hyp, p)

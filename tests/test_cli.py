@@ -529,6 +529,8 @@ def test_output_is_in_the_format_asked(tmp_path, argv, check):
     # lambda_1 reads neither; both were once echoed and ignored.
     ["lambda", "--which", "1", "--seed", "5"],
     ["lambda", "--which", "1", "--p", "3"],
+    # 2^1024 is not a finite double (it once exited 3).
+    ["probe", "--form", "none", "--kmax-pow", "1024"],
 ])
 def test_non_finite_and_non_positive_are_usage_errors(tmp_path, argv):
     # Each of these once printed a verdict or numbers (or exited 3).

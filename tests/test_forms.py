@@ -10,8 +10,7 @@ from tmlab import forms
 from tmlab.errors import InvalidInputError
 from tmlab.forms import (FOUR_PI, LpRemainder, NoRemainder,
                          PotentialRemainder, eval_J, eval_Q, luxemburg_norm,
-                         onofri_lhs, onofri_rhs, orlicz_integral, parse_form,
-                         subadditive_gap)
+                         onofri_lhs, onofri_rhs, orlicz_integral, parse_form)
 from tmlab.potentials import ConstantPotential, GammaPotential
 from tmlab.probe import moser_function
 from tmlab.radial import (RadialFunction, RadialGrid, gradient_norm_sq,
@@ -230,16 +229,6 @@ def test_luxemburg_step_closed_form():
     assert luxemburg_norm(u) == pytest.approx(expected, rel=1e-7)
     # the gauge integral at the norm sits at its threshold
     assert orlicz_integral(u, luxemburg_norm(u)) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_subadditivity_examples():
-    assert subadditive_gap(1.0, 1.0) == pytest.approx(2.0 - (math.log(2) + 0.5))
-    assert subadditive_gap(1.0, 1e-12) >= 0.0  # right side blows up
-    rng = np.random.default_rng(13)
-    for t1, t2 in rng.uniform(1e-6, 100.0, size=(200, 2)):
-        assert subadditive_gap(t1, t2) >= -1e-12
-    with pytest.raises(InvalidInputError):
-        subadditive_gap(-1.0, 2.0)
 
 
 def test_holder_step(grid):

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import LAMBDA_1, bessel_j0, leray_sqrt_log_residual, shoot_rk45
+from oracles import (LAMBDA_1, bessel_j0, jacobi_identity_residual,
+                     leray_sqrt_log_residual, shoot_rk45)
 from tmlab import groundstate
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           StepFailureError)
 from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
-                               classify_coercivity,
-                               ground_state_analysis, jacobi_identity_residual,
-                               shoot)
+                               classify_coercivity, shoot, transform_s)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, Potential, TabulatedPotential,
                               WangYePotential)
@@ -106,7 +105,7 @@ def test_jacobi_identity_constant_potential(gs_cache, grid):
     assert res < 1e-4
     # refinement shrinks the defect
     g2 = RadialGrid.default(8192)
-    gs2 = ground_state_analysis(ConstantPotential(2.0), g2)
+    gs2 = transform_s(shoot(ConstantPotential(2.0), g2))
     u2 = RadialFunction.from_callable(g2, lambda r: 1.0 - r)
     assert jacobi_identity_residual(gs2, u2) < res
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import check_equimeasurable, rearranged_potential
 from tmlab.errors import InvalidInputError
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, TabulatedPotential,
                               WangYePotential, check_class_v, check_kato,
-                              parse_potential, rearranged_potential)
+                              parse_potential)
 from tmlab.radial import RadialFunction, RadialGrid
-from tmlab.rearrange import check_equimeasurable, hyperbolic_measure
+from tmlab.rearrange import hyperbolic_measure
 
 
 def test_eval_examples():

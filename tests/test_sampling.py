@@ -1,6 +1,7 @@
 import numpy as np
 
-from tmlab.sampling import bump_profile, nonneg_profile, step_profile
+from oracles import step_profile
+from tmlab.sampling import bump_profile, nonneg_profile
 
 
 def test_bump_profiles_dirichlet(grid):

@@ -25,8 +25,6 @@ ALLOWED = {
     "forms.eval_J.coeff",
     # `groundstate --delta-phi`
     "groundstate.classify_coercivity.delta_phi",
-    # test_rearranged_potential_*
-    "potentials.rearranged_potential.grid",
     # `probe --kmax-pow`
     "probe.moser_family.ks",
     # `probe --coeff`
@@ -49,10 +47,6 @@ ALLOWED = {
     "rearrange.distribution_function.strict",
     # test_equimeasurability_level_refinement
     "rearrange.rearrange_decreasing.levels",
-    # test_equimeasurability_examples, test_c07_rearrangement_suite
-    "rearrange.check_equimeasurable.levels",
-    # test_lp_preservation, test_c07_rearrangement_suite
-    "rearrange.mu_integral.power",
 }
 
 

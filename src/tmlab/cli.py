@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,9 +35,9 @@ from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
                     luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
 from .groundstate import DELTA_PHI, classify_coercivity
 from .potentials import parse_potential
-from .probe import (ProbeReport, estimate_lambda_1,
-                    estimate_lambda_p, ground_state_family, moser_family,
-                    moser_function, probe_supremum)
+from .probe import (ProbeRow, estimate_lambda_1, estimate_lambda_p,
+                    ground_state_family, moser_family, moser_function,
+                    probe_supremum)
 from .radial import RadialFunction, RadialGrid, gradient_norm_sq
 from .rearrange import euclidean_measure, hyperbolic_measure, rearrange_decreasing
 from .sampling import bump_profile
@@ -177,8 +177,10 @@ def cmd_probe(args, grid: RadialGrid) -> Output:
                                 f"{KMAX_POW_MAX}: 2^{args.kmax_pow} is not "
                                 f"a finite double")
     form = parse_form(args.form)
+    ks = [2 ** m for m in range(1, args.kmax_pow + 1)]
+    columns = tuple(f.name for f in fields(ProbeRow))
     if args.family == "moser":
-        family = moser_family(grid, [2 ** m for m in range(1, args.kmax_pow + 1)])
+        family = moser_family(grid, ks)
     else:
         # The family approximates the ground state of the form's own
         # potential; against any other form its energies mean nothing.
@@ -189,12 +191,13 @@ def cmd_probe(args, grid: RadialGrid) -> Output:
         if res.result is None:
             footer = {"verdict": "Divergent", "detail": res.detail}
             return Output(f"verdict=Divergent (indefinite form: {res.detail})",
-                          ProbeReport.CSV_HEADER, footer=footer, payload=footer)
-        family = ground_state_family(res.result)
+                          columns, footer=footer, payload=footer)
+        family = ground_state_family(res.result, ks)
     report = probe_supremum(form, family, args.coeff)
-    return Output(f"verdict={report.verdict}", report.CSV_HEADER,
-                  report.csv_rows(), {"verdict": report.verdict},
-                  report.to_json_dict())
+    # overflow is 0/1 in the CSV, false/true in the JSON.
+    rows = [astuple(replace(r, overflow=int(r.overflow))) for r in report.rows]
+    return Output(f"verdict={report.verdict}", columns, rows,
+                  {"verdict": report.verdict}, asdict(report))
 
 
 def _onofri_row(u, form, rng):
@@ -224,31 +227,28 @@ def _orlicz_row(u, form, rng):
     return q, orl, q / (orl * orl) if orl > 0 else math.nan, ""
 
 
-# inequality -> (columns between "sample" and "note", row function).  A row
-# function maps a sampled bump (and the sampler, for rescaling draws) to
-# those columns plus the note; a row with a note has no slack.
+# inequality -> (columns between "sample" and "note", row function, name of
+# the least slack).  A row function maps a sampled bump (and the sampler,
+# for rescaling draws) to those columns, the last one the slack, plus the
+# note; a row with a note has no slack.  Orlicz's slack is Q/||u||_Lux^2.
 AUDITS = {
-    "onofri": (("lhs", "rhs", "slack"), _onofri_row),
-    "onofri-refined": (("lhs", "rhs", "slack"), _onofri_row),
-    "adimurthi-druet": (("psi", "scalar_slack", "J_slack"), _adimurthi_druet_row),
-    "orlicz": (("Q", "luxemburg", "ratio"), _orlicz_row),
+    "onofri": (("lhs", "rhs", "slack"), _onofri_row, "min_slack"),
+    "onofri-refined": (("lhs", "rhs", "slack"), _onofri_row, "min_slack"),
+    "adimurthi-druet": (("psi", "scalar_slack", "J_slack"),
+                        _adimurthi_druet_row, "min_slack"),
+    "orlicz": (("Q", "luxemburg", "ratio"), _orlicz_row, "empirical_C"),
 }
 
 
 def cmd_audit(args, grid: RadialGrid) -> Output:
     form = parse_form(args.form)
-    columns, row = AUDITS[args.ineq]
+    columns, row, least = AUDITS[args.ineq]
     rng = np.random.default_rng(args.seed)
     rows = [(i, *row(bump_profile(rng, grid), form, rng))
             for i in range(args.samples)]
     slacks = [r[3] for r in rows if not r[4] and not math.isnan(r[3])]
-    if args.ineq == "orlicz":
-        summary = {"empirical_C": min(slacks, default=math.inf),
-                   "violations": sum(1 for s in slacks if s <= 0.0)}
-    else:
-        violations = sum(1 for s in slacks if s < -args.slack_tol)
-        summary = {"min_slack": min(slacks, default=math.nan),
-                   "violations": violations}
+    summary = {least: min(slacks, default=math.nan),
+               "violations": sum(1 for s in slacks if s < -args.slack_tol)}
     return Output(" ".join(f"{k}={v}" for k, v in summary.items()),
                   ("sample", *columns, "note"), rows, summary,
                   code=1 if summary["violations"] else 0)
@@ -356,17 +356,31 @@ COMMANDS = {
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The `tm-lab` parser; `defaults` (by destination) replace the table's."""
+    """The `tm-lab` parser; `defaults` (by destination) replace the table's,
+    and a flag they give a value is no longer required."""
+    defaults = defaults or {}
+    # No --conf: main reads the file first, so it would go unread.
     top = argparse.ArgumentParser(prog="tm-lab", description=__doc__,
-                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+                                  formatter_class=argparse.RawDescriptionHelpFormatter,
+                                  allow_abbrev=False)
     top.add_argument("--config", help="JSON file with defaults; flags override")
     sub = top.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag, spec in COMMON_FLAGS + command.flags:
+            if flag[2:].replace("-", "_") in defaults:
+                spec = {**spec, "required": False}
             p.add_argument(flag, **spec)
-        p.set_defaults(**(defaults or {}))
+        p.set_defaults(**defaults)
     return top
+
+
+# The --config path and the command, read ahead of the full parse: the
+# file's values decide which flags that parse requires.
+_PRE_PARSER = argparse.ArgumentParser(prog="tm-lab", add_help=False,
+                                      allow_abbrev=False)
+_PRE_PARSER.add_argument("--config")
+_PRE_PARSER.add_argument("command", nargs="?")
 
 
 def _config_value(spec: dict, key: str, val):
@@ -407,19 +421,18 @@ def _config_defaults(path: str, command: str) -> dict:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        if args.config:
-            # The file's values become the defaults, so argparse itself
-            # lets every flag given on the command line win.
-            defaults = _config_defaults(args.config, args.command)
-            args = build_parser(defaults).parse_args(argv)
+        # The file's values become the defaults, so argparse itself lets
+        # every flag given on the command line win.
+        pre, _ = _PRE_PARSER.parse_known_args(argv)
+        defaults = (_config_defaults(pre.config, pre.command)
+                    if pre.config and pre.command in COMMANDS else None)
+        args = build_parser(defaults).parse_args(argv)
         if args.out is None:
             args.out = f"tmlab_{args.command}.{args.format}"
         grid = RadialGrid.default(args.grid_n)
         return _emit(args, COMMANDS[args.command].run(args, grid))
+    except SystemExit as exc:  # argparse: usage error, or 0 after --help
+        return USAGE_ERROR if exc.code not in (0, None) else 0
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

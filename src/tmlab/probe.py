@@ -26,10 +26,10 @@ the maximizer use the tridiagonal operator of radial (stiffness, the mass
 of the cap-and-midpoint sampling, its transpose for the J-gradient,
 closed-form stiffness solve); none is built here.
 
-The verdict thresholds are module constants; only the exponent
-coefficient of probe_supremum is a parameter.  Every randomized search
-takes an explicit seed; per-parameter rows are independent and
-assembled in deterministic order.
+The verdict thresholds, the k-ladder and the search sizes are module
+constants; only what a command sets is a parameter.  Every randomized
+search is seeded; per-parameter rows are independent and assembled in
+deterministic order.
 """
 
 from __future__ import annotations
@@ -66,6 +66,16 @@ MIN_GROWTH_ROWS = 5  # trailing increments that must all be positive
 # (finite at the 4 pi exponent, and above pi (1 + e) ~ 11.68 by
 # Carleson-Chang) counts as divergence evidence.
 DIVERGENCE_J_THRESHOLD = 1e6
+
+# k = 2^1 .. 2^14 for both trial families; probe --kmax-pow takes a prefix.
+K_LADDER = tuple(2 ** m for m in range(1, 15))
+# Search sizes: the maximizer's ascent steps (shared by its seven starts)
+# and the seed of its Gaussian starts; estimate_lambda_p's starts and steps
+# per start (its value ends 0.8-2.9% above Lane-Emden's for p = 3, 4, 6).
+MAXIMIZE_BUDGET = 400
+MAXIMIZE_SEED = 0
+LAMBDA_P_STARTS = 32
+LAMBDA_P_STEPS = 120
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +135,14 @@ class TrialFamily:
     q_eval: object = None
 
 
-def moser_family(grid: RadialGrid, ks=None) -> TrialFamily:
-    if ks is None:
-        ks = [2 ** m for m in range(1, 15)]
+def moser_family(grid: RadialGrid, ks=K_LADDER) -> TrialFamily:
     return TrialFamily("moser", list(ks),
                        lambda k: moser_function(grid, int(k)))
 
 
-def ground_state_family(gs: GroundStateResult) -> TrialFamily:
-    """u_k = phi * w_k(s(r)) on the ground-state grid.
+def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
+    """u_k = phi * w_k(s(r)) on the ground-state grid, for each k of `ks`
+    whose ramp end k^2 lies within the stretch table.
 
     Q on this family is evaluated on the stretched side, where the form
     collapses to the planar ramp energy 2 pi log(k)/k^2 of the cutoff:
@@ -144,13 +153,8 @@ def ground_state_family(gs: GroundStateResult) -> TrialFamily:
     if gs.log_s is None:
         raise InvalidInputError("family needs a completed stretch table")
     s_vals = np.exp(gs.log_s)
-    s_max = math.inf if gs.s_divergent else float(gs.s_at_1)
-    ks = []
-    k = 2.0
-    while k * k <= min(s_max, s_vals[-2] if gs.s_divergent else s_max) \
-            and len(ks) < 14:
-        ks.append(k)
-        k *= 2.0
+    s_end = s_vals[-2] if gs.s_divergent else float(gs.s_at_1)
+    ks = [k for k in ks if k * k <= s_end]
     if not ks:
         raise InvalidInputError("stretch range admits no cutoff parameters")
     grid = gs.phi.grid
@@ -242,8 +246,8 @@ def classify_growth(ks, js, overflowed) -> tuple[str, GrowthFit]:
 @dataclass
 class ProbeRow:
     k: float
-    q: float
-    j_normalized: float
+    Q: float
+    J: float
     overflow: bool
     error: str = ""
 
@@ -255,30 +259,6 @@ class ProbeReport:
     rows: list
     verdict: str
     fit: GrowthFit | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "form": self.form,
-            "rows": [
-                {"k": r.k, "Q": r.q, "J": r.j_normalized,
-                 "overflow": r.overflow, "error": r.error}
-                for r in self.rows
-            ],
-            "fit": (None if self.fit is None else {
-                "model": self.fit.model,
-                "params": list(self.fit.params),
-                "residual": self.fit.residual,
-                "slopes": self.fit.slopes,
-            }),
-            "verdict": self.verdict,
-        }
-
-    CSV_HEADER = ("k", "Q", "J", "overflow", "error")
-
-    def csv_rows(self) -> list[tuple]:
-        return [(r.k, r.q, r.j_normalized, int(r.overflow), r.error)
-                for r in self.rows]
 
 
 def probe_supremum(form: Remainder, family: TrialFamily,
@@ -311,7 +291,7 @@ def probe_supremum(form: Remainder, family: TrialFamily,
         rows.append(ProbeRow(float(k), q, j, math.isinf(j)))
     good = [r for r in rows if not r.error]
     verdict, fit = classify_growth([r.k for r in good],
-                                   [r.j_normalized for r in good],
+                                   [r.J for r in good],
                                    [r.overflow for r in good])
     return ProbeReport(family.name, form.spec_string(), rows, verdict, fit)
 
@@ -329,8 +309,7 @@ class MaximizeResult:
     accepted: int = 0  # ascent steps that raised J
 
 
-def maximize_J_constrained(form: Remainder, grid: RadialGrid,
-                           budget: int = 400, seed: int = 0
+def maximize_J_constrained(form: Remainder, grid: RadialGrid
                            ) -> MaximizeResult:
     """Projected gradient ascent of J (exponent 4 pi) over { Q <= 1 }
     intersected with nonnegative nonincreasing Dirichlet profiles.
@@ -356,9 +335,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
     gradient bounds area * exp(4 pi u^2) by 1e6 on each cell, so the
     gradient stays finite.
     """
-    if budget < 1:
-        raise InvalidInputError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MAXIMIZE_SEED)
 
     def score(vals: np.ndarray) -> tuple[float, RadialFunction]:
         u = RadialFunction(grid, vals, dirichlet=True)
@@ -391,7 +368,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid,
 
     best_j, best_u = -math.inf, starts[0][1]
     iters_used = accepted = 0
-    per_start = max(budget // len(starts), 1)
+    per_start = MAXIMIZE_BUDGET // len(starts)
     ke = cell_stiffness(grid)
     for j, u in starts:
         step = 0.05
@@ -520,8 +497,7 @@ class LambdaPEstimate:
     local_minima: list
 
 
-def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
-                      n_starts: int = 32, iterations: int = 120
+def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0
                       ) -> LambdaPEstimate:
     """Upper bound for lambda_p = inf { |grad u|^2 : ||u||_p = 1 }, p > 2.
 
@@ -549,7 +525,7 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
     starts = [1.0 - r * r]
     _, eig = estimate_lambda_1(grid)
     starts.append(eig.values.copy())
-    for _ in range(max(n_starts - 2, 0)):
+    for _ in range(LAMBDA_P_STARTS - 2):
         c = rng.uniform(0.0, 0.5)
         width = rng.uniform(0.1, 0.8)
         starts.append(np.exp(-((r - c) / width) ** 2) * (1.0 - r))
@@ -570,7 +546,7 @@ def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0,
         e = gradient_norm_sq(u)
         g, gn = descent_direction(u)
         step = 0.1
-        for _ in range(iterations):
+        for _ in range(LAMBDA_P_STEPS):
             cand = normalized(u.values - step * g / gn)
             if cand is None:
                 break

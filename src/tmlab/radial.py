@@ -142,13 +142,11 @@ class RadialFunction:
         return cls(grid, np.full(len(grid), float(c)), dirichlet=(c == 0.0))
 
     @classmethod
-    def from_callable(cls, grid: RadialGrid, f, dirichlet: bool = True
-                      ) -> "RadialFunction":
-        vals = np.asarray(f(grid.nodes), dtype=float)
-        if dirichlet:
-            vals = vals.copy()
-            vals[-1] = 0.0
-        return cls(grid, vals, dirichlet=dirichlet)
+    def from_callable(cls, grid: RadialGrid, f) -> "RadialFunction":
+        """The Dirichlet profile f(nodes), set to 0 at r = 1."""
+        vals = np.array(f(grid.nodes), dtype=float)
+        vals[-1] = 0.0
+        return cls(grid, vals, dirichlet=True)
 
     def __call__(self, r):
         """Evaluate by linear interpolation (constant left of nodes[0])."""
@@ -174,8 +172,13 @@ class RadialFunction:
 
     @classmethod
     def from_csv(cls, path) -> "RadialFunction":
+        """Read to_csv's file, or the CLI's with its `#` lines."""
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with open(path) as fh:
+                for line in fh:  # through the column row
+                    if not line.startswith("#"):
+                        break
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidInputError(f"{path}: {exc}") from exc
         if rows.shape[1] != 2:

@@ -40,6 +40,11 @@ import numpy as np
 from .errors import InvalidInputError
 from .radial import RadialFunction, RadialGrid, one_minus_r_sq
 
+# Equispaced levels of rearrange_decreasing, read at call time; more of
+# them shrink the equimeasurability deviation.
+LEVELS = 2048
+
+
 class RadialMeasure:
     """Radial measure with closed-form cumulative M and inverse."""
 
@@ -142,16 +147,14 @@ def distribution_function(f: RadialFunction, measure: RadialMeasure,
     return whole + straddled + np.where(cap_in, measure.M(nodes[0]), 0.0)
 
 
-def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
-                         levels: int = 2048) -> RadialFunction:
+def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure
+                         ) -> RadialFunction:
     """Nonincreasing profile equimeasurable with f (w.r.t. the measure).
 
-    Levels are equispaced over f's value range, refined where their
-    radii spread, plus every node value (kinks are sampled exactly) and
-    two-sided values at plateaus (flat pieces are reproduced exactly).
+    LEVELS levels are equispaced over f's value range, refined where
+    their radii spread, plus every node value (kinks are sampled exactly)
+    and two-sided values at plateaus (flat pieces are reproduced exactly).
     """
-    if levels < 2:
-        raise InvalidInputError(f"levels must be at least 2, got {levels}")
     if np.any(f.values < 0):
         raise InvalidInputError("rearrangement input must be nonnegative")
     vmin = float(np.min(f.values))
@@ -160,7 +163,7 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
         return RadialFunction(f.grid, f.values.copy(),
                               dirichlet=(vmax == 0.0))
 
-    grid_levels = np.linspace(vmin, vmax, levels)
+    grid_levels = np.linspace(vmin, vmax, LEVELS)
     sample = np.unique(np.concatenate([grid_levels, f.values]))[::-1]
     # Values held on a set of positive measure: constant cells, plus the
     # center cap where the profile extends constantly (keeping the cap
@@ -173,13 +176,13 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure,
         distribution_function(f, measure, sample, strict=True))
     # Where f is nearly flat off its plateaus, rho(t) bends like a square
     # root and equispaced levels fall too far apart in rho for f#, linear
-    # in r between them: a gap wider than 1/levels gets levels * width more.
+    # in r between them: a gap wider than 1/LEVELS gets LEVELS * width more.
     gap = np.diff(rho_strict)
-    wide = np.flatnonzero((gap > 1.0 / levels)
+    wide = np.flatnonzero((gap > 1.0 / LEVELS)
                           & ~np.isin(sample[:-1], plateau_vals))
     if wide.size:
         extra = np.concatenate([np.linspace(sample[j], sample[j + 1],
-                                            int(gap[j] * levels) + 2)[1:-1]
+                                            int(gap[j] * LEVELS) + 2)[1:-1]
                                 for j in wide])
         rho_extra = distribution_function(f, measure, extra, strict=True)
         order = np.argsort(np.concatenate([sample, extra]))[::-1]

@@ -102,7 +102,7 @@ def test_c06_sharp_exponent_separation(grid):
     fam = moser_family(grid)
     rep = probe_supremum(NoRemainder(), fam)
     assert rep.verdict == BOUNDED
-    js = [r.j_normalized for r in rep.rows]
+    js = [r.J for r in rep.rows]
     assert all(math.isfinite(j) for j in js)
     incs = np.abs(np.diff(js[-8:]))
     assert np.all(np.diff(incs[-4:]) < 0)    # trailing increments decay
@@ -232,11 +232,11 @@ def test_c11_wk_energy_law(gs_cache):
     form = PotentialRemainder(LerayPotential())
     rep = probe_supremum(form, family)
     rows = {r.k: r for r in rep.rows}
-    assert rows[64.0].q < 1e-2
-    assert rows[64.0].j_normalized > 1e6
+    assert rows[64.0].Q < 1e-2
+    assert rows[64.0].J > 1e6
     assert rep.verdict == DIVERGENT
     _report(11, f"ramp energy matches 2 pi log(k)/k^2; composed family "
-                f"Q(64) = {rows[64.0].q:.2e}, J > 1e6")
+                f"Q(64) = {rows[64.0].Q:.2e}, J > 1e6")
 
 
 def test_c12_determinism(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import tmlab
 from tmlab.cli import COMMANDS, main
 from tmlab.radial import RadialFunction, RadialGrid
+from tmlab.rearrange import hyperbolic_measure, rearrange_decreasing
 
 
 def run(args):
@@ -127,6 +128,36 @@ def test_flags_without_meaning_are_usage_errors(tmp_path, argv, capsys):
     assert "verdict=" not in capsys.readouterr().out
 
 
+def test_probe_report_serialization(tmp_path):
+    out = tmp_path / "p"
+    argv = ["probe", "--form", "none", "--kmax-pow", "3", "--grid-n", "1024",
+            "--out", str(out)]
+    assert run(argv + ["--format", "json"]) == 0
+    data = json.loads(out.read_text())["data"]
+    assert sorted(data) == ["family", "fit", "form", "rows", "verdict"]
+    assert [row["k"] for row in data["rows"]] == [2.0, 4.0, 8.0]
+    assert all(sorted(row) == ["J", "Q", "error", "k", "overflow"]
+               and row["overflow"] is False for row in data["rows"])
+    assert sorted(data["fit"]) == ["model", "params", "residual", "slopes"]
+    assert run(argv + ["--format", "csv"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2] == "k,Q,J,overflow,error"
+    assert [line.split(",")[3] for line in lines[3:6]] == ["0", "0", "0"]
+    assert lines[6:] == [f"# verdict={data['verdict']}"]
+
+
+def test_kmax_pow_bounds_the_ground_state_family(tmp_path, capsys):
+    # gsapprox once swept its own fixed ladder whatever --kmax-pow said.
+    out = tmp_path / "p.json"
+    for kmax, rows in (("3", 3), ("14", 8)):
+        assert run(["probe", "--form", "leray", "--family", "gsapprox",
+                    "--kmax-pow", kmax, "--format", "json",
+                    "--out", str(out)]) == 0
+        got = json.loads(out.read_text())["data"]["rows"]
+        assert [row["k"] for row in got] == [2.0 ** m for m in
+                                            range(1, rows + 1)]
+
+
 def test_probe_lp_form(tmp_path, capsys):
     assert run(["probe", "--form", "lp:1.0:4", "--family", "moser",
                 "--kmax-pow", "8",
@@ -153,6 +184,19 @@ def test_audit_refined_and_orlicz(tmp_path, capsys):
                 "--out", str(tmp_path / "o.csv")]) == 0
     printed = capsys.readouterr().out
     assert "empirical_C=" in printed
+
+
+def test_orlicz_audit_honours_slack_tol(tmp_path, capsys):
+    # Every audit counts a violation at slack < -slack_tol; orlicz once
+    # counted ratio <= 0 whatever --slack-tol said.  Above lambda_1 the
+    # ratio Q / ||u||_Lux^2 is negative on 12 of these 20 bumps.
+    argv = ["audit", "--ineq", "orlicz", "--form", "constant:60",
+            "--samples", "20", "--seed", "0", "--grid-n", "512",
+            "--out", str(tmp_path / "o.csv")]
+    assert run(argv + ["--slack-tol", "1e3"]) == 0
+    assert "violations=0" in capsys.readouterr().out
+    assert run(argv + ["--slack-tol", "1e-8"]) == 1
+    assert "violations=12" in capsys.readouterr().out
 
 
 def test_audit_violation_exit_code(tmp_path, capsys):
@@ -196,6 +240,23 @@ def test_rearrange_command(tmp_path):
     assert body[0] == "r,value"
     vals = np.array([float(l.split(",")[1]) for l in body[1:]])
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+def test_rearranged_profile_reads_back(tmp_path):
+    # The CLI's profile files carry `#` provenance lines, which the
+    # profile reader once took for data.
+    grid = RadialGrid.default(512)
+    prof = RadialFunction.from_callable(
+        grid, lambda r: np.exp(-((r - 0.4) / 0.2) ** 2) * (1 - r))
+    src, out = tmp_path / "in.csv", tmp_path / "sharp.csv"
+    prof.to_csv(src)
+    assert run(["rearrange", "--u", f"file:{src}", "--out", str(out)]) == 0
+    back = RadialFunction.from_csv(out)
+    want = rearrange_decreasing(prof, hyperbolic_measure())
+    assert np.array_equal(back.grid.nodes, want.grid.nodes)
+    assert np.array_equal(back.values, want.values)
+    assert run(["eval", "--u", f"file:{out}",
+                "--out", str(tmp_path / "e.csv")]) == 0
 
 
 def test_readme_flag_table_matches_commands():
@@ -244,6 +305,33 @@ def test_config_file(tmp_path, capsys):
         text = out.read_text()
         assert '"samples": 3' in text, flag
         assert text.splitlines()[-3].startswith("2,"), flag
+
+
+def test_config_sets_required_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "o.csv"
+
+    def echoed():
+        return json.loads(out.read_text().splitlines()[1].split("=", 1)[1])
+
+    cfg.write_text(json.dumps({"u": "moser:8", "grid_n": 512}))
+    assert run(["--config", str(cfg), "eval", "--out", str(out)]) == 0
+    assert echoed()["u"] == "moser:8"
+    # A flag on the command line still wins.
+    assert run(["--config", str(cfg), "eval", "--u", "moser:16",
+                "--out", str(out)]) == 0
+    assert echoed()["u"] == "moser:16"
+    cfg.write_text(json.dumps({"ineq": "onofri", "samples": 5,
+                               "grid_n": 512}))
+    assert run(["--config", str(cfg), "audit", "--out", str(out)]) == 0
+    assert echoed()["ineq"] == "onofri"
+    assert run(["--config", str(cfg), "audit", "--ineq", "orlicz",
+                "--out", str(out)]) == 0
+    assert echoed()["ineq"] == "orlicz"
+    # Without the file the flag is required, and an abbreviated --config
+    # is refused rather than ignored.
+    assert run(["audit", "--out", str(out)]) == 2
+    assert run(["--conf", str(cfg), "audit", "--out", str(out)]) == 2
 
 
 def test_config_values_typed_like_flags(tmp_path, capsys):

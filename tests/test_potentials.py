@@ -34,8 +34,7 @@ def test_parse_roundtrip(tmp_path, grid_1024):
     assert parse_potential("constant:2.5").lam == 2.5
     assert parse_potential("gamma:0.5").gamma == 0.5
     assert isinstance(parse_potential("wangye"), WangYePotential)
-    prof = RadialFunction.from_callable(grid_1024, lambda r: 1.0 + r,
-                                        dirichlet=False)
+    prof = RadialFunction(grid_1024, 1 + grid_1024.nodes, dirichlet=False)
     path = tmp_path / "tab.csv"
     prof.to_csv(path)
     tab = parse_potential(f"tabulated:{path}")

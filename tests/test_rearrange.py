@@ -10,6 +10,7 @@ from oracles import (check_equimeasurable, distribution_function_broadcast,
                      hardy_littlewood_gap, measure_density, mu_integral,
                      polya_szego_gap, rearrange_decreasing_loop, step_profile)
 
+from tmlab import rearrange
 from tmlab.errors import InvalidInputError
 from tmlab.forms import PotentialRemainder, eval_J, eval_Q
 from tmlab.potentials import GammaPotential
@@ -123,8 +124,6 @@ def test_distribution_function_memory():
 def test_level_count_below_two_rejected(grid, levels):
     f = RadialFunction.from_callable(grid, lambda r: 1 - r)
     with pytest.raises(InvalidInputError, match="levels"):
-        rearrange_decreasing(f, hyperbolic_measure(), levels=levels)
-    with pytest.raises(InvalidInputError, match="levels"):
         check_equimeasurable(f, f, hyperbolic_measure(), levels=levels)
 
 
@@ -171,7 +170,7 @@ def test_rearrangement_equimeasurable(seed):
     assert check_equimeasurable(f, fs, hyperbolic_measure(), 300) < 1e-5
 
 
-def test_equimeasurability_level_refinement(grid_1024):
+def test_equimeasurability_level_refinement(grid_1024, monkeypatch):
     # Smooth interior maximum: levels cluster like sqrt near the top, so
     # the deviation is level-sampling controlled and must shrink under
     # refinement (node values dominate until the level grid is finer).
@@ -179,7 +178,8 @@ def test_equimeasurability_level_refinement(grid_1024):
         grid_1024, lambda r: np.exp(-((r - 0.45) / 0.2) ** 2) * (1 - r))
     devs = []
     for levels in (512, 2048, 8192):
-        fs = rearrange_decreasing(f, hyperbolic_measure(), levels=levels)
+        monkeypatch.setattr(rearrange, "LEVELS", levels)
+        fs = rearrange_decreasing(f, hyperbolic_measure())
         devs.append(check_equimeasurable(f, fs, hyperbolic_measure(), 777))
     assert devs[1] < 5e-3
     assert devs[2] < 0.6 * devs[1] < 0.6 * devs[0]
@@ -294,6 +294,5 @@ def test_mu_integral_hyperbolic_rim_tail():
     assert mu_integral(f, hyp, 2.0) == pytest.approx(
         8.0 * math.pi * (math.log(2.0) - 0.5), rel=1e-8)
     assert mu_integral(f, hyp, 1.0) == math.inf
-    half = RadialFunction.from_callable(grid, lambda r: 1.0 - 0.5 * r,
-                                        dirichlet=False)
+    half = RadialFunction(grid, 1.0 - 0.5 * grid.nodes, dirichlet=False)
     assert mu_integral(half, hyp, 2.0) == math.inf

@@ -1,52 +1,54 @@
-"""Every parameter with a default has a caller that sets it.
+"""Every parameter with a default has a caller outside tests/ that sets it.
 
-A default that no command, library path or test ever overrides is a
-setting nobody uses; such values live as module constants with their
-reason beside them.  This test walks every function and method defined
-in each tmlab module and compares its defaulted parameters with the
-list below, so a new setting has to name the caller that sets it.
-Dataclass fields are record data, not settings, and are not walked.
+A default that only tests override is a setting no command, library path
+or benchmark uses; such values live as module constants with their reason
+beside them.  This test walks every function and method defined in each
+tmlab module and compares its defaulted parameters with the table below,
+which names, for each, a function outside tests/ that passes it.  A
+second test parses that function and checks that it does.  Dataclass
+fields are record data, not settings, and are not walked.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import tmlab
 
+ROOT = Path(__file__).parents[1]
+
+# "module.function.parameter" -> "file::function" that passes it.
 ALLOWED = {
-    # `main` passes the --config file's values
-    "cli.build_parser.defaults",
-    # tests call main(argv); the tm-lab script leaves it to sys.argv
-    "cli.main.argv",
+    # the --config file's values
+    "cli.build_parser.defaults": "src/tmlab/cli.py::main",
+    # the tm-lab script leaves it to sys.argv; the traced stand-in passes it
+    "cli.main.argv": "perfbench/cli_child.py::main",
     # potentials and radial raise it with the offending value
-    "errors.SingularEvaluationError.__init__.value",
-    # `eval --coeff`; probe_supremum and the maximizer pass theirs
-    "forms.eval_J.coeff",
+    "errors.SingularEvaluationError.__init__.value":
+        "src/tmlab/radial.py::integral_weighted",
+    # `eval --coeff`
+    "forms.eval_J.coeff": "src/tmlab/cli.py::cmd_eval",
     # `groundstate --delta-phi`
-    "groundstate.classify_coercivity.delta_phi",
-    # `probe --kmax-pow`
-    "probe.moser_family.ks",
+    "groundstate.classify_coercivity.delta_phi":
+        "src/tmlab/cli.py::cmd_groundstate",
+    # `probe --kmax-pow`, for either family
+    "probe.moser_family.ks": "src/tmlab/cli.py::cmd_probe",
+    "probe.ground_state_family.ks": "src/tmlab/cli.py::cmd_probe",
     # `probe --coeff`
-    "probe.probe_supremum.coeff",
-    # test_maximize_*
-    "probe.maximize_J_constrained.budget",
-    "probe.maximize_J_constrained.seed",
+    "probe.probe_supremum.coeff": "src/tmlab/cli.py::cmd_probe",
     # `lambda --seed`
-    "probe.estimate_lambda_p.seed",
-    # test_lambda_p_limits
-    "probe.estimate_lambda_p.n_starts",
-    "probe.estimate_lambda_p.iterations",
+    "probe.estimate_lambda_p.seed": "src/tmlab/cli.py::cmd_lambda",
     # `--grid-n`
-    "radial.RadialGrid.default.n",
+    "radial.RadialGrid.default.n": "src/tmlab/cli.py::main",
     # rearrange, groundstate and the samplers pass it
-    "radial.RadialFunction.__init__.dirichlet",
-    # test_parse_roundtrip
-    "radial.RadialFunction.from_callable.dirichlet",
+    "radial.RadialFunction.__init__.dirichlet":
+        "src/tmlab/rearrange.py::rearrange_decreasing",
     # rearrange_decreasing asks for strict=False
-    "rearrange.distribution_function.strict",
-    # test_equimeasurability_level_refinement
-    "rearrange.rearrange_decreasing.levels",
+    "rearrange.distribution_function.strict":
+        "src/tmlab/rearrange.py::rearrange_decreasing",
 }
 
 
@@ -64,8 +66,9 @@ def _functions(mod):
                     yield f"{name}.{attr}", fn
 
 
-def test_defaults_only_where_a_caller_sets_them():
-    found = set()
+def _defaulted():
+    """{"module.function.parameter": (function, parameter)} over tmlab."""
+    found = {}
     for info in pkgutil.iter_modules(tmlab.__path__):
         mod = importlib.import_module(f"tmlab.{info.name}")
         for qualname, fn in _functions(mod):
@@ -73,5 +76,41 @@ def test_defaults_only_where_a_caller_sets_them():
                 continue  # generated, e.g. a dataclass __init__
             for param in inspect.signature(fn).parameters.values():
                 if param.default is not inspect.Parameter.empty:
-                    found.add(f"{info.name}.{qualname}.{param.name}")
-    assert found == ALLOWED
+                    found[f"{info.name}.{qualname}.{param.name}"] = (
+                        qualname, fn, param.name)
+    return found
+
+
+def test_defaults_only_where_a_caller_sets_them():
+    assert set(_defaulted()) == set(ALLOWED)
+
+
+def _passes(call: ast.Call, callee: str, fn, param: str) -> bool:
+    """Whether `call` calls `callee` (possibly through a wrapper) with
+    `param` given, by keyword or by position."""
+    if not re.search(rf"\b{callee}\b", ast.unparse(call.func)):
+        return False
+    if any(kw.arg == param for kw in call.keywords):
+        return True
+    names = list(inspect.signature(fn).parameters)
+    if names[0] in ("self", "cls"):
+        names = names[1:]
+    return len(call.args) > names.index(param)
+
+
+def test_every_setting_names_a_caller_outside_tests():
+    found = _defaulted()
+    for entry, caller in ALLOWED.items():
+        path, _, func = caller.partition("::")
+        assert not path.startswith("tests/"), f"{entry}: set by a test only"
+        tree = ast.parse((ROOT / path).read_text())
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == func]
+        assert defs, f"{entry}: no function {func} in {path}"
+        qualname, fn, param = found[entry]
+        parts = qualname.split(".")
+        callee = parts[0] if parts[-1] == "__init__" else parts[-1]
+        assert any(_passes(node, callee, fn, param)
+                   for node in ast.walk(defs[0])
+                   if isinstance(node, ast.Call)), \
+            f"{entry}: {caller} does not pass {param}"

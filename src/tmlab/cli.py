@@ -44,9 +44,6 @@ from .sampling import bump_profile
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
-# probe sweeps k = 2^1 .. 2^kmax_pow, and 2^1023 is the largest finite
-# power of two in a double.
-KMAX_POW_MAX = sys.float_info.max_exp - 1
 
 
 def _fmt(x) -> str:
@@ -172,10 +169,6 @@ def cmd_groundstate(args, grid: RadialGrid) -> Output:
 
 
 def cmd_probe(args, grid: RadialGrid) -> Output:
-    if args.kmax_pow > KMAX_POW_MAX:
-        raise InvalidInputError(f"--kmax-pow {args.kmax_pow} is above "
-                                f"{KMAX_POW_MAX}: 2^{args.kmax_pow} is not "
-                                f"a finite double")
     form = parse_form(args.form)
     ks = [2 ** m for m in range(1, args.kmax_pow + 1)]
     columns = tuple(f.name for f in fields(ProbeRow))
@@ -293,20 +286,14 @@ def finite_float(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
-    """Flag type: an int >= 1."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{text!r} is not positive")
-    return value
-
-
-def nonneg_int(text: str) -> int:
-    """Flag type: an int >= 0."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{text!r} is negative")
-    return value
+def int_range(lo: int, hi: float) -> Callable[[str], int]:
+    """Flag type: an int in lo..hi (hi may be math.inf)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{hi}")
+        return value
+    return integer
 
 
 class Command(NamedTuple):
@@ -322,7 +309,7 @@ COMMON_FLAGS = (
 )
 _FORM = ("--form", {"default": "none"})
 _COEFF = ("--coeff", {"type": finite_float, "default": FOUR_PI})
-_SEED = ("--seed", {"type": nonneg_int, "default": 0})
+_SEED = ("--seed", {"type": int_range(0, math.inf), "default": 0})
 
 COMMANDS = {
     "eval": Command("evaluate functionals of a profile", cmd_eval, (
@@ -336,11 +323,14 @@ COMMANDS = {
         ("--family", {"choices": ("moser", "gsapprox"), "default": "moser",
                       "help": "gsapprox needs a potential form"}),
         _COEFF,
-        ("--kmax-pow", {"type": positive_int, "default": 14}))),
+        # k = 2^1 .. 2^kmax_pow, and 2^1023 is the largest finite power
+        # of two in a double.
+        ("--kmax-pow", {"type": int_range(1, sys.float_info.max_exp - 1),
+                        "default": 14}))),
     "audit": Command("randomized inequality audit", cmd_audit, (
         ("--ineq", {"required": True, "choices": tuple(AUDITS)}),
         _FORM,
-        ("--samples", {"type": positive_int, "default": 100}),
+        ("--samples", {"type": int_range(1, math.inf), "default": 100}),
         ("--slack-tol", {"type": finite_float, "default": 1e-8}),
         _SEED)),
     "rearrange": Command("decreasing rearrangement of a profile", cmd_rearrange, (
@@ -351,14 +341,12 @@ COMMANDS = {
         ("--which", {"choices": ("1", "p"), "default": "1"}),
         # --which p only; the defaults 4 and 0 are filled in by cmd_lambda.
         ("--p", {"type": finite_float, "default": None}),
-        ("--seed", {"type": nonneg_int, "default": None}))),
+        ("--seed", {"type": int_range(0, math.inf), "default": None}))),
 }
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The `tm-lab` parser; `defaults` (by destination) replace the table's,
-    and a flag they give a value is no longer required."""
-    defaults = defaults or {}
+def build_parser() -> argparse.ArgumentParser:
+    """The `tm-lab` parser."""
     # No --conf: main reads the file first, so it would go unread.
     top = argparse.ArgumentParser(prog="tm-lab", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -368,39 +356,22 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag, spec in COMMON_FLAGS + command.flags:
-            if flag[2:].replace("-", "_") in defaults:
-                spec = {**spec, "required": False}
             p.add_argument(flag, **spec)
-        p.set_defaults(**defaults)
     return top
 
 
-# The --config path and the command, read ahead of the full parse: the
-# file's values decide which flags that parse requires.
+# The --config path, the command and the tokens after it, read ahead of
+# the full parse: the file's flags go in between the last two.
 _PRE_PARSER = argparse.ArgumentParser(prog="tm-lab", add_help=False,
                                       allow_abbrev=False)
 _PRE_PARSER.add_argument("--config")
 _PRE_PARSER.add_argument("command", nargs="?")
+_PRE_PARSER.add_argument("rest", nargs=argparse.REMAINDER)
 
 
-def _config_value(spec: dict, key: str, val):
-    # A config value is typed like the same text after the flag, so it is
-    # accepted exactly when the command line would accept it.
-    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
-        raise InvalidInputError(f"config {key}: {val!r} is not a flag value")
-    try:
-        typed = spec.get("type", str)(str(val))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"config {key}: invalid value {val!r}") from exc
-    choices = spec.get("choices")
-    if choices is not None and typed not in choices:
-        raise InvalidInputError(f"config {key}: {val!r} is not one of "
-                                f"{list(choices)}")
-    return typed
-
-
-def _config_defaults(path: str, command: str) -> dict:
-    """The config file's values for `command`, typed, by destination."""
+def _config_argv(path: str, command: str) -> list[str]:
+    """The config file's values for `command` as `--flag=value` tokens,
+    which argparse types and checks as it does the command line."""
     with open(path) as fh:
         try:
             values = json.load(fh)
@@ -409,24 +380,28 @@ def _config_defaults(path: str, command: str) -> dict:
     if not isinstance(values, dict):
         raise InvalidInputError(f"config {path}: top level must be "
                                 "a JSON object")
-    specs = {flag[2:].replace("-", "_"): spec
-             for flag, spec in COMMON_FLAGS + COMMANDS[command].flags}
-    unknown = {k for k in values if k.replace("-", "_") not in specs}
+    flags = {flag for flag, _ in COMMON_FLAGS + COMMANDS[command].flags}
+    unknown = {k for k in values if f"--{k.replace('_', '-')}" not in flags}
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    return {k.replace("-", "_"): _config_value(specs[k.replace("-", "_")], k, v)
-            for k, v in values.items()}
+    for key, val in values.items():
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            raise InvalidInputError(f"config {key}: {val!r} is not a "
+                                    "flag value")
+    # The `=` form keeps a value such as "-x" from reading as a flag.
+    return [f"--{k.replace('_', '-')}={v}" for k, v in values.items()]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # The file's values become the defaults, so argparse itself lets
-        # every flag given on the command line win.
+        # The file's flags go right after the command, so every flag
+        # given on the command line comes later and wins.
         pre, _ = _PRE_PARSER.parse_known_args(argv)
-        defaults = (_config_defaults(pre.config, pre.command)
-                    if pre.config and pre.command in COMMANDS else None)
-        args = build_parser(defaults).parse_args(argv)
+        if pre.config and pre.command in COMMANDS:
+            at = len(argv) - len(pre.rest)
+            argv[at:at] = _config_argv(pre.config, pre.command)
+        args = build_parser().parse_args(argv)
         if args.out is None:
             args.out = f"tmlab_{args.command}.{args.format}"
         grid = RadialGrid.default(args.grid_n)

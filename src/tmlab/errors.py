@@ -33,4 +33,5 @@ class NodalSolutionError(TmLabError, RuntimeError):
 
 class StepFailureError(TmLabError, RuntimeError):
     """The shooting solver could not advance: a cell propagator is not
-    finite (the potential is not finite where it is sampled)."""
+    finite (the potential is not finite where it is sampled, or the
+    propagator overflows)."""

@@ -138,8 +138,9 @@ def shoot(pot: Potential, grid: RadialGrid) -> GroundStateResult:
     nodes[0] through the product of the cell propagators; the first
     nonpositive phi stops it with NodalSolutionError, the radius
     interpolated linearly in t.  A non-finite propagator entry (V not
-    finite at a Gauss point) raises StepFailureError when the solution
-    reaches that cell: a numerical failure, never a verdict.
+    finite at a Gauss point, or an entry overflowing) raises
+    StepFailureError when the solution reaches that cell: a numerical
+    failure, never a verdict.
     """
     # The last node is r = 1 where catalogue potentials may blow up; the
     # mesh ends at the last interior node.
@@ -161,7 +162,8 @@ def shoot(pot: Potential, grid: RadialGrid) -> GroundStateResult:
     if n_ok < finite.size:
         raise StepFailureError(
             f"non-finite propagator on the cell at r = "
-            f"{math.exp(mesh[n_ok]):.6g}: V is not finite there")
+            f"{math.exp(mesh[n_ok]):.6g}: V is not finite there, or the "
+            "cell's propagator overflows")
 
     phi_vals = np.asarray(phis)[np.searchsorted(mesh, t_nodes)]
     # Final cell [nodes[-2], 1]: linear continuation in t.

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, TmLabError
+from .errors import InvalidInputError
 from .forms import FOUR_PI, Remainder, eval_J, eval_Q
 from .groundstate import GroundStateResult
 from .radial import (RadialFunction, RadialGrid, cell_stiffness, energy_solve,
@@ -61,7 +61,10 @@ SLOPE_DECAY_RATIO = 0.75
 # of a mildly drifting rate.
 STRONG_SLOPE = 0.3
 RESIDUAL_RATIO = 0.5  # best fit's residual against the constant fit's
-MIN_GROWTH_ROWS = 5  # trailing increments that must all be positive
+# A sweep of fewer rows reads Inconclusive: it has too few slopes to tell
+# growth from saturation.  Divergent also needs the window's last
+# MIN_GROWTH_ROWS increments positive (all four of a five-row sweep).
+MIN_GROWTH_ROWS = 5
 # A constrained value this far above the classical disk supremum
 # (finite at the 4 pi exponent, and above pi (1 + e) ~ 11.68 by
 # Carleson-Chang) counts as divergence evidence.
@@ -133,6 +136,9 @@ class TrialFamily:
     make: object  # k -> RadialFunction
     # Optional k -> Q, replacing eval_Q on the family's own profiles.
     q_eval: object = None
+    # The ladder stops at a finite stretch s(1): the family is finite, so
+    # its growth says nothing about k -> infinity.
+    finite_stretch: bool = False
 
 
 def moser_family(grid: RadialGrid, ks=K_LADDER) -> TrialFamily:
@@ -142,7 +148,8 @@ def moser_family(grid: RadialGrid, ks=K_LADDER) -> TrialFamily:
 
 def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
     """u_k = phi * w_k(s(r)) on the ground-state grid, for each k of `ks`
-    whose ramp end k^2 lies within the stretch table.
+    whose ramp end k^2 lies within the stretch table (possibly none, when
+    s(1) is finite).
 
     Q on this family is evaluated on the stretched side, where the form
     collapses to the planar ramp energy 2 pi log(k)/k^2 of the cutoff:
@@ -155,8 +162,6 @@ def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
     s_vals = np.exp(gs.log_s)
     s_end = s_vals[-2] if gs.s_divergent else float(gs.s_at_1)
     ks = [k for k in ks if k * k <= s_end]
-    if not ks:
-        raise InvalidInputError("stretch range admits no cutoff parameters")
     grid = gs.phi.grid
     phi = gs.phi.values
 
@@ -167,7 +172,8 @@ def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
         return RadialFunction(grid, vals, dirichlet=True)
 
     return TrialFamily("gsapprox", ks, make,
-                       q_eval=lambda k: WkCutoff(k).ramp_energy())
+                       q_eval=lambda k: WkCutoff(k).ramp_energy(),
+                       finite_stretch=not gs.s_divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +201,7 @@ def classify_growth(ks, js, overflowed) -> tuple[str, GrowthFit]:
         return DIVERGENT, GrowthFit("overflow", (), 0.0)
     ks = np.asarray(ks, dtype=float)
     js = np.asarray(js, dtype=float)
-    if ks.size < 2:
+    if ks.size < MIN_GROWTH_ROWS:
         return INCONCLUSIVE, GrowthFit("short", (), math.nan)
     w = min(FIT_WINDOW, ks.size)
     kw, jw = ks[-w:], js[-w:]
@@ -267,16 +273,13 @@ def probe_supremum(form: Remainder, family: TrialFamily,
     exponent coefficient `coeff`.
 
     A profile with Q <= 0 is immediate divergence evidence (J of its
-    large multiples blows up), reported without further fitting.
+    large multiples blows up), reported without further fitting.  A
+    family on a finite stretch reads Inconclusive: each J is still a
+    lower bound for S, but a finite family shows no growth.
     """
     rows: list[ProbeRow] = []
     for k in family.params:
-        try:
-            u = family.make(k)
-        except TmLabError as exc:  # the lab's own errors are per-row notes
-            rows.append(ProbeRow(float(k), math.nan, math.nan, False,
-                                 f"{type(exc).__name__}: {exc}"))
-            continue
+        u = family.make(k)
         if family.q_eval is not None:
             q = float(family.q_eval(k))
         else:
@@ -289,10 +292,12 @@ def probe_supremum(form: Remainder, family: TrialFamily,
                                GrowthFit("indefinite-direction", (), 0.0))
         j = eval_J(u.scaled(1.0 / math.sqrt(q)), coeff)
         rows.append(ProbeRow(float(k), q, j, math.isinf(j)))
-    good = [r for r in rows if not r.error]
-    verdict, fit = classify_growth([r.k for r in good],
-                                   [r.J for r in good],
-                                   [r.overflow for r in good])
+    if family.finite_stretch:
+        verdict, fit = INCONCLUSIVE, GrowthFit("finite-stretch", (), math.nan)
+    else:
+        verdict, fit = classify_growth([r.k for r in rows],
+                                       [r.J for r in rows],
+                                       [r.overflow for r in rows])
     return ProbeReport(family.name, form.spec_string(), rows, verdict, fit)
 
 

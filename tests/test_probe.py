@@ -15,7 +15,8 @@ from tmlab import probe
 from tmlab.errors import InvalidInputError
 from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_J,
                          eval_Q, parse_form)
-from tmlab.groundstate import GROUND_STATE, classify_coercivity
+from tmlab.groundstate import (GROUND_STATE, WEAKLY_COERCIVE,
+                               classify_coercivity)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, TabulatedPotential,
                               WangYePotential)
@@ -131,7 +132,7 @@ def test_probe_lp_remainder(grid, lambda4_estimate):
 
 
 def test_family_defect_is_not_a_row_note(grid):
-    # Only the lab's own errors are per-row notes; a defect propagates.
+    # An error while building a profile is no row note: it propagates.
     def broken(k):
         raise TypeError("defect")
 
@@ -139,8 +140,49 @@ def test_family_defect_is_not_a_row_note(grid):
     with pytest.raises(TypeError):
         probe_supremum(NoRemainder(), fam)
     bad = TrialFamily("bad", [1, 2, 4], lambda k: moser_function(grid, k))
-    rep = probe_supremum(NoRemainder(), bad)
-    assert rep.rows[0].error.startswith("InvalidInputError")
+    with pytest.raises(InvalidInputError):
+        probe_supremum(NoRemainder(), bad)
+
+
+# Verdicts of the Moser sweep k = 2^1 .. 2^m for m = 5 .. 14 on the
+# default grid, one letter per m.  gamma:0.5 (S finite) reads Divergent
+# at m = 5, 6: a known misreading, which a five-row sweep keeps.
+PREFIX_VERDICTS = {"none": "BBBBBBBBBB", "lp:1.0:4": "BBBBBBBBBB",
+                   "wangye": "BBBBBBBBBB", "gamma:0.5": "DDBBBBBBBB"}
+
+
+@pytest.mark.parametrize("spec", sorted(PREFIX_VERDICTS))
+def test_short_sweep_is_inconclusive(grid, spec):
+    # Two to four rows once read Divergent (`none` at 2^1 .. 2^2) or
+    # Bounded: too few slopes to tell growth from saturation.
+    rows = probe_supremum(parse_form(spec), moser_family(grid)).rows
+    verdicts = ""
+    for m in range(1, 15):
+        verdict, fit = probe.classify_growth(
+            [r.k for r in rows[:m]], [r.J for r in rows[:m]],
+            [r.overflow for r in rows[:m]])
+        if m < probe.MIN_GROWTH_ROWS:
+            assert (verdict, fit.model) == (INCONCLUSIVE, "short"), m
+        else:
+            verdicts += verdict[0]
+    assert verdicts == PREFIX_VERDICTS[spec]
+
+
+@pytest.mark.parametrize("spec, rows", [
+    ("constant:4", 2), ("constant:5", 6), ("constant:5.7", 14),
+    ("gamma:1", 2), ("constant:1", 0), ("constant:-1", 0)])
+def test_finite_stretch_family_is_inconclusive(grid, spec, rows):
+    # Below lambda_1 the stretch s(1) is finite and the ladder stops at
+    # k^2 <= s(1), so the family is finite: these once read Divergent
+    # (or, with no k left, raised a usage error).  Its rows stay, each J
+    # a lower bound for S.
+    pot = parse_form(spec).potential
+    verdict = classify_coercivity(pot, grid)
+    assert verdict.classification == WEAKLY_COERCIVE
+    rep = probe_supremum(PotentialRemainder(pot),
+                         ground_state_family(verdict.result))
+    assert (rep.verdict, rep.fit.model) == (INCONCLUSIVE, "finite-stretch")
+    assert [r.k for r in rep.rows] == [2.0 ** m for m in range(1, rows + 1)]
 
 
 def test_growth_flat_sweep_is_bounded():

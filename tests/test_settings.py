@@ -22,8 +22,6 @@ ROOT = Path(__file__).parents[1]
 
 # "module.function.parameter" -> "file::function" that passes it.
 ALLOWED = {
-    # the --config file's values
-    "cli.build_parser.defaults": "src/tmlab/cli.py::main",
     # the tm-lab script leaves it to sys.argv; the traced stand-in passes it
     "cli.main.argv": "perfbench/cli_child.py::main",
     # potentials and radial raise it with the offending value

@@ -3,7 +3,7 @@
 Commands
 --------
 eval         functional values (Q, J, Onofri sides, Luxemburg norm) of a profile
-groundstate  shooting analysis of a potential: phi, stretch table, verdict
+groundstate  shooting analysis of a potential: phi, stretch s, verdict
 probe        trial-family sweep of the constrained exponential supremum
 audit        randomized inequality audits with per-sample slack records
 rearrange    decreasing rearrangement of a profile CSV
@@ -33,7 +33,7 @@ from . import __version__
 from .errors import InvalidInputError, TmLabError
 from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
                     luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
-from .groundstate import DELTA_PHI, classify_coercivity
+from .groundstate import classify_coercivity
 from .potentials import parse_potential
 from .probe import (ProbeRow, estimate_lambda_1, estimate_lambda_p,
                     ground_state_family, moser_family, moser_function,
@@ -152,16 +152,16 @@ def cmd_eval(args, grid: RadialGrid) -> Output:
 
 def cmd_groundstate(args, grid: RadialGrid) -> Output:
     pot = parse_potential(args.potential)
-    verdict = classify_coercivity(
-        pot, grid, DELTA_PHI if args.delta_phi is None else args.delta_phi)
+    verdict = classify_coercivity(pot, grid)
     line = f"classification={verdict.classification} ({verdict.detail})"
     gs = verdict.result
     if gs is None:
         return Output(line, ("r", "phi", "s"),
                       footer={"classification": verdict.classification,
                               "detail": verdict.detail})
+    # The s column caps log s at 700 (a vanishing rim value passes it).
     rows = list(zip(grid.nodes.tolist(), gs.phi.values.tolist(),
-                    gs.s_table.values.tolist()))
+                    np.exp(np.minimum(gs.log_s, 700.0)).tolist()))
     return Output(line, ("r", "phi", "s"), rows,
                   {"phi_at_1": gs.phi_at_1, "s_at_1": gs.s_at_1,
                    "classification": verdict.classification,
@@ -316,8 +316,7 @@ COMMANDS = {
         ("--u", {"required": True, "help": "zero | moser:<k> | file:<csv>"}),
         _FORM, _COEFF)),
     "groundstate": Command("shooting + stretch + verdict", cmd_groundstate, (
-        ("--potential", {"required": True}),
-        ("--delta-phi", {"type": finite_float, "default": None}))),
+        ("--potential", {"required": True}),)),
     "probe": Command("trial-family supremum sweep", cmd_probe, (
         ("--form", {"required": True}),
         ("--family", {"choices": ("moser", "gsapprox"), "default": "moser",

@@ -24,24 +24,25 @@ A positive solution induces the coordinate stretch
 which maps the disk onto a disk of radius s(1) = lim_{r->1} s(r).  The
 dichotomy driving everything downstream is whether s(1) is finite:
 
-  * s(1) finite and phi bounded away from 0 at the rim: the form is
-    weakly coercive and the constrained exponential supremum is finite;
-  * s(1) infinite (or phi(1) = 0): the form has a ground state and the
-    supremum diverges.
+  * s(1) finite: the form is weakly coercive and the constrained
+    exponential supremum is finite;
+  * s(1) infinite: the form has a ground state and the supremum
+    diverges.  phi(1) = 0 forces it: a non-oscillating solution that
+    vanishes at the rim is O(sqrt(1 - r)), so 1/phi^2 is not integrable.
 
 Numerically s(1) is classified from the growth of log s over the last
 grid decades in (1 - r): a borderline ground state produces increments
 that stay large decade after decade, a coercive potential produces
 increments collapsing at a geometric rate.  The thresholds are module
-constants (only the rim threshold delta_phi is a parameter, of
-classify_coercivity) and the raw increments are reported for audit.
+constants and the raw increments are reported for audit.  The stretch
+stays in log space: an s(1) beyond the double range reads inf.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +56,6 @@ GROUND_STATE = "GroundStateDetected"
 INDEFINITE = "Indefinite"
 
 
-# phi(1) threshold: below this the rim value counts as zero.
-DELTA_PHI = 1e-6
 # log s increment over the last (1-r)-decade that flags divergence,
 # provided the increments are not collapsing geometrically.
 DIV_INCREMENT = 0.2
@@ -64,18 +63,35 @@ DIV_RATIO = 0.6
 KATO_ALPHA = 0.5  # the Kato-class tag's exponent (check_kato)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundStateResult:
+    """phi and its stretch: log s at the grid nodes (the last entry
+    continued over the final cell), the extrapolated log s(1) (inf when
+    the stretch diverges) and, in diagnostics, the log s increments over
+    the last two (1 - r)-decades."""
     potential: Potential
     phi: RadialFunction
-    phi_at_1: float
     kato_ok: bool
-    log_s: np.ndarray | None = None
-    s_table: RadialFunction | None = None
-    s_at_1: float = math.nan
-    s_divergent: bool = False
-    gamma_fit: float = math.nan
-    diagnostics: dict = field(default_factory=dict)
+    log_s: np.ndarray
+    log_s_at_1: float
+    gamma_fit: float
+    diagnostics: dict
+
+    @property
+    def phi_at_1(self) -> float:
+        return float(self.phi.values[-1])
+
+    @property
+    def s_divergent(self) -> bool:
+        return math.isinf(self.log_s_at_1)
+
+    @property
+    def s_at_1(self) -> float:
+        """s(1), inf beyond the double range."""
+        try:
+            return math.exp(self.log_s_at_1)
+        except OverflowError:
+            return math.inf
 
 
 @functools.cache
@@ -128,7 +144,7 @@ def _magnus_propagators(pot: Potential, mesh: np.ndarray):
                 cos_part - sinc * c)
 
 
-def shoot(pot: Potential, grid: RadialGrid) -> GroundStateResult:
+def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
     """Integrate the radial equation across the grid; phi normalized to
     max 1 (attained at the center for admissible potentials).
 
@@ -169,78 +185,59 @@ def shoot(pot: Potential, grid: RadialGrid) -> GroundStateResult:
     # Final cell [nodes[-2], 1]: linear continuation in t.
     phi_end = phi_vals[-1] + q * (0.0 - t_nodes[-1])
     full = np.concatenate([phi_vals, [phi_end]])
-    peak = float(np.max(full))
-    full = full / peak
-    phi = RadialFunction(grid, full, dirichlet=False)
-    try:
-        kato_ok = bool(check_kato(pot, KATO_ALPHA).ok)
-    except SingularEvaluationError:  # V is not finite on the sampled radii
-        kato_ok = False
-    return GroundStateResult(pot, phi, float(full[-1]), kato_ok)
+    return RadialFunction(grid, full / np.max(full), dirichlet=False)
 
 
-def transform_s(gs: GroundStateResult) -> GroundStateResult:
-    """Fill the stretch table s(r), anchored so s(1/e) = 1 exactly.
+def transform_s(pot: Potential, phi: RadialFunction) -> GroundStateResult:
+    """The ground-state record of `pot` from its shot solution phi: the
+    stretch log s(r), anchored so s(1/e) = 1 exactly, and the Kato tag.
 
     d(log s)/dt = 1/phi(t)^2 in t = log r, integrated cumulatively by the
     trapezoid rule over the grid; s(1) is declared divergent when the
     log s increments over the last two (1-r)-decades fail to collapse,
     else extrapolated geometrically.
     """
-    nodes = gs.phi.grid.nodes
-    phi = gs.phi.values
-    if np.any(phi[:-1] <= 0.0):
-        raise NodalSolutionError(nodes[int(np.argmax(phi[:-1] <= 0.0))])
+    nodes = phi.grid.nodes
+    vals = phi.values
+    if np.any(vals[:-1] <= 0.0):
+        raise NodalSolutionError(nodes[int(np.argmax(vals[:-1] <= 0.0))])
     t = np.log(nodes[:-1])
-    integ = 1.0 / (phi[:-1] ** 2)
+    integ = 1.0 / (vals[:-1] ** 2)
     cum = np.concatenate([[0.0],
                           np.cumsum(0.5 * (integ[1:] + integ[:-1]) * np.diff(t))])
     anchor = np.interp(-1.0, t, cum)  # t = -1 is r = 1/e
     logs_interior = cum - anchor
 
-    # Increments of log s over the last decades of 1 - r.
-    probes = 1.0 - np.array([1e-6, 1e-7, 1e-8])
-    probes = probes[probes > nodes[0]]
-    ls_probe = np.interp(np.log(probes), t, logs_interior)
-    if ls_probe.size >= 3:
-        inc_prev = float(ls_probe[-2] - ls_probe[-3])
-        inc_last = float(ls_probe[-1] - ls_probe[-2])
-    else:
-        inc_prev = inc_last = 0.0
+    # Increments of log s over the last decades of 1 - r (np.interp
+    # holds the end values outside the grid).
+    probes = np.log(1.0 - np.array([1e-6, 1e-7, 1e-8]))
+    inc_prev, inc_last = np.diff(np.interp(probes, t, logs_interior)).tolist()
     divergent = inc_last > DIV_INCREMENT and inc_last > DIV_RATIO * inc_prev
 
     # Continuation over the final cell and geometric tail estimate; the
     # continuation is capped so a vanishing rim value (critical case,
-    # 1/phi^2 ~ 1e16) cannot overflow the stored table.
-    last_cell = min((0.0 - t[-1]) * integ[-1], 500.0)
+    # 1/phi^2 ~ 1e16) cannot dominate log s at the rim.
+    logs_end = logs_interior[-1] + min((0.0 - t[-1]) * integ[-1], 500.0)
     if divergent:
-        s_at_1 = math.inf
-        logs_end = logs_interior[-1] + last_cell
+        log_s_at_1 = math.inf
     else:
         ratio = min(inc_last / inc_prev, 0.95) if inc_prev > 0 else 0.0
         tail = inc_last * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-        logs_end = logs_interior[-1] + last_cell
-        s_at_1 = math.exp(logs_end + tail)
-
+        log_s_at_1 = float(logs_end + tail)
     log_s = np.concatenate([logs_interior, [logs_end]])
-    # A vanishing rim value can push log s beyond exp range (critical
-    # case); the clamped table only matters for coercive results.
-    s_table = RadialFunction(gs.phi.grid, np.exp(np.minimum(log_s, 700.0)),
-                             dirichlet=False)
 
     # Linear behavior s(r) ~ gamma r at the center, fitted on the
     # smallest decade of nodes.
     small = nodes <= nodes[0] * 10.0
     gamma = float(np.median(np.exp(log_s[small]) / nodes[small]))
 
-    gs.log_s = log_s
-    gs.s_table = s_table
-    gs.s_at_1 = s_at_1
-    gs.s_divergent = bool(divergent)
-    gs.gamma_fit = gamma
-    gs.diagnostics.update({"inc_prev_decade": inc_prev,
-                           "inc_last_decade": inc_last})
-    return gs
+    try:
+        kato_ok = bool(check_kato(pot, KATO_ALPHA).ok)
+    except SingularEvaluationError:  # V is not finite on the sampled radii
+        kato_ok = False
+    return GroundStateResult(pot, phi, kato_ok, log_s, log_s_at_1, gamma,
+                             {"inc_prev_decade": inc_prev,
+                              "inc_last_decade": inc_last})
 
 
 @dataclass
@@ -250,18 +247,17 @@ class CoercivityResult:
     detail: str
 
 
-def classify_coercivity(pot: Potential, grid: RadialGrid,
-                        delta_phi: float = DELTA_PHI) -> CoercivityResult:
+def classify_coercivity(pot: Potential, grid: RadialGrid) -> CoercivityResult:
     """Weakly coercive / ground state / indefinite verdict for Q_V.
 
-    WeaklyCoercive: finite stretch s(1) and phi(1) above delta_phi.
-    GroundStateDetected: divergent stretch, or phi positive but vanishing
-    at the rim (critical case).
+    WeaklyCoercive: finite stretch s(1).
+    GroundStateDetected: divergent stretch; phi vanishing at the rim (the
+    critical case) forces it.
     Indefinite: the shot solution crosses zero (V too strong).
     An integrator failure is no verdict: its StepFailureError propagates.
     """
     try:
-        gs = transform_s(shoot(pot, grid))
+        gs = transform_s(pot, shoot(pot, grid))
     except NodalSolutionError as exc:
         return CoercivityResult(INDEFINITE, None,
                                 f"nodal solution at r = {exc.radius:.6g}")
@@ -270,8 +266,5 @@ def classify_coercivity(pot: Potential, grid: RadialGrid,
             GROUND_STATE, gs,
             "stretch diverges (log s increment "
             f"{gs.diagnostics['inc_last_decade']:.4g} per decade)")
-    if gs.phi_at_1 <= delta_phi:
-        return CoercivityResult(GROUND_STATE, gs,
-                                f"phi(1) = {gs.phi_at_1:.3g} below threshold")
     return CoercivityResult(WEAKLY_COERCIVE, gs,
                             f"s(1) = {gs.s_at_1:.6g}, phi(1) = {gs.phi_at_1:.6g}")

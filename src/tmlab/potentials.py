@@ -87,9 +87,11 @@ class GammaPotential(Potential):
         r = np.asarray(r, dtype=float)
         L = log_inv(r)
         # Evaluate both branches and take the max: the switch at r = 1/e
-        # then cannot produce a rounding discontinuity.
-        damp = np.maximum(np.power(L, self.gamma, where=L > 0,
-                                   out=np.ones_like(L)), 1.0)
+        # then cannot produce a rounding discontinuity.  L^gamma may
+        # overflow near the origin: V is then 0, its true value < 1e-280.
+        with np.errstate(over="ignore"):
+            damp = np.maximum(np.power(L, self.gamma, where=L > 0,
+                                       out=np.ones_like(L)), 1.0)
         return 1.0 / (4.0 * r * r * L * L * damp)
 
     def spec_string(self) -> str:

@@ -70,7 +70,7 @@ MIN_GROWTH_ROWS = 5
 # Carleson-Chang) counts as divergence evidence.
 DIVERGENCE_J_THRESHOLD = 1e6
 
-# k = 2^1 .. 2^14 for both trial families; probe --kmax-pow takes a prefix.
+# k = 2^1 .. 2^14 for both trial families; probe --kmax-pow sets 2^1 .. 2^kmax.
 K_LADDER = tuple(2 ** m for m in range(1, 15))
 # Search sizes: the maximizer's ascent steps (shared by its seven starts)
 # and the seed of its Gaussian starts; estimate_lambda_p's starts and steps
@@ -108,7 +108,9 @@ class WkCutoff:
 
         w_k(s) = 1            for s < k,
         w_k(s) = log(k^2/s)/k for k <= s < k^2,
-        w_k(s) = 0            for s >= k^2.
+        w_k(s) = 0            for s >= k^2,
+
+    called on log s: 1 below log k, else clip((2 log k - log s)/k, 0, log k/k).
 
     ramp_energy() is the planar Dirichlet energy carried by the ramp,
     2 pi int_k^{k^2} (1/(k s))^2 s ds = 2 pi log(k) / k^2.
@@ -119,11 +121,11 @@ class WkCutoff:
             raise InvalidInputError("cutoff needs k > 1")
         self.k = float(k)
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        k = self.k
-        ramp = np.log(np.maximum(k * k / np.maximum(s, 1e-300), 1.0)) / k
-        return np.where(s < k, 1.0, np.minimum(ramp, math.log(k) / k))
+    def __call__(self, log_s):
+        log_s = np.asarray(log_s, dtype=float)
+        lk = math.log(self.k)
+        ramp = np.clip((2.0 * lk - log_s) / self.k, 0.0, lk / self.k)
+        return np.where(log_s < lk, 1.0, ramp)
 
     def ramp_energy(self) -> float:
         return 2.0 * math.pi * math.log(self.k) / (self.k * self.k)
@@ -148,8 +150,9 @@ def moser_family(grid: RadialGrid, ks=K_LADDER) -> TrialFamily:
 
 def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
     """u_k = phi * w_k(s(r)) on the ground-state grid, for each k of `ks`
-    whose ramp end k^2 lies within the stretch table (possibly none, when
-    s(1) is finite).
+    whose ramp end k^2 lies within the stretch (possibly none, when s(1)
+    is finite): 2 log k <= log s at the last interior node, or at r = 1
+    for a finite stretch.
 
     Q on this family is evaluated on the stretched side, where the form
     collapses to the planar ramp energy 2 pi log(k)/k^2 of the cutoff:
@@ -157,17 +160,14 @@ def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
     slope energy is a discretization artifact, not part of the form the
     substitution represents.
     """
-    if gs.log_s is None:
-        raise InvalidInputError("family needs a completed stretch table")
-    s_vals = np.exp(gs.log_s)
-    s_end = s_vals[-2] if gs.s_divergent else float(gs.s_at_1)
-    ks = [k for k in ks if k * k <= s_end]
+    log_s_end = gs.log_s[-2] if gs.s_divergent else gs.log_s_at_1
+    ks = [k for k in ks if 2.0 * math.log(k) <= log_s_end]
     grid = gs.phi.grid
     phi = gs.phi.values
 
     def make(k):
         w = WkCutoff(k)
-        vals = phi * w(s_vals)
+        vals = phi * w(gs.log_s)
         vals[-1] = 0.0
         return RadialFunction(grid, vals, dirichlet=True)
 
@@ -405,9 +405,9 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
 # Rayleigh-quotient estimators
 # ---------------------------------------------------------------------------
 
-# Inverse-power steps for lambda_1.  The relative stopping test sits
-# below the Rayleigh quotient's roundoff, so the loop may run all its
-# steps; each costs about 0.1 ms at n = 4096.
+# Inverse-power steps for lambda_1.  The relative stopping test ends
+# the loop after 10-23 steps on the default grids n = 256 .. 16384, well
+# within the cap; each step costs about 0.1 ms at n = 4096.
 LAMBDA_1_STEPS = 60
 LAMBDA_1_TOL = 1e-14
 

@@ -47,5 +47,5 @@ def gs_cache(grid):
                      ("leray", LerayPotential()),
                      ("gamma05", GammaPotential(0.5)),
                      ("wangye", WangYePotential())]:
-        cache[key] = transform_s(shoot(pot, grid))
+        cache[key] = transform_s(pot, shoot(pot, grid))
     return cache

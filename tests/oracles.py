@@ -36,8 +36,8 @@ import numpy as np
 from tmlab import forms
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           SingularEvaluationError, StepFailureError)
-from tmlab.groundstate import KATO_ALPHA, GroundStateResult
-from tmlab.potentials import TabulatedPotential, check_kato
+from tmlab.groundstate import GroundStateResult
+from tmlab.potentials import TabulatedPotential
 from tmlab.probe import LambdaPEstimate, _pav_nonincreasing, estimate_lambda_1
 from tmlab.radial import (RadialFunction, RadialGrid, exact_sum,
                           gradient_norm_sq, lp_norm, one_minus_r_sq)
@@ -578,14 +578,7 @@ def shoot_rk45(pot, grid, rtol=1e-10, atol=1e-12):
     if np.any(full[:-1] <= 0.0):
         i = int(np.argmax(full[:-1] <= 0.0))
         raise NodalSolutionError(nodes[i])
-    peak = float(np.max(full))
-    full = full / peak
-    phi = RadialFunction(grid, full, dirichlet=False)
-    try:
-        kato_ok = bool(check_kato(pot, KATO_ALPHA).ok)
-    except SingularEvaluationError:  # V is not finite on the sampled radii
-        kato_ok = False
-    return GroundStateResult(pot, phi, float(full[-1]), kato_ok)
+    return RadialFunction(grid, full / np.max(full), dirichlet=False)
 
 
 def reduced_stiffness(grid):

@@ -52,7 +52,7 @@ def test_c02_lambda1_recovery(grid, grid_2048, lambda1):
 
 def test_c03_transform_closed_form(gs_cache, grid):
     gs = gs_cache["zero"]
-    dev = float(np.max(np.abs(gs.s_table.values - math.e * grid.nodes)))
+    dev = float(np.max(np.abs(np.exp(gs.log_s) - math.e * grid.nodes)))
     assert dev < 1e-6
     assert abs(gs.s_at_1 - math.e) < 1e-6
     _report(3, f"V=0 stretch matches e*r (max dev {dev:.2e}, "
@@ -68,7 +68,8 @@ def test_c04_jacobi_identity(gs_cache, grid):
         worst = max(worst, jacobi_identity_residual(gs, u))
     assert worst < 1e-3
     g2 = RadialGrid.default(8192)
-    gs2 = transform_s(shoot(ConstantPotential(2.0), g2))
+    gs2 = transform_s(ConstantPotential(2.0),
+                      shoot(ConstantPotential(2.0), g2))
     rng2 = np.random.default_rng(4)
     worst2 = max(jacobi_identity_residual(
         gs2, bump_profile(rng2, g2)) for _ in range(5))

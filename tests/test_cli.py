@@ -557,8 +557,7 @@ _negative = st.integers(-5, -1).map(str)
 _COMMANDS = {
     "eval": {"--u": (_profile, _bad_profile), "--form": (_form, _bad_form),
              "--coeff": (_num(1.0, 4 * math.pi), _non_finite)},
-    "groundstate": {"--potential": (_potential, _bad_potential),
-                    "--delta-phi": (_num(1e-8, 1e-2), _non_finite)},
+    "groundstate": {"--potential": (_potential, _bad_potential)},
     "probe": {"--form": (_form, _bad_form),
               "--coeff": (_num(1.0, 4 * math.pi), _non_finite),
               "--kmax-pow": (st.integers(2, 14).map(str), _non_positive)},
@@ -613,6 +612,26 @@ def test_exit_code_contract(tmp_path, case):
         assert out.read_text().startswith("# tool=tm-lab"), argv
 
 
+# Valid specs at the edges of the fuzzed ranges, at the default grid: a
+# constant just below lambda_1 (s(1) beyond the double range), a strongly
+# negative constant (log s ~ -5e5 near the centre) and gamma exponents
+# whose damping log(1/r)^gamma overflows.  Each once exited 3.
+@pytest.mark.parametrize("spec", ["constant:5.78", "constant:5.783",
+                                  "constant:-50", "gamma:250", "gamma:1000"])
+@pytest.mark.parametrize("command", [
+    ["groundstate", "--potential"], ["probe", "--family", "moser", "--form"],
+    ["probe", "--family", "gsapprox", "--form"],
+    ["eval", "--u", "moser:8", "--form"]], ids=["groundstate", "moser",
+                                              "gsapprox", "eval"])
+def test_edge_specs_exit_zero(tmp_path, spec, command):
+    out = tmp_path / "o"
+    argv = command + [spec, "--out", str(out)]
+    assert run(argv + ["--format", "json"]) == 0, argv
+    json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert run(argv + ["--format", "csv"]) == 0, argv
+    assert out.read_text().startswith("# tool=tm-lab version="), argv
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -645,7 +664,8 @@ def test_output_is_in_the_format_asked(tmp_path, argv, check):
 @pytest.mark.parametrize("argv", [
     ["probe", "--form", "none", "--coeff", "nan"],
     ["lambda", "--which", "p", "--p", "inf"],
-    ["groundstate", "--potential", "leray", "--delta-phi", "nan"],
+    # A verdict comes from the stretch alone; there is no rim threshold.
+    ["groundstate", "--potential", "leray", "--delta-phi", "1e-2"],
     ["eval", "--u", "zero", "--form", "gamma:inf"],
     ["eval", "--u", "zero", "--form", "lp:1:inf"],
     ["eval", "--u", "zero", "--coeff", "nan"],

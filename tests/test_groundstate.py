@@ -8,6 +8,7 @@ from oracles import (LAMBDA_1, bessel_j0, jacobi_identity_residual,
 from tmlab import groundstate
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           StepFailureError)
+from tmlab.forms import PotentialRemainder, eval_Q
 from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
                                classify_coercivity, shoot, transform_s)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
@@ -52,7 +53,7 @@ def test_leray_ground_state_closed_form():
 
 def test_transform_zero_potential(gs_cache, grid):
     gs = gs_cache["zero"]
-    assert np.max(np.abs(gs.s_table.values - math.e * grid.nodes)) < 1e-6
+    assert np.max(np.abs(np.exp(gs.log_s) - math.e * grid.nodes)) < 1e-6
     assert gs.s_at_1 == pytest.approx(math.e, abs=1e-6)
     # anchored: log s(1/e) = 0, with 1/e at log r = -1
     log_r = np.log(gs.phi.grid.nodes)
@@ -79,7 +80,7 @@ def test_transform_constant_finite(gs_cache):
 def test_stretch_invariants_weakly_coercive(gs_cache, grid):
     for key in ("zero", "const2", "gamma05", "wangye"):
         gs = gs_cache[key]
-        s = gs.s_table.values
+        s = np.exp(gs.log_s)
         assert np.all(np.diff(s) > 0), key
         assert gs.gamma_fit > 0, key
         # s(r) <= r s(1): the stretch rate 1/(r phi^2) dominates 1/r, so
@@ -105,7 +106,8 @@ def test_jacobi_identity_constant_potential(gs_cache, grid):
     assert res < 1e-4
     # refinement shrinks the defect
     g2 = RadialGrid.default(8192)
-    gs2 = transform_s(shoot(ConstantPotential(2.0), g2))
+    gs2 = transform_s(ConstantPotential(2.0),
+                      shoot(ConstantPotential(2.0), g2))
     u2 = RadialFunction.from_callable(g2, lambda r: 1.0 - r)
     assert jacobi_identity_residual(gs2, u2) < res
 
@@ -147,6 +149,45 @@ def test_classification_critical_constant(grid):
     res = classify_coercivity(ConstantPotential(LAMBDA_1), grid)
     assert res.classification == GROUND_STATE
     assert res.result.phi_at_1 <= 1e-6
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_stretch_alone_gives_every_reading(n):
+    # A divergent stretch is the only GroundStateDetected criterion; a
+    # vanishing rim value forces it.  Over the catalogue no finite
+    # stretch comes with phi(1) <= 1e-6, save constants within about
+    # 1.5e-6 of lambda_1 from below: coercive forms (c < lambda_1) whose
+    # log s(1) exceeds 4e5.  They read WeaklyCoercive with s(1) = inf
+    # (they once overflowed, so no rim threshold ever decided them).
+    grid = RadialGrid.default(n)
+    band = [LAMBDA_1 * (1.0 - eps) for eps in (1e-6, 5e-7)]
+    constants = [*np.linspace(0.0, 5.7, 12), *np.linspace(5.7, 5.783, 8),
+                 *band, LAMBDA_1 * (1.0 + 1e-6)]
+    pots = ([ConstantPotential(c) for c in constants]
+            + [GammaPotential(g) for g in np.geomspace(0.02, 50.0, 16)]
+            + [LerayPotential(), WangYePotential()])
+    for pot in pots:
+        res = classify_coercivity(pot, grid)
+        gs = res.result
+        if gs is None:
+            assert pot == ConstantPotential(constants[-1])
+            continue
+        assert (res.classification == GROUND_STATE) == gs.s_divergent, pot
+        if gs.phi_at_1 <= 1e-6 and not gs.s_divergent:
+            assert pot.lam in band, pot
+            assert res.classification == WEAKLY_COERCIVE
+            assert gs.s_at_1 == math.inf
+
+
+def test_large_gamma_damping_underflows_quietly(grid):
+    # log(1/r)^300 overflows near the origin, where V is below 1e-280;
+    # the warning filter turns any overflow warning into a failure.
+    pot = GammaPotential(300.0)
+    res = classify_coercivity(pot, grid)
+    assert res.classification == WEAKLY_COERCIVE
+    assert res.result.kato_ok
+    u = bump_profile(np.random.default_rng(0), grid)
+    assert math.isfinite(eval_Q(PotentialRemainder(pot), u))
 
 
 def test_monotone_comparison(grid):
@@ -213,8 +254,8 @@ def test_tabulated_copy_integrates_to_mesh_accuracy(grid, table_n):
     exact = GammaPotential(0.5)(table_grid.nodes[:-1])
     assert np.max(np.abs(table(table_grid.nodes[:-1]) / exact - 1.0)) <= 1e-8
     k = 16
-    coarse = shoot(table, grid).phi.values
-    fine = shoot(table, refined_grid(grid, k)).phi.values
+    coarse = shoot(table, grid).values
+    fine = shoot(table, refined_grid(grid, k)).values
     fine = np.append(fine[:-1:k], fine[-1])
     assert np.max(np.abs(coarse / fine - 1.0)) <= 1e-8
 
@@ -226,8 +267,8 @@ def test_coarse_grid_shoots_on_the_default_mesh(grid):
     assert shared.size >= 3
     for pot in (ConstantPotential(2.0), GammaPotential(0.5),
                 WangYePotential()):
-        coarse = shoot(pot, coarse_grid).phi.values[i_coarse]
-        default = shoot(pot, grid).phi.values[i_default]
+        coarse = shoot(pot, coarse_grid).values[i_coarse]
+        default = shoot(pot, grid).values[i_default]
         assert np.max(np.abs(coarse / default - 1.0)) <= 1e-8, pot
 
 
@@ -245,7 +286,8 @@ def test_nan_potential_is_step_failure(grid):
 
 
 def test_shoot_vectorizes_potential_evaluation(grid):
-    # One vectorized evaluation for all Gauss points, one for check_kato.
+    # One vectorized evaluation for all Gauss points; check_kato's runs in
+    # transform_s.
     calls = []
 
     class Counting(Potential):
@@ -254,4 +296,4 @@ def test_shoot_vectorizes_potential_evaluation(grid):
             return LerayPotential()(r)
 
     shoot(Counting(), grid)
-    assert len(calls) == 2
+    assert len(calls) == 1

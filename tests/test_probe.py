@@ -49,12 +49,17 @@ def test_moser_formula(grid):
 
 
 def test_wk_cutoff_values():
+    # w_k is called on log s
     k = 9.0
     w = WkCutoff(k)
-    assert w(np.array([0.0]))[0] == 1.0
-    assert w(np.array([k * k]))[0] == 0.0
-    assert w(np.array([k]))[0] == pytest.approx(math.log(k) / k, rel=1e-14)
-    assert w(np.array([2 * k * k]))[0] == 0.0
+    assert w(np.array([-math.inf, 0.0])).tolist() == [1.0, 1.0]
+    assert w(np.log([k * k]))[0] == 0.0
+    assert w(np.log([k]))[0] == pytest.approx(math.log(k) / k, rel=1e-14)
+    assert w(np.log([k ** 1.5]))[0] == pytest.approx(0.5 * math.log(k) / k,
+                                                     rel=1e-14)
+    assert w(np.log([2 * k * k]))[0] == 0.0
+    # an s beyond the double range, log s = 1e6: no overflow
+    assert w(np.array([1e6, math.inf])).tolist() == [0.0, 0.0]
     with pytest.raises(InvalidInputError):
         WkCutoff(1.0)
 
@@ -82,7 +87,7 @@ def test_ground_state_family_leray(gs_cache):
     assert q == pytest.approx(2 * math.pi * math.log(64) / 64**2, rel=1e-14)
     assert q < 1e-2
     # profile follows phi on the plateau region
-    mask = np.exp(gs.log_s) < 32.0
+    mask = gs.log_s < math.log(32.0)
     assert np.allclose(u64.values[mask], gs.phi.values[mask], atol=1e-12)
 
 

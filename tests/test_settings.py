@@ -29,9 +29,6 @@ ALLOWED = {
         "src/tmlab/radial.py::integral_weighted",
     # `eval --coeff`
     "forms.eval_J.coeff": "src/tmlab/cli.py::cmd_eval",
-    # `groundstate --delta-phi`
-    "groundstate.classify_coercivity.delta_phi":
-        "src/tmlab/cli.py::cmd_groundstate",
     # `probe --kmax-pow`, for either family
     "probe.moser_family.ks": "src/tmlab/cli.py::cmd_probe",
     "probe.ground_state_family.ks": "src/tmlab/cli.py::cmd_probe",

@@ -35,7 +35,7 @@ from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
                     luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
 from .groundstate import classify_coercivity
 from .potentials import parse_potential
-from .probe import (ProbeRow, estimate_lambda_1, estimate_lambda_p,
+from .probe import (K_LADDER, ProbeRow, estimate_lambda_1, estimate_lambda_p,
                     ground_state_family, moser_family, moser_function,
                     probe_supremum)
 from .radial import RadialFunction, RadialGrid, gradient_norm_sq
@@ -323,9 +323,9 @@ COMMANDS = {
                       "help": "gsapprox needs a potential form"}),
         _COEFF,
         # k = 2^1 .. 2^kmax_pow, and 2^1023 is the largest finite power
-        # of two in a double.
+        # of two in a double; the default is the ladder of both families.
         ("--kmax-pow", {"type": int_range(1, sys.float_info.max_exp - 1),
-                        "default": 14}))),
+                        "default": len(K_LADDER)}))),
     "audit": Command("randomized inequality audit", cmd_audit, (
         ("--ineq", {"required": True, "choices": tuple(AUDITS)}),
         _FORM,

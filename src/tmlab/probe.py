@@ -12,18 +12,21 @@ verdict:
   * Moser plateau functions m_k, energy-normalized log profiles that
     concentrate at the origin as k grows (the classical extremizing
     family for the 4 pi exponent);
-  * logarithmic cutoffs w_k(s) in the stretched coordinate s(r) of a
-    ground-state analysis, composed back as u_k = phi * w_k(s(r)) (the
-    family that exhibits divergence when the stretch is infinite);
+  * the continuous logarithmic cutoffs
+        w_k(s) = clip( (2 log k - log s) / log k, 0, 1 )
+    in the stretched coordinate s(r) of a ground-state analysis, composed
+    back as u_k = phi * w_k(s(r)) (the family that exhibits divergence
+    when the stretch is infinite; its planar energy is 2 pi / log k);
   * an energy-gradient ascent over nonincreasing Dirichlet profiles
     (reported strictly as a lower bound for S).
 
 Also here: Rayleigh-quotient estimators for the first Dirichlet
 eigenvalue lambda_1 (inverse-power iteration, second-order accurate) and
 for the L^p Sobolev constant lambda_p = inf { |grad u|_2^2 : ||u||_p = 1 }
-(projected descent with seeded multistarts; an upper bound).  They and
-the maximizer use the tridiagonal operator of radial (stiffness, the mass
-of the cap-and-midpoint sampling, its transpose for the J-gradient,
+(projected descent with seeded multistarts; an estimate, as its midpoint
+||u||_p is not one-sided: 0.8-2.9% above Lane-Emden at n = 512).  They
+and the maximizer use the tridiagonal operator of radial (stiffness, the
+mass of the cap-and-midpoint sampling, its transpose for the J-gradient,
 closed-form stiffness solve); none is built here.
 
 The verdict thresholds, the k-ladder and the search sizes are module
@@ -103,41 +106,11 @@ def moser_function(grid: RadialGrid, k: int) -> RadialFunction:
     return RadialFunction(grid, vals, dirichlet=True)
 
 
-class WkCutoff:
-    """Piecewise log cutoff in the stretched coordinate:
-
-        w_k(s) = 1            for s < k,
-        w_k(s) = log(k^2/s)/k for k <= s < k^2,
-        w_k(s) = 0            for s >= k^2,
-
-    called on log s: 1 below log k, else clip((2 log k - log s)/k, 0, log k/k).
-
-    ramp_energy() is the planar Dirichlet energy carried by the ramp,
-    2 pi int_k^{k^2} (1/(k s))^2 s ds = 2 pi log(k) / k^2.
-    """
-
-    def __init__(self, k: float):
-        if k <= 1.0:
-            raise InvalidInputError("cutoff needs k > 1")
-        self.k = float(k)
-
-    def __call__(self, log_s):
-        log_s = np.asarray(log_s, dtype=float)
-        lk = math.log(self.k)
-        ramp = np.clip((2.0 * lk - log_s) / self.k, 0.0, lk / self.k)
-        return np.where(log_s < lk, 1.0, ramp)
-
-    def ramp_energy(self) -> float:
-        return 2.0 * math.pi * math.log(self.k) / (self.k * self.k)
-
-
 @dataclass
 class TrialFamily:
     name: str
     params: list
     make: object  # k -> RadialFunction
-    # Optional k -> Q, replacing eval_Q on the family's own profiles.
-    q_eval: object = None
     # The ladder stops at a finite stretch s(1): the family is finite, so
     # its growth says nothing about k -> infinity.
     finite_stretch: bool = False
@@ -153,12 +126,6 @@ def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
     whose ramp end k^2 lies within the stretch (possibly none, when s(1)
     is finite): 2 log k <= log s at the last interior node, or at r = 1
     for a finite stretch.
-
-    Q on this family is evaluated on the stretched side, where the form
-    collapses to the planar ramp energy 2 pi log(k)/k^2 of the cutoff:
-    the raw profile carries a one-cell jump at s = k whose finite-grid
-    slope energy is a discretization artifact, not part of the form the
-    substitution represents.
     """
     log_s_end = gs.log_s[-2] if gs.s_divergent else gs.log_s_at_1
     ks = [k for k in ks if 2.0 * math.log(k) <= log_s_end]
@@ -166,13 +133,13 @@ def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
     phi = gs.phi.values
 
     def make(k):
-        w = WkCutoff(k)
-        vals = phi * w(gs.log_s)
+        # w_k = 1 up to s = k, linear in log s down to 0 at s = k^2.
+        lk = math.log(k)
+        vals = phi * np.clip((2.0 * lk - gs.log_s) / lk, 0.0, 1.0)
         vals[-1] = 0.0
         return RadialFunction(grid, vals, dirichlet=True)
 
     return TrialFamily("gsapprox", ks, make,
-                       q_eval=lambda k: WkCutoff(k).ramp_energy(),
                        finite_stretch=not gs.s_divergent)
 
 
@@ -275,15 +242,14 @@ def probe_supremum(form: Remainder, family: TrialFamily,
     A profile with Q <= 0 is immediate divergence evidence (J of its
     large multiples blows up), reported without further fitting.  A
     family on a finite stretch reads Inconclusive: each J is still a
-    lower bound for S, but a finite family shows no growth.
+    lower bound for S, but a finite family shows no growth.  Q is eval_Q
+    of each profile, so the lower bound holds up to the midpoint
+    quadrature of J, which is not one-sided (ROADMAP item 7).
     """
     rows: list[ProbeRow] = []
     for k in family.params:
         u = family.make(k)
-        if family.q_eval is not None:
-            q = float(family.q_eval(k))
-        else:
-            q = eval_Q(form, u)
+        q = eval_Q(form, u)
         if q <= 0.0:
             rows.append(ProbeRow(float(k), q, math.inf, True,
                                  "nonpositive form value"))
@@ -504,7 +470,10 @@ class LambdaPEstimate:
 
 def estimate_lambda_p(p: float, grid: RadialGrid, seed: int = 0
                       ) -> LambdaPEstimate:
-    """Upper bound for lambda_p = inf { |grad u|^2 : ||u||_p = 1 }, p > 2.
+    """Estimate of lambda_p = inf { |grad u|^2 : ||u||_p = 1 }, p > 2.
+    The midpoint ||u||_p is not one-sided (ROADMAP item 7), so the value
+    is no certified upper bound: it reads 0.8-2.9% above Lane-Emden for
+    p = 3, 4, 6 at n = 512.
 
     Normalized projected descent over nonnegative Dirichlet profiles with
     seeded multistarts (smooth bumps plus the lambda_1 eigenfunction);

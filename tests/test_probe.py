@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,19 +10,19 @@ from hypothesis import strategies as st
 from oracles import (LAMBDA_1, bessel_j0, disk_extremal,
                      estimate_lambda_p_descent, j0_first_zero,
                      lane_emden_lambda_p, pav_nonincreasing_stack,
-                     polya_szego_gap, reduced_stiffness, simpson,
-                     thomas_solve, tridiag_product)
+                     polya_szego_gap, reduced_stiffness, thomas_solve,
+                     tridiag_product)
 from tmlab import probe
 from tmlab.errors import InvalidInputError
 from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_J,
                          eval_Q, parse_form)
-from tmlab.groundstate import (GROUND_STATE, WEAKLY_COERCIVE,
-                               classify_coercivity)
+from tmlab.groundstate import (WEAKLY_COERCIVE, classify_coercivity, shoot,
+                               transform_s)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, TabulatedPotential,
                               WangYePotential)
 from tmlab.probe import (BOUNDED, DIVERGENT, INCONCLUSIVE, TrialFamily,
-                         WkCutoff, estimate_lambda_1, estimate_lambda_p,
+                         estimate_lambda_1, estimate_lambda_p,
                          ground_state_family, maximize_J_constrained,
                          moser_family, moser_function, probe_supremum)
 from tmlab.probe import _pav_nonincreasing
@@ -48,31 +49,30 @@ def test_moser_formula(grid):
         moser_function(grid, 1)
 
 
-def test_wk_cutoff_values():
-    # w_k is called on log s
+def test_wk_cutoff_values(gs_cache):
+    # u_k / phi = w_k(s) = clip((2 log k - log s) / log k, 0, 1)
+    gs = gs_cache["leray"]
+    fam = ground_state_family(gs)
     k = 9.0
-    w = WkCutoff(k)
-    assert w(np.array([-math.inf, 0.0])).tolist() == [1.0, 1.0]
-    assert w(np.log([k * k]))[0] == 0.0
-    assert w(np.log([k]))[0] == pytest.approx(math.log(k) / k, rel=1e-14)
-    assert w(np.log([k ** 1.5]))[0] == pytest.approx(0.5 * math.log(k) / k,
-                                                     rel=1e-14)
-    assert w(np.log([2 * k * k]))[0] == 0.0
-    # an s beyond the double range, log s = 1e6: no overflow
-    assert w(np.array([1e6, math.inf])).tolist() == [0.0, 0.0]
-    with pytest.raises(InvalidInputError):
-        WkCutoff(1.0)
-
-
-def test_wk_ramp_energy_closed_form():
-    # independent quadrature of 2 pi (dw/ds)^2 s ds over the ramp
-    for k in (4.0, 64.0, 300.0):
-        w = WkCutoff(k)
-        quad = 2 * math.pi * simpson(lambda s: (1.0 / (k * s)) ** 2 * s,
-                                     k, k * k, 40001)
-        closed = 2 * math.pi * math.log(k) / k**2
-        assert w.ramp_energy() == pytest.approx(closed, rel=1e-14)
-        assert quad == pytest.approx(closed, rel=1e-6)
+    lk = math.log(k)
+    log_s = gs.log_s[:-1]
+    u = fam.make(k)
+    w = u.values[:-1] / gs.phi.values[:-1]
+    below, above = log_s < lk, log_s > 2 * lk
+    ramp = ~below & ~above
+    assert below.any() and ramp.any() and above.any()
+    assert np.all(w[below] == 1.0)
+    assert np.allclose(w[ramp], (2 * lk - log_s[ramp]) / lk, rtol=1e-13,
+                       atol=1e-15)
+    assert np.all(w[above] == 0.0)
+    assert u.values[-1] == 0.0
+    # an s beyond the double range, log s = 1e6 or inf: no warning
+    far = gs.log_s.copy()
+    far[-3:-1] = (1e6, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = ground_state_family(replace(gs, log_s=far)).make(k)
+    assert u.values[-3:].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_ground_state_family_leray(gs_cache):
@@ -82,13 +82,31 @@ def test_ground_state_family_leray(gs_cache):
     assert 64.0 in fam.params
     u64 = fam.make(64.0)
     assert u64.dirichlet
-    # transform-side form value equals the ramp energy
-    q = fam.q_eval(64.0)
-    assert q == pytest.approx(2 * math.pi * math.log(64) / 64**2, rel=1e-14)
-    assert q < 1e-2
+    # the row's Q is the profile's own form value
+    form = PotentialRemainder(LerayPotential())
+    rows = {r.k: r for r in probe_supremum(form, fam).rows}
+    assert rows[64.0].Q == eval_Q(form, u64)
     # profile follows phi on the plateau region
     mask = gs.log_s < math.log(32.0)
     assert np.allclose(u64.values[mask], gs.phi.values[mask], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_ground_state_family_q_is_eval_q(n):
+    # Each gsapprox row's Q is eval_Q of its own profile, and it sits at
+    # the continuum energy 2 pi / log k of the log cutoff at both n: a
+    # discontinuous cutoff would carry a one-cell energy growing with n.
+    grid = RadialGrid.default(n)
+    for pot in (LerayPotential(), GammaPotential(0.5), ConstantPotential(2.0),
+                WangYePotential()):
+        fam = ground_state_family(transform_s(pot, shoot(pot, grid)))
+        form = PotentialRemainder(pot)
+        rows = probe_supremum(form, fam).rows
+        assert rows, pot.spec_string()
+        for row in rows:
+            assert row.Q == eval_Q(form, fam.make(row.k))
+            ratio = row.Q * math.log(row.k) / (2 * math.pi)
+            assert 0.99 <= ratio <= 1.0, (pot.spec_string(), row.k, ratio)
 
 
 def test_probe_classical_bounded(grid):
@@ -113,7 +131,6 @@ def test_probe_leray_ground_state_family(gs_cache):
     rep = probe_supremum(PotentialRemainder(LerayPotential()),
                          ground_state_family(gs_cache["leray"]))
     assert rep.verdict == DIVERGENT
-    assert any(r.overflow or r.J > 1e6 for r in rep.rows)
 
 
 def test_probe_negative_form_shortcut(grid):
@@ -205,19 +222,17 @@ def test_growth_late_jump_is_inconclusive():
     assert verdict == INCONCLUSIVE
 
 
-def test_growth_fit_overflow_is_silent(grid):
-    # The ground-state sweep of gamma:0.113 reaches J ~ 1e240, whose
-    # squared residuals overflow to inf: a legitimate value, so no
-    # RuntimeWarning, and the verdict is the one read before.
-    pot = GammaPotential(0.113)
-    verdict = classify_coercivity(pot, grid)
-    assert verdict.classification == GROUND_STATE
+def test_growth_fit_overflow_is_silent():
+    # A sweep that reaches J ~ 1e240 (a --coeff above 4 pi can) squares
+    # its residuals to inf: a legitimate value, so no RuntimeWarning, and
+    # the verdict is read as usual.
+    ks = probe.K_LADDER[:8]
+    js = [10.0 ** (30 * m) for m in range(1, 9)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = probe_supremum(PotentialRemainder(pot),
-                                ground_state_family(verdict.result))
-    assert report.verdict == DIVERGENT
-    assert math.isinf(report.fit.residual)
+        verdict, fit = probe.classify_growth(ks, js, [False] * 8)
+    assert (verdict, fit.model) == (DIVERGENT, "power")
+    assert math.isinf(fit.residual)
 
 
 def test_pav_projection():

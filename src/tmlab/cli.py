@@ -164,6 +164,7 @@ def cmd_groundstate(args, grid: RadialGrid) -> Output:
                     np.exp(np.minimum(gs.log_s, 700.0)).tolist()))
     return Output(line, ("r", "phi", "s"), rows,
                   {"phi_at_1": gs.phi_at_1, "s_at_1": gs.s_at_1,
+                   "log_s_at_1": gs.log_s_at_1,
                    "classification": verdict.classification,
                    "kato_ok": gs.kato_ok, "gamma_fit": gs.gamma_fit})
 
@@ -234,7 +235,7 @@ AUDITS = {
 
 
 def cmd_audit(args, grid: RadialGrid) -> Output:
-    form = parse_form(args.form)
+    form = parse_form(args.form).on_grid(grid)
     columns, row, least = AUDITS[args.ineq]
     rng = np.random.default_rng(args.seed)
     rows = [(i, *row(bump_profile(rng, grid), form, rng))

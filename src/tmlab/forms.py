@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .potentials import Potential, parse_potential, spec_float
-from .radial import (RadialFunction, exact_sum, gradient_norm_sq,
-                     integral_weighted, lp_norm)
+from .radial import (RadialFunction, RadialGrid, exact_sum, gradient_norm_sq,
+                     integral_weighted, lp_norm, weight_samples)
 
 FOUR_PI = 4.0 * math.pi
 EXP_OVERFLOW = 700.0
@@ -47,6 +47,13 @@ class Remainder:
 
     def spec_string(self) -> str:
         raise NotImplementedError
+
+    def on_grid(self, grid: RadialGrid) -> "Remainder":
+        """The same remainder, with what depends on `grid` alone computed
+        once for profiles on it; psi keeps its bits.  eval_Q goes through
+        it, and a sweep (a probe, the maximizer, an audit) binds its form
+        once and drops the binding when it returns."""
+        return self
 
 
 class NoRemainder(Remainder):
@@ -66,6 +73,29 @@ class PotentialRemainder(Remainder):
 
     def spec_string(self) -> str:
         return f"potential:{self.potential.spec_string()}"
+
+    def on_grid(self, grid: RadialGrid) -> "Remainder":
+        return SampledPotentialRemainder(self, grid)
+
+
+class SampledPotentialRemainder(Remainder):
+    """A potential remainder with V sampled at one grid's sample_r."""
+
+    def __init__(self, form: PotentialRemainder, grid: RadialGrid):
+        self.form = form
+        self.grid = grid
+        self.weights = weight_samples(grid, form.potential)
+
+    def psi(self, u: RadialFunction) -> float:
+        if u.grid is not self.grid:
+            return self.form.psi(u)
+        return integral_weighted(u, self.weights)
+
+    def spec_string(self) -> str:
+        return self.form.spec_string()
+
+    def on_grid(self, grid: RadialGrid) -> "Remainder":
+        return self if grid is self.grid else self.form.on_grid(grid)
 
 
 @dataclass(frozen=True)
@@ -103,8 +133,9 @@ def parse_form(text: str) -> Remainder:
 # ---------------------------------------------------------------------------
 
 def eval_Q(form: Remainder, u: RadialFunction) -> float:
-    """Q(u) = gradient energy minus remainder; may be negative."""
-    return gradient_norm_sq(u) - form.psi(u)
+    """Q(u) = gradient energy minus remainder; may be negative.  The
+    remainder is that of form.on_grid(u.grid), a sweep's own binding."""
+    return gradient_norm_sq(u) - form.on_grid(u.grid).psi(u)
 
 
 def eval_J(u: RadialFunction, coeff: float = FOUR_PI) -> float:

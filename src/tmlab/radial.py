@@ -23,10 +23,10 @@ Every quadrature sum is correctly rounded: `exact_sum` returns the float
 nearest the exact sum of its terms (the value math.fsum gives), so the
 result does not depend on the order of the terms.  It stops extracting as
 soon as the unextracted residual can no longer move the rounded total,
-usually after two vectorized passes, and still returns fsum's bits.  The
-module, like the whole package, needs only numpy.  Grids and profiles are
-finite by construction: the constructors reject non-finite nodes and
-values.
+after one vectorized pass for a quadrature's same-sign terms, and still
+returns fsum's bits.  The module, like the whole package, needs only
+numpy.  Grids and profiles are finite by construction: the constructors
+reject non-finite nodes and values.
 
 The default grid clusters nodes geometrically toward both endpoints
 (first node 1e-8, last interior node 1 - 1e-8) because the singular
@@ -205,19 +205,30 @@ def exact_sum(x) -> float:
     q = (sigma + r) - sigma and r - q are exact, and every q_i is a
     multiple of ulp(sigma)/2 with sum |q_i| < sigma, so sum(q) is exact
     in any order.  Each pass peels q off into one exact partial sum and
-    leaves a residual whose sum lies in [-b, b], b = 2^k max|r| >= n max|r|.
-    Once fsum(partials + [b]) equals fsum(partials + [-b]), that value is
+    leaves a residual r, whose exact sum T it brackets in [lo, hi].  Once
+    fsum(partials + [lo]) equals fsum(partials + [hi]), that value is
     fsum(x), since rounding is monotone (Rump, Ogita and Oishi's stopping
-    test).  This ends most sums after two passes, and every sum once the
-    residual vanishes (b = 0).  Zero, non-finite and near-overflow input
-    goes to math.fsum unchanged, which keeps its signed zero, inf/nan
-    results and exceptions.
+    test).  Two brackets serve:
+
+      * [s - e, s + e] with s the float sum of r and e = 2 (n + 1) 2^-53
+        times the float sum of |r|.  Any summation order of n terms errs
+        by at most (n - 1) 2^-53 sum|r| / (1 - (n - 1) 2^-53), and the
+        float sum of |r| and the product lose at most a factor
+        (1 - n 2^-53), so e bounds |T - s| while e is a normal double.
+        Sums whose terms share a sign (the quadratures) end here after
+        one pass.
+      * [-b, b] with b = 2^k max|r| >= n max|r| >= |T|, wherever e could
+        underflow; b = 0 ends every sum once the residual vanishes.
+
+    Zero, non-finite and near-overflow input goes to math.fsum unchanged,
+    which keeps its signed zero, inf/nan results and exceptions.
     """
     x = np.asarray(x, dtype=float)
     m = float(np.max(np.abs(x))) if x.size else 0.0
     if not 0.0 < m < 2.0 ** 900:
         return math.fsum(x)
     k = (x.size + 2).bit_length()
+    slack = 2.0 * (x.size + 1) * 2.0 ** -53
     partials = []
     r = x.copy()
     q = np.empty_like(r)
@@ -227,11 +238,18 @@ def exact_sum(x) -> float:
         q -= sigma
         r -= q
         partials.append(float(q.sum()))
-        m = float(np.abs(r, out=q).max())
-        b = math.ldexp(m, k)
-        total = math.fsum(partials + [b])
-        if total == math.fsum(partials + [-b]):
+        np.abs(r, out=q)
+        e = slack * float(q.sum())
+        if e >= 2.0 ** -1022:  # the smallest normal double
+            s = float(r.sum())
+            lo, hi = [s, -e], [s, e]
+        else:
+            b = math.ldexp(float(q.max()), k)
+            lo, hi = [-b], [b]
+        total = math.fsum(partials + hi)
+        if total == math.fsum(partials + lo):
             return total
+        m = float(q.max())
 
 
 def derivative(u: RadialFunction) -> np.ndarray:
@@ -257,15 +275,12 @@ def lp_norm(u: RadialFunction, p: float) -> float:
     return exact_sum(np.abs(u.samples()) ** p * u.grid.cap_areas) ** (1.0 / p)
 
 
-def integral_weighted(u: RadialFunction, w) -> float:
-    """2 pi int_0^1 w(r) u(r)^2 r dr over the cap-and-midpoint samples.
-
-    `w` is a callable scalar field on (0, 1); it is only evaluated at
-    grid.sample_r, so endpoint-singular weights (Hardy/Leray type) stay
-    finite.  A non-finite weight value raises SingularEvaluationError
-    naming the offending abscissa.
-    """
-    rs = u.grid.sample_r
+def weight_samples(grid: RadialGrid, w) -> np.ndarray:
+    """The callable scalar field `w` on (0, 1) at grid.sample_r, where
+    integral_weighted reads it: endpoint-singular weights (Hardy/Leray
+    type) stay finite there.  A non-finite value raises
+    SingularEvaluationError naming the offending abscissa."""
+    rs = grid.sample_r
     ws = np.asarray(w(rs), dtype=float)
     if ws.shape != rs.shape:
         ws = np.broadcast_to(ws, rs.shape)
@@ -273,6 +288,17 @@ def integral_weighted(u: RadialFunction, w) -> float:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SingularEvaluationError(rs[i], ws[i])
+    return ws
+
+
+def integral_weighted(u: RadialFunction, w) -> float:
+    """2 pi int_0^1 w(r) u(r)^2 r dr over the cap-and-midpoint samples.
+
+    `w` is a callable scalar field on (0, 1), sampled by weight_samples,
+    or those samples themselves (an array), so a sweep over profiles on
+    one grid evaluates w once.
+    """
+    ws = w if isinstance(w, np.ndarray) else weight_samples(u.grid, w)
     s = u.samples()
     return exact_sum(ws * s * s * u.grid.cap_areas)
 

@@ -19,10 +19,12 @@ rearranged profiles from the caller, so each profile is rearranged once.
 The reference loops at the end are plain copies of kernels the package
 now computes with less work; the package's versions must agree with them
 bit for bit, except the RK45 shooter, which the Magnus shooter must
-match to within the adaptive integrator's own accuracy, the Thomas
-solve, which the closed-form stiffness solve must match to roundoff,
-and the broadcast distribution function, which the sorted sweep sums in
-another order and must match to cells * 2^-52 relative.
+match to within the adaptive integrator's own accuracy, the cell-by-cell
+shooting recurrence, which the prefix product must match to roundoff
+(1e-12 relative away from lambda_1), the Thomas solve, which the
+closed-form stiffness solve must match to roundoff, and the broadcast
+distribution function, which the sorted sweep sums in another order and
+must match to cells * 2^-52 relative.
 Both the Thomas solve and the lambda_p descent copy work on the
 Dirichlet-reduced stiffness built here from the grid's cell geometry,
 not on the package's tridiagonal operator.  The descent copy recomputes
@@ -36,7 +38,8 @@ import numpy as np
 from tmlab import forms
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           SingularEvaluationError, StepFailureError)
-from tmlab.groundstate import GroundStateResult
+from tmlab.groundstate import (GroundStateResult, _magnus_propagators,
+                               _shooting_mesh)
 from tmlab.potentials import TabulatedPotential
 from tmlab.probe import LambdaPEstimate, _pav_nonincreasing, estimate_lambda_1
 from tmlab.radial import (RadialFunction, RadialGrid, exact_sum,
@@ -578,6 +581,37 @@ def shoot_rk45(pot, grid, rtol=1e-10, atol=1e-12):
     if np.any(full[:-1] <= 0.0):
         i = int(np.argmax(full[:-1] <= 0.0))
         raise NodalSolutionError(nodes[i])
+    return RadialFunction(grid, full / np.max(full), dirichlet=False)
+
+
+def shoot_recurrence(pot, grid):
+    """The cell-by-cell shooter that the prefix product replaced: (phi, q)
+    carried through the Magnus cell propagators by a Python loop over
+    the mesh, stopping at the first nonpositive phi."""
+    t_nodes = np.log(grid.nodes[:-1])
+    mesh = _shooting_mesh(pot, t_nodes)
+    entries = _magnus_propagators(pot, mesh)
+    finite = np.isfinite(entries).all(axis=0)
+    n_ok = finite.size if finite.all() else int(np.argmin(finite))
+    m00, m01, m10, m11 = (e[:n_ok].tolist() for e in entries)
+    phi, q = 1.0, 0.0
+    phis = [phi]
+    for i in range(n_ok):
+        prev = phi
+        phi, q = m00[i] * phi + m01[i] * q, m10[i] * phi + m11[i] * q
+        if phi <= 0.0:
+            t_zero = mesh[i] + (mesh[i + 1] - mesh[i]) * prev / (prev - phi)
+            raise NodalSolutionError(math.exp(t_zero))
+        phis.append(phi)
+    if n_ok < finite.size:
+        raise StepFailureError(
+            f"non-finite propagator on the cell at r = "
+            f"{math.exp(mesh[n_ok]):.6g}")
+
+    phi_vals = np.asarray(phis)[np.searchsorted(mesh, t_nodes)]
+    # Final cell [nodes[-2], 1]: linear continuation in t.
+    phi_end = phi_vals[-1] + q * (0.0 - t_nodes[-1])
+    full = np.concatenate([phi_vals, [phi_end]])
     return RadialFunction(grid, full / np.max(full), dirichlet=False)
 
 

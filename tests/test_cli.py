@@ -93,8 +93,8 @@ def test_groundstate_verdicts(tmp_path, capsys):
                    for line in text.splitlines()[3:] if line.startswith("# ")]
         assert footers == (["classification", "detail"]
                            if expected == "Indefinite" else
-                           ["phi_at_1", "s_at_1", "classification",
-                            "kato_ok", "gamma_fit"])
+                           ["phi_at_1", "s_at_1", "log_s_at_1",
+                            "classification", "kato_ok", "gamma_fit"])
 
 
 def test_probe_commands(tmp_path, capsys):
@@ -411,6 +411,35 @@ def test_integrator_failure_is_numerical(tmp_path, monkeypatch, capsys):
     assert run(["groundstate", "--potential", "constant:2.0",
                 "--out", str(out)]) == 3
     assert "non-finite propagator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["constant:-1e6", "constant:-2e5"])
+def test_overflowing_shot_is_numerical(tmp_path, capsys, spec):
+    # phi grows like I_0(sqrt(-c) r).  At -1e6 it overflows: the NaN
+    # profile once exited 2 as bad input.  At -2e5 phi/max phi underflows
+    # near the centre: the stretch once read nan with exit 0 and a
+    # WeaklyCoercive verdict.  Both are numerical failures now.
+    out = tmp_path / "gs.csv"
+    assert run(["groundstate", "--potential", spec, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "overflows" in captured.err
+    assert "classification" not in captured.out
+    assert not out.exists()
+
+
+def test_stretch_beyond_double_range_reads_in_log(tmp_path, capsys):
+    # s(1) overflows just below lambda_1; its logarithm does not.
+    out = tmp_path / "gs.csv"
+    assert run(["groundstate", "--potential", "constant:5.78318",
+                "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("classification=WeaklyCoercive (log s(1) = ")
+    footer = dict(ln[2:].split("=", 1) for ln in out.read_text().splitlines()
+                  if ln.startswith("# ") and "=" in ln)
+    assert footer["s_at_1"] == "inf"
+    log_s = float(footer["log_s_at_1"])
+    assert 709.8 < log_s < math.inf
+    assert f"log s(1) = {log_s:.6g}," in line
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (LAMBDA_1, bessel_j0, jacobi_identity_residual,
-                     leray_sqrt_log_residual, shoot_rk45)
+                     leray_sqrt_log_residual, shoot_recurrence, shoot_rk45)
 from tmlab import groundstate
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           StepFailureError)
@@ -278,8 +278,9 @@ class _NaNPotential(Potential):
 
 
 def test_nan_potential_is_step_failure(grid):
-    with pytest.raises(StepFailureError):
-        shoot(_NaNPotential(), grid)
+    for shooter in (shoot, shoot_recurrence):
+        with pytest.raises(StepFailureError):
+            shooter(_NaNPotential(), grid)
     # an integrator failure is no verdict
     with pytest.raises(StepFailureError):
         classify_coercivity(_NaNPotential(), grid)
@@ -297,3 +298,77 @@ def test_shoot_vectorizes_potential_evaluation(grid):
 
     shoot(Counting(), grid)
     assert len(calls) == 1
+
+
+def scan_strata(seed):
+    """The potentials of the benchmark's scan plan for one seed, drawn in
+    its order: a constant per stratum lambda_1 (0.1 k +- 0.03), k = 1..9
+    (below lambda_1) and 11..20 (above), then a gamma:g per log-uniform
+    stratum of [0.1, 8].  Returns (below lambda_1 and gamma, above)."""
+    rng = np.random.default_rng([seed, 1])
+    below, above = [], []
+    for k in [*range(1, 10), *range(11, 21)]:
+        pot = ConstantPotential(LAMBDA_1 * (0.1 * k + rng.uniform(-0.03, 0.03)))
+        (below if k < 10 else above).append(pot)
+    edges = np.linspace(math.log(0.1), math.log(8.0), 13)
+    gammas = [GammaPotential(math.exp(rng.uniform(lo, hi)))
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    return below + gammas, above
+
+
+def relative_gap(new, old):
+    return float(np.max(np.abs(new / old - 1.0)))
+
+
+def test_shoot_matches_recurrence_on_catalogue_and_scan_strata(grid):
+    # The prefix product reorders the recurrence's roundoff only.
+    pots = [ConstantPotential(0.0), ConstantPotential(2.0), LerayPotential(),
+            GammaPotential(0.5), WangYePotential(), tabulated_gamma05(grid),
+            ConstantPotential(-50.0), GammaPotential(300.0)]
+    pots += [pot for seed in range(10) for pot in scan_strata(seed)[0]]
+    for pot in pots:
+        gap = relative_gap(shoot(pot, grid).values,
+                           shoot_recurrence(pot, grid).values)
+        assert gap <= 1e-12, pot
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_shoot_matches_recurrence_next_to_lambda_1(grid, monkeypatch, eps):
+    # As phi(1) -> 0 the roundoff is amplified like 1/eps (1.6e-12 at
+    # eps = 1e-3, 1.2e-8 at 1e-7), but the reading is the recurrence's.
+    pot = ConstantPotential(LAMBDA_1 * (1.0 - eps))
+    new = classify_coercivity(pot, grid)
+    monkeypatch.setattr(groundstate, "shoot", shoot_recurrence)
+    old = classify_coercivity(pot, grid)
+    assert new.classification == old.classification
+    assert relative_gap(new.result.phi.values,
+                        old.result.phi.values) <= 1e-14 / eps
+
+
+def test_shoot_matches_recurrence_nodal_radius(grid):
+    pots = [ConstantPotential(LAMBDA_1 * f) for f in (1.01, 2.0, 10.0)]
+    pots += [pot for seed in range(10) for pot in scan_strata(seed)[1]]
+    for pot in pots:
+        with pytest.raises(NodalSolutionError) as new:
+            shoot(pot, grid)
+        with pytest.raises(NodalSolutionError) as old:
+            shoot_recurrence(pot, grid)
+        assert new.value.radius == pytest.approx(old.value.radius,
+                                                 rel=1e-12), pot
+
+
+@pytest.mark.parametrize("lam, where", [(-1e6, "shoot"),
+                                        (-2e5, "transform_s")])
+def test_overflowing_phi_is_step_failure(grid, lam, where):
+    # phi(1)/phi(0) ~ I_0(sqrt(-lam)): e^1000 overflows the shot itself;
+    # at e^447 phi/max phi ~ 3e-193 near the centre, and 1/phi^2 does.
+    pot = ConstantPotential(lam)
+    if where == "shoot":
+        with pytest.raises(StepFailureError, match="overflows"):
+            shoot(pot, grid)
+    else:
+        phi = shoot(pot, grid)
+        with pytest.raises(StepFailureError, match="overflows"):
+            transform_s(pot, phi)
+    with pytest.raises(StepFailureError, match="overflows"):
+        classify_coercivity(pot, grid)

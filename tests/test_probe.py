@@ -1,3 +1,4 @@
+import argparse
 import math
 import warnings
 from dataclasses import replace
@@ -12,14 +13,14 @@ from oracles import (LAMBDA_1, bessel_j0, disk_extremal,
                      lane_emden_lambda_p, pav_nonincreasing_stack,
                      polya_szego_gap, reduced_stiffness, thomas_solve,
                      tridiag_product)
-from tmlab import probe
+from tmlab import cli, probe
 from tmlab.errors import InvalidInputError
 from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_J,
                          eval_Q, parse_form)
 from tmlab.groundstate import (WEAKLY_COERCIVE, classify_coercivity, shoot,
                                transform_s)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
-                              LerayPotential, TabulatedPotential,
+                              LerayPotential, Potential, TabulatedPotential,
                               WangYePotential)
 from tmlab.probe import (BOUNDED, DIVERGENT, INCONCLUSIVE, TrialFamily,
                          estimate_lambda_1, estimate_lambda_p,
@@ -343,6 +344,72 @@ def test_maximize_stops_at_first_j_above_threshold(grid, monkeypatch, spec):
     assert 0 < res.iterations < probe.MAXIMIZE_BUDGET
     assert max(ascent[:-1]) <= probe.DIVERGENCE_J_THRESHOLD < ascent[-1]
     assert res.best_j == ascent[-1] and res.divergence_evidence
+
+
+class CountingPotential(Potential):
+    """Another potential, counting the evaluations it answers."""
+
+    def __init__(self, pot):
+        self.pot = pot
+        self.calls = 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.pot(r)
+
+
+def unbound(monkeypatch):
+    """Make every potential form sample V afresh for each profile, as
+    before the once-per-sweep binding."""
+    monkeypatch.setattr(PotentialRemainder, "on_grid",
+                        lambda self, grid: self)
+
+
+@pytest.mark.parametrize("key", ["gamma05", "leray"])
+def test_probe_samples_v_once_per_sweep(gs_cache, grid, monkeypatch, key):
+    # leray's sweep is over its ground-state family, gamma:0.5's over
+    # the Moser family; each row's Q is eval_Q of its profile.
+    gs = gs_cache[key]
+    family = (ground_state_family(gs) if key == "leray"
+              else moser_family(grid))
+    pot = CountingPotential(gs.potential)
+    form = PotentialRemainder(pot)
+    report = probe_supremum(form, family)
+    assert pot.calls == 1
+    assert len(report.rows) >= 5
+    for row in report.rows:
+        assert row.Q == eval_Q(form, family.make(row.k))
+    unbound(monkeypatch)
+    assert probe_supremum(form, family) == report
+
+
+def test_maximize_samples_v_once_per_call(grid_1024, monkeypatch):
+    pot = CountingPotential(GammaPotential(0.5))
+    form = PotentialRemainder(pot)
+    res = maximize_J_constrained(form, grid_1024)
+    assert pot.calls == 1
+    assert res.iterations > 0
+    unbound(monkeypatch)
+    again = maximize_J_constrained(form, grid_1024)
+    assert pot.calls > 100
+    assert (again.best_j, again.iterations) == (res.best_j, res.iterations)
+    assert np.array_equal(again.profile.values, res.profile.values)
+
+
+@pytest.mark.parametrize("ineq", sorted(cli.AUDITS))
+def test_audit_samples_v_once(grid_1024, monkeypatch, ineq):
+    pot = CountingPotential(GammaPotential(0.5))
+    monkeypatch.setattr(cli, "parse_form",
+                        lambda spec: PotentialRemainder(pot))
+    args = argparse.Namespace(form="counting", ineq=ineq, seed=3,
+                              samples=12, slack_tol=1e-8)
+    out = cli.cmd_audit(args, grid_1024)
+    assert pot.calls == 1
+    unbound(monkeypatch)
+    again = cli.cmd_audit(args, grid_1024)
+    assert pot.calls > 12
+    # Bit for bit, nan notes included.
+    assert repr(again.rows) == repr(out.rows)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmlab import radial
 from tmlab.errors import InvalidInputError, SingularEvaluationError
 from tmlab.potentials import LerayPotential
 from tmlab.radial import (RadialFunction, RadialGrid, derivative, exact_sum,
@@ -270,6 +272,86 @@ def test_exact_sum_is_fsum_at_ties(x):
 def test_exact_sum_edge_cases(x):
     x = np.array(x, dtype=float)
     assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+def _extraction_passes(x) -> int:
+    """How many extraction passes exact_sum(x) takes: each ends with the
+    two math.fsum calls of its stopping test."""
+    calls = []
+
+    def fsum(values):
+        calls.append(None)
+        return math.fsum(values)
+
+    proxy = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                     if not k.startswith("_")})
+    proxy.fsum = fsum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial, "math", proxy)
+        total = exact_sum(x)
+    assert _outcome(lambda _: total, x) == _outcome(math.fsum, x)
+    return len(calls) // 2
+
+
+@st.composite
+def _quadrature_terms(draw):
+    """Same-sign terms f(r) * area on a default grid of 16..4096 nodes,
+    f = exp(c u^2) with u a seeded random profile (J's terms)."""
+    grid = RadialGrid.default(draw(st.integers(16, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = draw(st.floats(0.0, 60.0))
+    u = rng.uniform(0.0, 1.0, len(grid))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return sign * np.exp(c * u * u) * grid.cap_areas
+
+
+@settings(deadline=None, max_examples=60)
+@given(_quadrature_terms())
+def test_exact_sum_is_fsum_on_quadrature_terms(x):
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(1e-200, 1e200), min_size=1, max_size=500),
+       st.integers(0, 2 ** 32 - 1))
+def test_exact_sum_is_fsum_next_to_negated_neighbours(values, seed):
+    # x beside -x (1 + 2^-52): the total is ~2^-52 of the terms, so the
+    # first pass cannot round it and more passes follow.
+    x = np.array(values)
+    terms = np.concatenate([x, -x * (1.0 + 2.0 ** -52)])
+    terms = np.random.default_rng(seed).permutation(terms)
+    assert _outcome(exact_sum, terms) == _outcome(math.fsum, terms)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=300),
+       st.lists(st.integers(-2 ** 30, 2 ** 30), max_size=20))
+def test_exact_sum_is_fsum_with_subnormal_residuals(tiny, normal):
+    # Multiples of 2^-1074 (subnormal up to 2^-1022) beside a few normal
+    # terms near 2^-1000: once the normal parts are peeled off, the
+    # residual's error bound underflows and the 2^k max|r| test decides.
+    x = np.array([math.ldexp(float(t), -1074) for t in tiny]
+                 + [math.ldexp(float(t), -1030) for t in normal])
+    assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+def test_exact_sum_pass_counts(grid):
+    # The package's own quadratures end after one pass ...
+    form_terms = []
+    for k in (2, 64, 2 ** 14):
+        u = moser_function(grid, k)
+        s = u.samples()
+        form_terms.append(np.exp(4.0 * math.pi * s * s) * grid.cap_areas)
+        d = derivative(u)
+        form_terms.append(d * d * grid.cell_areas)
+        form_terms.append(LerayPotential()(grid.sample_r) * s * s
+                          * grid.cap_areas)
+    for x in form_terms:
+        assert _extraction_passes(x) == 1
+    # ... while cancellation takes more.
+    x = np.geomspace(1e-3, 1e3, 4096)
+    assert _extraction_passes(np.concatenate([x, -x * (1.0 + 2.0 ** -52)])) > 1
+    assert _extraction_passes(np.concatenate([x, -x])) > 1
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=50))

@@ -26,7 +26,7 @@ ALLOWED = {
     "cli.main.argv": "perfbench/cli_child.py::main",
     # potentials and radial raise it with the offending value
     "errors.SingularEvaluationError.__init__.value":
-        "src/tmlab/radial.py::integral_weighted",
+        "src/tmlab/radial.py::weight_samples",
     # `eval --coeff`
     "forms.eval_J.coeff": "src/tmlab/cli.py::cmd_eval",
     # `probe --kmax-pow`, for either family

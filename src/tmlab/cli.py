@@ -166,7 +166,8 @@ def cmd_groundstate(args, grid: RadialGrid) -> Output:
                   {"phi_at_1": gs.phi_at_1, "s_at_1": gs.s_at_1,
                    "log_s_at_1": gs.log_s_at_1,
                    "classification": verdict.classification,
-                   "kato_ok": gs.kato_ok, "gamma_fit": gs.gamma_fit})
+                   "kato_ok": gs.kato_ok, "gamma_fit": gs.gamma_fit,
+                   "log_gamma": gs.log_gamma})
 
 
 def cmd_probe(args, grid: RadialGrid) -> Output:
@@ -235,7 +236,7 @@ AUDITS = {
 
 
 def cmd_audit(args, grid: RadialGrid) -> Output:
-    form = parse_form(args.form).on_grid(grid)
+    form = parse_form(args.form)
     columns, row, least = AUDITS[args.ineq]
     rng = np.random.default_rng(args.seed)
     rows = [(i, *row(bump_profile(rng, grid), form, rng))

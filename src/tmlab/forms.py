@@ -26,13 +26,13 @@ divergence detection downstream relies on honest overflow reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .potentials import Potential, parse_potential, spec_float
-from .radial import (RadialFunction, RadialGrid, exact_sum, gradient_norm_sq,
+from .radial import (RadialFunction, exact_sum, gradient_norm_sq,
                      integral_weighted, lp_norm, weight_samples)
 
 FOUR_PI = 4.0 * math.pi
@@ -48,13 +48,6 @@ class Remainder:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    def on_grid(self, grid: RadialGrid) -> "Remainder":
-        """The same remainder, with what depends on `grid` alone computed
-        once for profiles on it; psi keeps its bits.  eval_Q goes through
-        it, and a sweep (a probe, the maximizer, an audit) binds its form
-        once and drops the binding when it returns."""
-        return self
-
 
 class NoRemainder(Remainder):
     def psi(self, u: RadialFunction) -> float:
@@ -66,36 +59,23 @@ class NoRemainder(Remainder):
 
 @dataclass(frozen=True)
 class PotentialRemainder(Remainder):
+    """psi(u) = int_B V u^2 dx.  The form keeps V's samples for the last
+    grid it saw, as one (grid, samples) tuple replaced whole: a sweep over
+    profiles on one grid samples V once, and a profile on another grid
+    resamples, so no grid is paired with another grid's samples."""
     potential: Potential
+    _sampled: tuple = field(default=(None, None), init=False,
+                            compare=False, repr=False)
 
     def psi(self, u: RadialFunction) -> float:
-        return integral_weighted(u, self.potential)
+        grid, ws = self._sampled
+        if grid is not u.grid:
+            ws = weight_samples(u.grid, self.potential)
+            object.__setattr__(self, "_sampled", (u.grid, ws))
+        return integral_weighted(u, ws)
 
     def spec_string(self) -> str:
         return f"potential:{self.potential.spec_string()}"
-
-    def on_grid(self, grid: RadialGrid) -> "Remainder":
-        return SampledPotentialRemainder(self, grid)
-
-
-class SampledPotentialRemainder(Remainder):
-    """A potential remainder with V sampled at one grid's sample_r."""
-
-    def __init__(self, form: PotentialRemainder, grid: RadialGrid):
-        self.form = form
-        self.grid = grid
-        self.weights = weight_samples(grid, form.potential)
-
-    def psi(self, u: RadialFunction) -> float:
-        if u.grid is not self.grid:
-            return self.form.psi(u)
-        return integral_weighted(u, self.weights)
-
-    def spec_string(self) -> str:
-        return self.form.spec_string()
-
-    def on_grid(self, grid: RadialGrid) -> "Remainder":
-        return self if grid is self.grid else self.form.on_grid(grid)
 
 
 @dataclass(frozen=True)
@@ -133,9 +113,8 @@ def parse_form(text: str) -> Remainder:
 # ---------------------------------------------------------------------------
 
 def eval_Q(form: Remainder, u: RadialFunction) -> float:
-    """Q(u) = gradient energy minus remainder; may be negative.  The
-    remainder is that of form.on_grid(u.grid), a sweep's own binding."""
-    return gradient_norm_sq(u) - form.on_grid(u.grid).psi(u)
+    """Q(u) = gradient energy minus remainder; may be negative."""
+    return gradient_norm_sq(u) - form.psi(u)
 
 
 def eval_J(u: RadialFunction, coeff: float = FOUR_PI) -> float:

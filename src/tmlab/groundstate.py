@@ -70,14 +70,15 @@ KATO_ALPHA = 0.5  # the Kato-class tag's exponent (check_kato)
 class GroundStateResult:
     """phi and its stretch: log s at the grid nodes (the last entry
     continued over the final cell), the extrapolated log s(1) (inf when
-    the stretch diverges) and, in diagnostics, the log s increments over
-    the last two (1 - r)-decades."""
+    the stretch diverges), log gamma of the centre fit s(r) ~ gamma r
+    and, in diagnostics, the log s increments over the last two
+    (1 - r)-decades."""
     potential: Potential
     phi: RadialFunction
     kato_ok: bool
     log_s: np.ndarray
     log_s_at_1: float
-    gamma_fit: float
+    log_gamma: float
     diagnostics: dict
 
     @property
@@ -87,6 +88,11 @@ class GroundStateResult:
     @property
     def s_divergent(self) -> bool:
         return math.isinf(self.log_s_at_1)
+
+    @property
+    def gamma_fit(self) -> float:
+        """gamma, 0 below the double range; phi <= 1 keeps log_gamma <= 1."""
+        return math.exp(self.log_gamma)
 
     @property
     def s_at_1(self) -> float:
@@ -275,16 +281,16 @@ def transform_s(pot: Potential, phi: RadialFunction) -> GroundStateResult:
         log_s_at_1 = float(logs_end + tail)
     log_s = np.concatenate([logs_interior, [logs_end]])
 
-    # Linear behavior s(r) ~ gamma r at the center, fitted on the
-    # smallest decade of nodes.
+    # Linear behavior s(r) ~ gamma r at the center, fitted in log space
+    # on the smallest decade of nodes.
     small = nodes <= nodes[0] * 10.0
-    gamma = float(np.median(np.exp(log_s[small]) / nodes[small]))
+    log_gamma = float(np.median(log_s[small] - np.log(nodes[small])))
 
     try:
         kato_ok = bool(check_kato(pot, KATO_ALPHA).ok)
     except SingularEvaluationError:  # V is not finite on the sampled radii
         kato_ok = False
-    return GroundStateResult(pot, phi, kato_ok, log_s, log_s_at_1, gamma,
+    return GroundStateResult(pot, phi, kato_ok, log_s, log_s_at_1, log_gamma,
                              {"inc_prev_decade": inc_prev,
                               "inc_last_decade": inc_last})
 

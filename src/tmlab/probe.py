@@ -244,16 +244,13 @@ def probe_supremum(form: Remainder, family: TrialFamily,
     family on a finite stretch reads Inconclusive: each J is still a
     lower bound for S, but a finite family shows no growth.  Q is eval_Q
     of each profile, so the lower bound holds up to the midpoint
-    quadrature of J, which is not one-sided (ROADMAP item 7).  The form
-    is bound to the profiles' grid once (Remainder.on_grid), so a
-    potential is sampled once per sweep and each Q keeps eval_Q's bits.
+    quadrature of J, which is not one-sided (ROADMAP item 7).  The
+    profiles share one grid, so a potential form samples V once per sweep.
     """
     rows: list[ProbeRow] = []
-    bound = form
     for k in family.params:
         u = family.make(k)
-        bound = bound.on_grid(u.grid)  # V is sampled for the first row only
-        q = eval_Q(bound, u)
+        q = eval_Q(form, u)
         if q <= 0.0:
             rows.append(ProbeRow(float(k), q, math.inf, True,
                                  "nonpositive form value"))
@@ -311,7 +308,6 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
     gradient stays finite.
     """
     rng = np.random.default_rng(MAXIMIZE_SEED)
-    form = form.on_grid(grid)
 
     def score(vals: np.ndarray) -> tuple[float, RadialFunction]:
         u = RadialFunction(grid, vals, dirichlet=True)

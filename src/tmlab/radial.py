@@ -21,12 +21,13 @@ beside them.
 
 Every quadrature sum is correctly rounded: `exact_sum` returns the float
 nearest the exact sum of its terms (the value math.fsum gives), so the
-result does not depend on the order of the terms.  It stops extracting as
-soon as the unextracted residual can no longer move the rounded total,
-after one vectorized pass for a quadrature's same-sign terms, and still
-returns fsum's bits.  The module, like the whole package, needs only
-numpy.  Grids and profiles are finite by construction: the constructors
-reject non-finite nodes and values.
+result does not depend on the order of the terms.  One vectorized
+extraction decides a quadrature's same-sign terms; any sum it cannot
+decide goes to math.fsum.  Weighted integrals take the weight as its
+samples at grid.sample_r (weight_samples), so a caller samples once per
+grid.  The module, like the whole package, needs only numpy.  Grids and
+profiles are finite by construction: the constructors reject non-finite
+nodes and values.
 
 The default grid clusters nodes geometrically toward both endpoints
 (first node 1e-8, last interior node 1 - 1e-8) because the singular
@@ -137,17 +138,6 @@ class RadialFunction:
     def zero(cls, grid: RadialGrid) -> "RadialFunction":
         return cls(grid, np.zeros(len(grid)), dirichlet=True)
 
-    @classmethod
-    def constant(cls, grid: RadialGrid, c: float) -> "RadialFunction":
-        return cls(grid, np.full(len(grid), float(c)), dirichlet=(c == 0.0))
-
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, f) -> "RadialFunction":
-        """The Dirichlet profile f(nodes), set to 0 at r = 1."""
-        vals = np.array(f(grid.nodes), dtype=float)
-        vals[-1] = 0.0
-        return cls(grid, vals, dirichlet=True)
-
     def __call__(self, r):
         """Evaluate by linear interpolation (constant left of nodes[0])."""
         return np.interp(r, self.grid.nodes, self.values)
@@ -199,57 +189,41 @@ class RadialFunction:
 def exact_sum(x) -> float:
     """Correctly rounded sum of a float array, bit for bit math.fsum(x).
 
-    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31, 2008, Lemma 3.3): with
-    m = max|r| <= 2^-k sigma, sigma a power of two and 2^k > n + 2,
-    q = (sigma + r) - sigma and r - q are exact, and every q_i is a
-    multiple of ulp(sigma)/2 with sum |q_i| < sigma, so sum(q) is exact
-    in any order.  Each pass peels q off into one exact partial sum and
-    leaves a residual r, whose exact sum T it brackets in [lo, hi].  Once
-    fsum(partials + [lo]) equals fsum(partials + [hi]), that value is
-    fsum(x), since rounding is monotone (Rump, Ogita and Oishi's stopping
-    test).  Two brackets serve:
+    One error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31, 2008,
+    Lemma 3.3): with m = max|x| <= 2^-k sigma, sigma a power of two and
+    2^k > n + 2, q = (x + sigma) - sigma and r = x - q are exact, and
+    every q_i is a multiple of ulp(sigma)/2 with sum |q_i| < sigma, so
+    sum(q) is exact in any order.  The exact sum of r lies within
+    e = 2 (n + 1) 2^-53 sum|r| of its float sum s: any summation order of
+    n terms errs by at most (n - 1) 2^-53 sum|r| / (1 - (n - 1) 2^-53),
+    and the float sum of |r| and the product lose at most a factor
+    (1 - n 2^-53), so e bounds the error while e is a normal double.
+    With head = [sum(q), s], once fsum(head + [e]) equals
+    fsum(head + [-e]), that value is fsum(x), since rounding is monotone
+    (Rump, Ogita and Oishi's stopping test).
 
-      * [s - e, s + e] with s the float sum of r and e = 2 (n + 1) 2^-53
-        times the float sum of |r|.  Any summation order of n terms errs
-        by at most (n - 1) 2^-53 sum|r| / (1 - (n - 1) 2^-53), and the
-        float sum of |r| and the product lose at most a factor
-        (1 - n 2^-53), so e bounds |T - s| while e is a normal double.
-        Sums whose terms share a sign (the quadratures) end here after
-        one pass.
-      * [-b, b] with b = 2^k max|r| >= n max|r| >= |T|, wherever e could
-        underflow; b = 0 ends every sum once the residual vanishes.
-
-    Zero, non-finite and near-overflow input goes to math.fsum unchanged,
-    which keeps its signed zero, inf/nan results and exceptions.
+    Every other input goes to math.fsum(x): a sum that cancels below e, an
+    e that is subnormal or zero, and zero, non-finite and near-overflow
+    input (which keeps fsum's signed zero, inf/nan results and
+    exceptions).  The package's quadratures (same-sign terms) end on the
+    one test.
     """
     x = np.asarray(x, dtype=float)
     m = float(np.max(np.abs(x))) if x.size else 0.0
     if not 0.0 < m < 2.0 ** 900:
         return math.fsum(x)
-    k = (x.size + 2).bit_length()
-    slack = 2.0 * (x.size + 1) * 2.0 ** -53
-    partials = []
-    r = x.copy()
-    q = np.empty_like(r)
-    while True:
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        r -= q
-        partials.append(float(q.sum()))
-        np.abs(r, out=q)
-        e = slack * float(q.sum())
-        if e >= 2.0 ** -1022:  # the smallest normal double
-            s = float(r.sum())
-            lo, hi = [s, -e], [s, e]
-        else:
-            b = math.ldexp(float(q.max()), k)
-            lo, hi = [-b], [b]
-        total = math.fsum(partials + hi)
-        if total == math.fsum(partials + lo):
+    sigma = math.ldexp(1.0, math.frexp(m)[1] + (x.size + 2).bit_length())
+    q = x + sigma
+    q -= sigma
+    r = x - q
+    head = [float(q.sum()), float(r.sum())]
+    e = 2.0 * (x.size + 1) * 2.0 ** -53 * float(np.abs(r, out=q).sum())
+    if e >= 2.0 ** -1022:  # the smallest normal double
+        total = math.fsum(head + [e])
+        if total == math.fsum(head + [-e]):
             return total
-        m = float(q.max())
+    return math.fsum(x)
 
 
 def derivative(u: RadialFunction) -> np.ndarray:
@@ -269,16 +243,30 @@ def gradient_norm_sq(u: RadialFunction) -> float:
 
 
 def lp_norm(u: RadialFunction, p: float) -> float:
-    """(2 pi int |u|^p r dr)^(1/p) over the cap-and-midpoint samples."""
+    """(2 pi int |u|^p r dr)^(1/p) over the cap-and-midpoint samples.
+
+    The p-th powers are summed as they are, so a finite norm keeps its
+    bits.  If their sum overflows, or underflows to 0 for a nonzero
+    profile, the norm has no double value: FloatingPointError."""
     if p < 1:
         raise InvalidInputError(f"lp_norm needs p >= 1, got {p}")
-    return exact_sum(np.abs(u.samples()) ** p * u.grid.cap_areas) ** (1.0 / p)
+    terms = u.samples()
+    np.abs(terms, out=terms)
+    with np.errstate(over="ignore"):
+        np.power(terms, p, out=terms)
+        terms *= u.grid.cap_areas
+    total = exact_sum(terms)
+    if not total < math.inf or (total == 0.0 and u.values.any()):
+        raise FloatingPointError(
+            f"||u||_{p:g}: the sum of |u|^p "
+            f"{'overflows' if total else 'underflows to 0'}")
+    return total ** (1.0 / p)
 
 
 def weight_samples(grid: RadialGrid, w) -> np.ndarray:
     """The callable scalar field `w` on (0, 1) at grid.sample_r, where
-    integral_weighted reads it: endpoint-singular weights (Hardy/Leray
-    type) stay finite there.  A non-finite value raises
+    integral_weighted and mass read it: endpoint-singular weights
+    (Hardy/Leray type) stay finite there.  A non-finite value raises
     SingularEvaluationError naming the offending abscissa."""
     rs = grid.sample_r
     ws = np.asarray(w(rs), dtype=float)
@@ -291,14 +279,9 @@ def weight_samples(grid: RadialGrid, w) -> np.ndarray:
     return ws
 
 
-def integral_weighted(u: RadialFunction, w) -> float:
-    """2 pi int_0^1 w(r) u(r)^2 r dr over the cap-and-midpoint samples.
-
-    `w` is a callable scalar field on (0, 1), sampled by weight_samples,
-    or those samples themselves (an array), so a sweep over profiles on
-    one grid evaluates w once.
-    """
-    ws = w if isinstance(w, np.ndarray) else weight_samples(u.grid, w)
+def integral_weighted(u: RadialFunction, ws: np.ndarray) -> float:
+    """2 pi int_0^1 w(r) u(r)^2 r dr over the cap-and-midpoint samples,
+    given ws = weight_samples(u.grid, w)."""
     s = u.samples()
     return exact_sum(ws * s * s * u.grid.cap_areas)
 
@@ -344,8 +327,8 @@ def mass(grid: RadialGrid, w: np.ndarray):
     """(diag, off) of the mass M_w with x^T M_w x = sum_s w_s area_s
     (S x)_s^2, S the sampling of RadialFunction.samples and w given at
     grid.sample_r: 0.25 w area on each cell's two nodes and their
-    coupling, plus the cap term w_0 cap on entry 0 of diag.
-    integral_weighted(u, V) is u^T M_V u."""
+    coupling, plus the cap term w_0 cap on entry 0 of diag.  For
+    ws = weight_samples(grid, V), integral_weighted(u, ws) is u^T M_ws u."""
     diag, off = tridiagonal(0.25 * w[1:] * grid.cell_areas, 1.0)
     diag[0] += w[0] * grid.cap_areas[0]
     return diag, off

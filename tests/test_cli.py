@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from profiles import from_callable
 import tmlab
 from tmlab.cli import COMMANDS, main
 from tmlab.radial import RadialFunction, RadialGrid
@@ -49,7 +50,7 @@ def test_eval_moser_with_constant(tmp_path, capsys):
 
 def test_eval_profile_from_file(tmp_path):
     grid = RadialGrid.default(512)
-    prof = RadialFunction.from_callable(grid, lambda r: (1 - r) ** 2)
+    prof = from_callable(grid, lambda r: (1 - r) ** 2)
     src = tmp_path / "prof.csv"
     prof.to_csv(src)
     out = tmp_path / "ev.csv"
@@ -60,7 +61,7 @@ def test_eval_profile_from_file(tmp_path):
 def test_eval_rejects_non_finite_profile(tmp_path, capsys):
     grid = RadialGrid.default(512)
     src = tmp_path / "prof.csv"
-    RadialFunction.from_callable(grid, lambda r: 1 - r).to_csv(src)
+    from_callable(grid, lambda r: 1 - r).to_csv(src)
     lines = src.read_text().splitlines()
     lines[100] = lines[100].split(",")[0] + ",nan"
     src.write_text("\n".join(lines) + "\n")
@@ -94,7 +95,8 @@ def test_groundstate_verdicts(tmp_path, capsys):
         assert footers == (["classification", "detail"]
                            if expected == "Indefinite" else
                            ["phi_at_1", "s_at_1", "log_s_at_1",
-                            "classification", "kato_ok", "gamma_fit"])
+                            "classification", "kato_ok", "gamma_fit",
+                            "log_gamma"])
 
 
 def test_probe_commands(tmp_path, capsys):
@@ -247,7 +249,7 @@ def test_rearranged_profile_reads_back(tmp_path):
     # The CLI's profile files carry `#` provenance lines, which the
     # profile reader once took for data.
     grid = RadialGrid.default(512)
-    prof = RadialFunction.from_callable(
+    prof = from_callable(
         grid, lambda r: np.exp(-((r - 0.4) / 0.2) ** 2) * (1 - r))
     src, out = tmp_path / "in.csv", tmp_path / "sharp.csv"
     prof.to_csv(src)
@@ -279,7 +281,7 @@ def test_readme_examples_run(tmp_path, monkeypatch):
                 if line.startswith("tm-lab ")]
     assert len(examples) == 14
     monkeypatch.chdir(tmp_path)
-    RadialFunction.from_callable(RadialGrid.default(256),
+    from_callable(RadialGrid.default(256),
                                  lambda r: (1 - r) ** 2).to_csv("profile.csv")
     for argv in examples:
         code = run(argv + ["--grid-n", "256"])
@@ -440,6 +442,36 @@ def test_stretch_beyond_double_range_reads_in_log(tmp_path, capsys):
     log_s = float(footer["log_s_at_1"])
     assert 709.8 < log_s < math.inf
     assert f"log s(1) = {log_s:.6g}," in line
+
+
+def test_centre_fit_below_double_range_reads_in_log(tmp_path, capsys):
+    # gamma = exp(-499851) underflows; its logarithm does not (the
+    # footer once read gamma_fit=0 alone).
+    out = tmp_path / "gs.csv"
+    assert run(["groundstate", "--potential", "constant:-50",
+                "--out", str(out)]) == 0
+    footer = dict(ln[2:].split("=", 1) for ln in out.read_text().splitlines()
+                  if ln.startswith("# ") and "=" in ln)
+    assert footer["gamma_fit"] == "0"
+    assert -5.0e5 < float(footer["log_gamma"]) < -4.9e5
+
+
+# The p-th powers of ||u||_p at p = 1e300 overflow (max |u| > 1) or all
+# underflow to 0 (max |u| < 1).  These once printed a verdict, a
+# violation, lambda_p = 0 or Q = -inf / Q = 1 (psi = 0).
+@pytest.mark.parametrize("argv", [
+    ["probe", "--form", "lp:1:1e300"],
+    ["audit", "--ineq", "orlicz", "--form", "lp:1:1e300", "--samples", "20"],
+    ["lambda", "--which", "p", "--p", "1e300"],
+    ["eval", "--u", "moser:1024", "--form", "lp:1:1e300"],
+    ["eval", "--u", "moser:2", "--form", "lp:1:1e300"],
+])
+def test_lp_norm_out_of_range_is_numerical(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--grid-n", "256", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ||u||_1e+300")
+    assert not captured.out and not out.exists()
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

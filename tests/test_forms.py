@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import LAMBDA_1, luxemburg_norm_bisection, moser_j_oracle
+from profiles import constant, from_callable
 from tmlab import forms
 from tmlab.errors import InvalidInputError
 from tmlab.forms import (FOUR_PI, LpRemainder, NoRemainder,
@@ -14,7 +15,7 @@ from tmlab.forms import (FOUR_PI, LpRemainder, NoRemainder,
 from tmlab.potentials import ConstantPotential, GammaPotential
 from tmlab.probe import moser_function
 from tmlab.radial import (RadialFunction, RadialGrid, gradient_norm_sq,
-                          integral_weighted, lp_norm)
+                          integral_weighted, lp_norm, weight_samples)
 from tmlab.sampling import bump_profile, nonneg_profile
 
 
@@ -82,9 +83,9 @@ def test_onofri_lhs_examples(grid):
     zero = RadialFunction.zero(grid)
     assert onofri_lhs(zero) == 1.0
     for c in (-2.0, 0.5, 3.0):
-        u = RadialFunction.constant(grid, c)
+        u = constant(grid, c)
         assert onofri_lhs(u) == pytest.approx(c + math.exp(-c), rel=1e-13)
-    bump = RadialFunction.from_callable(
+    bump = from_callable(
         grid, lambda r: 3.0 * np.exp(-(r / 0.3) ** 2) * (1 - r))
     assert onofri_lhs(bump) > 1.0
 
@@ -103,8 +104,8 @@ def test_onofri_rhs_examples(grid):
 def test_onofri_rhs_arithmetic(grid):
     # engineer |grad u|^2 = 16 pi with ||u||_2^2 = 1.6 pi: the unit-constant
     # remainder then gives 1 + 1 - 0.1 = 1.9
-    base = RadialFunction.from_callable(grid, lambda r: 1 - r**2)
-    sharp = RadialFunction.from_callable(grid, lambda r: (1 - r**2) ** 6)
+    base = from_callable(grid, lambda r: 1 - r**2)
+    sharp = from_callable(grid, lambda r: (1 - r**2) ** 6)
 
     def ratio(t):
         u = RadialFunction(grid, base.values + t * sharp.values)
@@ -214,7 +215,7 @@ def test_luxemburg_start_bracket(grid):
     bound = math.pi * math.expm1(FOUR_PI / 100.0)
     assert bound < 1.0
     for c in (1e-3, 0.7, 3.0, 1e4):
-        u = RadialFunction.constant(grid, c)
+        u = constant(grid, c)
         assert orlicz_integral(u, 10.0 * c) == pytest.approx(bound, rel=1e-12)
 
 
@@ -238,7 +239,8 @@ def test_holder_step(grid):
         for _ in range(20):
             u = nonneg_profile(rng, grid)
             phi = nonneg_profile(rng, grid)
-            lhs = integral_weighted(phi, lambda r: u(r) ** (p - 2))
+            lhs = integral_weighted(
+                phi, weight_samples(grid, lambda r: u(r) ** (p - 2)))
             rhs = lp_norm(u, p) ** (p - 2) * lp_norm(phi, p) ** 2
             assert rhs - lhs >= -1e-10 * max(1.0, rhs)
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (LAMBDA_1, bessel_j0, jacobi_identity_residual,
                      leray_sqrt_log_residual, shoot_recurrence, shoot_rk45)
+from profiles import constant, from_callable
 from tmlab import groundstate
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
                           StepFailureError)
@@ -89,6 +90,17 @@ def test_stretch_invariants_weakly_coercive(gs_cache, grid):
             assert np.all(s[:-1] <= grid.nodes[:-1] * gs.s_at_1 * (1 + 1e-9)), key
 
 
+def test_centre_fit_in_log_space(gs_cache, grid):
+    # exp(median(log s - log r)) moves the linear-domain median of s / r
+    # by at most 1e-11 relative (an even count's midpoint average), and
+    # log s(r) <= 1 + log r near the centre since phi <= 1.
+    small = grid.nodes <= grid.nodes[0] * 10.0
+    for key, gs in gs_cache.items():
+        linear = np.median(np.exp(gs.log_s[small]) / grid.nodes[small])
+        assert gs.gamma_fit == pytest.approx(linear, rel=1e-11), key
+        assert gs.log_gamma <= 1.0, key
+
+
 def test_jacobi_identity_trivials(gs_cache, grid):
     gs = gs_cache["zero"]
     zero = RadialFunction.zero(grid)
@@ -101,14 +113,14 @@ def test_jacobi_identity_trivials(gs_cache, grid):
 
 def test_jacobi_identity_constant_potential(gs_cache, grid):
     gs = gs_cache["const2"]
-    u = RadialFunction.from_callable(grid, lambda r: 1.0 - r)
+    u = from_callable(grid, lambda r: 1.0 - r)
     res = jacobi_identity_residual(gs, u)
     assert res < 1e-4
     # refinement shrinks the defect
     g2 = RadialGrid.default(8192)
     gs2 = transform_s(ConstantPotential(2.0),
                       shoot(ConstantPotential(2.0), g2))
-    u2 = RadialFunction.from_callable(g2, lambda r: 1.0 - r)
+    u2 = from_callable(g2, lambda r: 1.0 - r)
     assert jacobi_identity_residual(gs2, u2) < res
 
 
@@ -127,7 +139,7 @@ def test_jacobi_identity_random_profiles(gs_cache, grid):
 def test_jacobi_requires_dirichlet(gs_cache, grid):
     with pytest.raises(InvalidInputError):
         jacobi_identity_residual(gs_cache["const2"],
-                                 RadialFunction.constant(grid, 1.0))
+                                 constant(grid, 1.0))
 
 
 def test_classification_catalogue(grid):

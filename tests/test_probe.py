@@ -1,5 +1,7 @@
 import argparse
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -15,8 +17,8 @@ from oracles import (LAMBDA_1, bessel_j0, disk_extremal,
                      tridiag_product)
 from tmlab import cli, probe
 from tmlab.errors import InvalidInputError
-from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder, eval_J,
-                         eval_Q, parse_form)
+from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder,
+                         Remainder, eval_J, eval_Q, parse_form)
 from tmlab.groundstate import (WEAKLY_COERCIVE, classify_coercivity, shoot,
                                transform_s)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
@@ -358,15 +360,21 @@ class CountingPotential(Potential):
         return self.pot(r)
 
 
-def unbound(monkeypatch):
-    """Make every potential form sample V afresh for each profile, as
-    before the once-per-sweep binding."""
-    monkeypatch.setattr(PotentialRemainder, "on_grid",
-                        lambda self, grid: self)
+class FreshForm(Remainder):
+    """A potential form that samples V afresh for every profile."""
+
+    def __init__(self, pot):
+        self.pot = pot
+
+    def psi(self, u):
+        return PotentialRemainder(self.pot).psi(u)
+
+    def spec_string(self):
+        return PotentialRemainder(self.pot).spec_string()
 
 
 @pytest.mark.parametrize("key", ["gamma05", "leray"])
-def test_probe_samples_v_once_per_sweep(gs_cache, grid, monkeypatch, key):
+def test_probe_samples_v_once_per_sweep(gs_cache, grid, key):
     # leray's sweep is over its ground-state family, gamma:0.5's over
     # the Moser family; each row's Q is eval_Q of its profile.
     gs = gs_cache[key]
@@ -378,19 +386,17 @@ def test_probe_samples_v_once_per_sweep(gs_cache, grid, monkeypatch, key):
     assert pot.calls == 1
     assert len(report.rows) >= 5
     for row in report.rows:
-        assert row.Q == eval_Q(form, family.make(row.k))
-    unbound(monkeypatch)
-    assert probe_supremum(form, family) == report
+        assert row.Q == eval_Q(PotentialRemainder(gs.potential),
+                               family.make(row.k))
+    assert probe_supremum(FreshForm(pot), family) == report
 
 
-def test_maximize_samples_v_once_per_call(grid_1024, monkeypatch):
+def test_maximize_samples_v_once_per_call(grid_1024):
     pot = CountingPotential(GammaPotential(0.5))
-    form = PotentialRemainder(pot)
-    res = maximize_J_constrained(form, grid_1024)
+    res = maximize_J_constrained(PotentialRemainder(pot), grid_1024)
     assert pot.calls == 1
     assert res.iterations > 0
-    unbound(monkeypatch)
-    again = maximize_J_constrained(form, grid_1024)
+    again = maximize_J_constrained(FreshForm(pot), grid_1024)
     assert pot.calls > 100
     assert (again.best_j, again.iterations) == (res.best_j, res.iterations)
     assert np.array_equal(again.profile.values, res.profile.values)
@@ -399,17 +405,60 @@ def test_maximize_samples_v_once_per_call(grid_1024, monkeypatch):
 @pytest.mark.parametrize("ineq", sorted(cli.AUDITS))
 def test_audit_samples_v_once(grid_1024, monkeypatch, ineq):
     pot = CountingPotential(GammaPotential(0.5))
-    monkeypatch.setattr(cli, "parse_form",
-                        lambda spec: PotentialRemainder(pot))
+    forms = iter([PotentialRemainder(pot), FreshForm(pot)])
+    monkeypatch.setattr(cli, "parse_form", lambda spec: next(forms))
     args = argparse.Namespace(form="counting", ineq=ineq, seed=3,
                               samples=12, slack_tol=1e-8)
     out = cli.cmd_audit(args, grid_1024)
     assert pot.calls == 1
-    unbound(monkeypatch)
     again = cli.cmd_audit(args, grid_1024)
     assert pot.calls > 12
     # Bit for bit, nan notes included.
     assert repr(again.rows) == repr(out.rows)
+
+
+def test_form_resamples_on_each_grid_switch(grid, grid_1024):
+    # Grid A, then B, then A: three samplings, each Q a fresh form's.
+    pot = CountingPotential(GammaPotential(0.5))
+    form = PotentialRemainder(pot)
+    us = [moser_function(g, 16) for g in (grid, grid_1024, grid)]
+    qs = [eval_Q(form, u) for u in us]
+    assert pot.calls == 3
+    assert qs == [eval_Q(PotentialRemainder(GammaPotential(0.5)), u)
+                  for u in us]
+    # The samples are no part of the form's value.
+    twin = PotentialRemainder(pot)
+    assert form == twin and hash(form) == hash(twin)
+    assert repr(form) == repr(twin)
+
+
+def test_form_shared_across_threads_keeps_fresh_bits():
+    # Threads on two grids share one form: a sampling may be repeated,
+    # but no Q may pair a profile with the other grid's samples.
+    pot = GammaPotential(0.5)
+    form = PotentialRemainder(pot)
+    us = [moser_function(RadialGrid.default(n), 16) for n in (64, 128)]
+    want = [eval_Q(PotentialRemainder(pot), u) for u in us]
+    bad = []
+
+    def work(i):
+        for j in range(300):
+            k = (i + j) % 2
+            if eval_Q(form, us[k]) != want[k]:
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 @pytest.fixture(scope="module")

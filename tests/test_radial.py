@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profiles import constant, from_callable
 from tmlab import radial
 from tmlab.errors import InvalidInputError, SingularEvaluationError
 from tmlab.potentials import LerayPotential
 from tmlab.radial import (RadialFunction, RadialGrid, derivative, exact_sum,
-                          gradient_norm_sq, integral_weighted, lp_norm)
+                          gradient_norm_sq, integral_weighted, lp_norm,
+                          weight_samples)
 from tmlab.probe import moser_function
 
 
@@ -63,7 +65,7 @@ def test_function_rejects_non_finite_values(bad):
 
 def test_gradient_norm_examples(grid):
     assert gradient_norm_sq(RadialFunction.zero(grid)) == 0.0
-    ramp = RadialFunction.from_callable(grid, lambda r: 1.0 - r)
+    ramp = from_callable(grid, lambda r: 1.0 - r)
     assert gradient_norm_sq(ramp) == pytest.approx(math.pi, abs=1e-10)
     m = moser_function(grid, 64)
     assert gradient_norm_sq(m) == pytest.approx(1.0, abs=1e-3)
@@ -75,26 +77,26 @@ def test_gradient_needs_two_nodes():
 
 
 def test_lp_norm_examples(grid):
-    one = RadialFunction.constant(grid, 1.0)
+    one = constant(grid, 1.0)
     assert lp_norm(one, 2) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
     assert lp_norm(RadialFunction.zero(grid), 3) == 0.0
-    ramp = RadialFunction.from_callable(grid, lambda r: 1.0 - r)
+    ramp = from_callable(grid, lambda r: 1.0 - r)
     assert lp_norm(ramp, 1) == pytest.approx(math.pi / 3.0, abs=1e-5)
     with pytest.raises(InvalidInputError):
         lp_norm(one, 0.5)
 
 
 def test_integral_weighted_examples(grid):
-    one = RadialFunction.constant(grid, 1.0)
-    assert integral_weighted(one, lambda r: np.zeros_like(r)) == 0.0
-    assert integral_weighted(one, lambda r: np.ones_like(r)) == \
+    one = constant(grid, 1.0)
+    assert integral_weighted(one, weight_samples(grid, np.zeros_like)) == 0.0
+    assert integral_weighted(one, weight_samples(grid, np.ones_like)) == \
         pytest.approx(math.pi, abs=1e-12)
 
 
 def test_integral_weighted_leray_oracle(grid):
     # sqrt(log 1/r) against the borderline Hardy weight, truncated at the
     # last interior node; oracle is the closed form of the L-substitution.
-    u = RadialFunction.from_callable(
+    u = from_callable(
         grid, lambda r: np.sqrt(np.log(1.0 / np.minimum(r, 1 - 1e-16))))
     r_lo, eps_edge = grid.nodes[0], grid.nodes[-2]
     pot = LerayPotential()
@@ -102,22 +104,20 @@ def test_integral_weighted_leray_oracle(grid):
     def w(r):
         return np.where((r >= r_lo) & (r < eps_edge), pot(r), 0.0)
 
-    disc = integral_weighted(u, w)
+    disc = integral_weighted(u, weight_samples(grid, w))
     oracle = (math.pi / 2.0) * math.log(math.log(1.0 / grid.nodes[0])
                                         / math.log(1.0 / eps_edge))
     assert disc == pytest.approx(oracle, rel=1e-4)
 
 
 def test_integral_weighted_singular_report(grid):
-    one = RadialFunction.constant(grid, 1.0)
-
     def bad(r):
         out = np.ones_like(r)
         out[r > 0.5] = np.inf
         return out
 
     with pytest.raises(SingularEvaluationError) as err:
-        integral_weighted(one, bad)
+        weight_samples(grid, bad)
     assert err.value.abscissa > 0.5
 
 
@@ -128,18 +128,19 @@ def test_integral_weighted_linear_and_monotone(grid):
     u = RadialFunction(grid, vals)
     w1 = lambda r: np.exp(-r)
     w2 = lambda r: np.exp(-r) + 0.3 * r
-    a = integral_weighted(u, w1)
-    b = integral_weighted(u, lambda r: 0.3 * r)
-    assert integral_weighted(u, w2) == pytest.approx(a + b, rel=1e-12)
-    assert a <= integral_weighted(u, w2)
+    a = integral_weighted(u, weight_samples(grid, w1))
+    b = integral_weighted(u, weight_samples(grid, lambda r: 0.3 * r))
+    c = integral_weighted(u, weight_samples(grid, w2))
+    assert c == pytest.approx(a + b, rel=1e-12)
+    assert a <= c
 
 
 def test_derivative_examples(grid):
-    const = RadialFunction.constant(grid, 4.0)
+    const = constant(grid, 4.0)
     assert np.all(derivative(const) == 0.0)
-    ramp = RadialFunction.from_callable(grid, lambda r: 1.0 - r)
+    ramp = from_callable(grid, lambda r: 1.0 - r)
     assert np.allclose(derivative(ramp), -1.0)
-    u = RadialFunction.from_callable(
+    u = from_callable(
         grid, lambda r: np.sqrt(np.log(1.0 / np.minimum(r, 1 - 1e-16))))
     a, b = grid.nodes[100], grid.nodes[101]
     expected = (u.values[101] - u.values[100]) / (b - a)
@@ -163,7 +164,7 @@ def test_gradient_refinement_second_order():
     errs = []
     for n in (512, 1024, 2048):
         g = RadialGrid.default(n)
-        u = RadialFunction.from_callable(g, lambda r: np.cos(math.pi * r / 2))
+        u = from_callable(g, lambda r: np.cos(math.pi * r / 2))
         errs.append(abs(gradient_norm_sq(u) - exact))
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
@@ -176,7 +177,7 @@ def test_dirichlet_flag_enforced(grid):
 
 
 def test_interpolation_constant_left_of_first_node(grid):
-    u = RadialFunction.from_callable(grid, lambda r: 1.0 - r)
+    u = from_callable(grid, lambda r: 1.0 - r)
     assert u(grid.nodes[0] / 10.0) == u.values[0]
 
 
@@ -239,9 +240,8 @@ def _tie_terms(draw):
 
     The half ulp is split into a few exact pieces, nudged by zero or by a
     tiny amount either way, and hidden among cancelling pairs of other
-    magnitudes, all shuffled: an exact tie, or a total just off one, can
-    only be rounded once the residual is far below the nudge, while the
-    other draws are decided after the first passes."""
+    magnitudes, all shuffled: an exact tie, or a total just off one, is
+    too close to call for the one-pass test and goes to math.fsum."""
     n = draw(st.integers(2, 4096))
     head = draw(st.floats(1.0, 2.0, exclude_max=True)) \
         * 2.0 ** draw(st.integers(-60, 60))
@@ -274,13 +274,12 @@ def test_exact_sum_edge_cases(x):
     assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
 
 
-def _extraction_passes(x) -> int:
-    """How many extraction passes exact_sum(x) takes: each ends with the
-    two math.fsum calls of its stopping test."""
+def _fsum_calls(x) -> list:
+    """The argument of each math.fsum call that exact_sum(x) makes."""
     calls = []
 
     def fsum(values):
-        calls.append(None)
+        calls.append(values)
         return math.fsum(values)
 
     proxy = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
@@ -290,7 +289,7 @@ def _extraction_passes(x) -> int:
         mp.setattr(radial, "math", proxy)
         total = exact_sum(x)
     assert _outcome(lambda _: total, x) == _outcome(math.fsum, x)
-    return len(calls) // 2
+    return calls
 
 
 @st.composite
@@ -316,7 +315,7 @@ def test_exact_sum_is_fsum_on_quadrature_terms(x):
        st.integers(0, 2 ** 32 - 1))
 def test_exact_sum_is_fsum_next_to_negated_neighbours(values, seed):
     # x beside -x (1 + 2^-52): the total is ~2^-52 of the terms, so the
-    # first pass cannot round it and more passes follow.
+    # one-pass test cannot round it and math.fsum does.
     x = np.array(values)
     terms = np.concatenate([x, -x * (1.0 + 2.0 ** -52)])
     terms = np.random.default_rng(seed).permutation(terms)
@@ -329,14 +328,15 @@ def test_exact_sum_is_fsum_next_to_negated_neighbours(values, seed):
 def test_exact_sum_is_fsum_with_subnormal_residuals(tiny, normal):
     # Multiples of 2^-1074 (subnormal up to 2^-1022) beside a few normal
     # terms near 2^-1000: once the normal parts are peeled off, the
-    # residual's error bound underflows and the 2^k max|r| test decides.
+    # residual's error bound is subnormal and math.fsum decides.
     x = np.array([math.ldexp(float(t), -1074) for t in tiny]
                  + [math.ldexp(float(t), -1030) for t in normal])
     assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
 
 
 def test_exact_sum_pass_counts(grid):
-    # The package's own quadratures end after one pass ...
+    # The package's own quadratures are decided by the one-pass test's
+    # two fsum calls, with no math.fsum over the terms ...
     form_terms = []
     for k in (2, 64, 2 ** 14):
         u = moser_function(grid, k)
@@ -347,11 +347,13 @@ def test_exact_sum_pass_counts(grid):
         form_terms.append(LerayPotential()(grid.sample_r) * s * s
                           * grid.cap_areas)
     for x in form_terms:
-        assert _extraction_passes(x) == 1
-    # ... while cancellation takes more.
+        calls = _fsum_calls(x)
+        assert len(calls) == 2 and all(c is not x for c in calls)
+    # ... while cancelling sums fall back to math.fsum(x).
     x = np.geomspace(1e-3, 1e3, 4096)
-    assert _extraction_passes(np.concatenate([x, -x * (1.0 + 2.0 ** -52)])) > 1
-    assert _extraction_passes(np.concatenate([x, -x])) > 1
+    for terms in (np.concatenate([x, -x * (1.0 + 2.0 ** -52)]),
+                  np.concatenate([x, -x])):
+        assert _fsum_calls(terms)[-1] is terms
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=50))

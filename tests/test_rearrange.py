@@ -10,6 +10,7 @@ from oracles import (check_equimeasurable, distribution_function_broadcast,
                      hardy_littlewood_gap, measure_density, mu_integral,
                      polya_szego_gap, rearrange_decreasing_loop, step_profile)
 
+from profiles import constant, from_callable
 from tmlab import rearrange
 from tmlab.errors import InvalidInputError
 from tmlab.forms import PotentialRemainder, eval_J, eval_Q
@@ -32,13 +33,13 @@ def test_measure_cumulatives():
 
 
 def test_nonincreasing_input_fixed_point(grid):
-    f = RadialFunction.from_callable(grid, lambda r: (1 - r) ** 2)
+    f = from_callable(grid, lambda r: (1 - r) ** 2)
     fs = rearrange_decreasing(f, hyperbolic_measure())
     assert np.max(np.abs(fs(grid.nodes) - f.values)) < 1e-10
 
 
 def test_constant_fixed_point(grid):
-    f = RadialFunction.constant(grid, 2.5)
+    f = constant(grid, 2.5)
     fs = rearrange_decreasing(f, hyperbolic_measure())
     assert np.all(fs.values == 2.5)
 
@@ -122,7 +123,7 @@ def test_distribution_function_memory():
 
 @pytest.mark.parametrize("levels", [1, 0, -3])
 def test_level_count_below_two_rejected(grid, levels):
-    f = RadialFunction.from_callable(grid, lambda r: 1 - r)
+    f = from_callable(grid, lambda r: 1 - r)
     with pytest.raises(InvalidInputError, match="levels"):
         check_equimeasurable(f, f, hyperbolic_measure(), levels=levels)
 
@@ -174,7 +175,7 @@ def test_equimeasurability_level_refinement(grid_1024, monkeypatch):
     # Smooth interior maximum: levels cluster like sqrt near the top, so
     # the deviation is level-sampling controlled and must shrink under
     # refinement (node values dominate until the level grid is finer).
-    f = RadialFunction.from_callable(
+    f = from_callable(
         grid_1024, lambda r: np.exp(-((r - 0.45) / 0.2) ** 2) * (1 - r))
     devs = []
     for levels in (512, 2048, 8192):
@@ -197,8 +198,8 @@ def _ps_gap(f):
 def test_hardy_littlewood_examples():
     # both nonincreasing: equality case
     g0 = RadialGrid.default(512)
-    f = RadialFunction.from_callable(g0, lambda r: (1 - r))
-    h = RadialFunction.from_callable(g0, lambda r: (1 - r) ** 3)
+    f = from_callable(g0, lambda r: (1 - r))
+    h = from_callable(g0, lambda r: (1 - r) ** 3)
     assert abs(_hl_gap(f, h, euclidean_measure())) < 1e-8
     # opposing monotonicity: strict gain, hand-computable
     nodes = np.array([1e-6, 0.8, 0.8 + 1e-9, 1.0])
@@ -221,7 +222,7 @@ def test_hardy_littlewood_sweep():
 
 def test_polya_szego_examples():
     g0 = RadialGrid.default(512)
-    mono = RadialFunction.from_callable(g0, lambda r: (1 - r) ** 2)
+    mono = from_callable(g0, lambda r: (1 - r) ** 2)
     assert abs(_ps_gap(mono)) < 1e-8
     # two-bump profile strictly relaxes
     nodes = np.array([1e-4, 0.2, 0.21, 0.3, 0.31, 0.6, 0.61, 0.7, 0.71, 1.0])
@@ -285,7 +286,7 @@ def test_mu_integral_hyperbolic_rim_tail():
 
     hyp = hyperbolic_measure()
     grid = RadialGrid.default(1024)
-    f = RadialFunction.from_callable(grid, lambda r: 1.0 - r)
+    f = from_callable(grid, lambda r: 1.0 - r)
     for p, rel in ((1.5, 1e-5), (3.0, 1e-12)):
         want = quad(lambda r: (1.0 - r) ** p * measure_density(hyp, r),
                     0.0, 1.0, epsrel=1e-13, limit=200)[0]

@@ -34,12 +34,12 @@ from .errors import InvalidInputError, TmLabError
 from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
                     luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
 from .groundstate import classify_coercivity
-from .potentials import parse_potential
-from .probe import (K_LADDER, ProbeRow, estimate_lambda_1, estimate_lambda_p,
-                    ground_state_family, moser_family, moser_function,
-                    probe_supremum)
+from .potentials import finite_float, parse_potential
+from .probe import (DIVERGENT, K_LADDER, ProbeRow, estimate_lambda_1,
+                    estimate_lambda_p, ground_state_family, moser_family,
+                    moser_function, probe_supremum)
 from .radial import RadialFunction, RadialGrid, gradient_norm_sq
-from .rearrange import euclidean_measure, hyperbolic_measure, rearrange_decreasing
+from .rearrange import MEASURES, rearrange_decreasing
 from .sampling import bump_profile
 
 USAGE_ERROR = 2
@@ -115,8 +115,8 @@ def _record(values: dict) -> Output:
 
 
 def _load_profile(spec: str, grid: RadialGrid) -> RadialFunction:
-    head, _, arg = spec.strip().partition(":")
-    if head == "zero":
+    head, sep, arg = spec.strip().partition(":")
+    if head == "zero" and not sep:  # zero takes no argument
         return RadialFunction.zero(grid)
     if head == "moser":
         try:
@@ -184,9 +184,9 @@ def cmd_probe(args, grid: RadialGrid) -> Output:
                                     f"form, not {args.form!r}")
         res = classify_coercivity(form.potential, grid)
         if res.result is None:
-            footer = {"verdict": "Divergent", "detail": res.detail}
-            return Output(f"verdict=Divergent (indefinite form: {res.detail})",
-                          columns, footer=footer, payload=footer)
+            footer = {"verdict": DIVERGENT, "detail": res.detail}
+            line = f"verdict={DIVERGENT} (indefinite form: {res.detail})"
+            return Output(line, columns, footer=footer, payload=footer)
         family = ground_state_family(res.result, ks)
     report = probe_supremum(form, family, args.coeff)
     # overflow is 0/1 in the CSV, false/true in the JSON.
@@ -251,11 +251,10 @@ def cmd_audit(args, grid: RadialGrid) -> Output:
 
 def cmd_rearrange(args, grid: RadialGrid) -> Output:
     u = _load_profile(args.u, grid)
-    measure = (hyperbolic_measure() if args.measure == "hyperbolic"
-               else euclidean_measure())
     vals = np.abs(u.values)
     out = rearrange_decreasing(
-        RadialFunction(u.grid, vals, dirichlet=u.dirichlet), measure)
+        RadialFunction(u.grid, vals, dirichlet=u.dirichlet),
+        MEASURES[args.measure])
     return Output(f"rearranged {len(u.grid)}-node profile onto "
                   f"{len(out.grid)} nodes ({args.measure})", ("r", "value"),
                   list(zip(out.grid.nodes.tolist(), out.values.tolist())))
@@ -279,14 +278,6 @@ def cmd_lambda(args, grid: RadialGrid) -> Output:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def finite_float(text: str) -> float:
-    """Flag type: a float other than nan and +-inf."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
 
 def int_range(lo: int, hi: float) -> Callable[[str], int]:
     """Flag type: an int in lo..hi (hi may be math.inf)."""
@@ -336,7 +327,7 @@ COMMANDS = {
         _SEED)),
     "rearrange": Command("decreasing rearrangement of a profile", cmd_rearrange, (
         ("--u", {"required": True}),
-        ("--measure", {"choices": ("hyperbolic", "euclidean"),
+        ("--measure", {"choices": tuple(MEASURES),
                        "default": "hyperbolic"}))),
     "lambda": Command("eigenvalue / L^p constant estimates", cmd_lambda, (
         ("--which", {"choices": ("1", "p"), "default": "1"}),

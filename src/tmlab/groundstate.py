@@ -189,29 +189,32 @@ def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
     integrated more coarsely than the default one and no cell straddles a
     kink of V.  (phi, q) at every mesh point is the first column of a
     prefix product of the cell propagators, applied to (1, 0) at
-    nodes[0] and taken in log depth (`_prefix_products`).  It differs
-    from the cell-by-cell recurrence (kept in the tests as the oracle)
-    by rounding alone: at most 4.3e-14 relative on the benchmark's scan
-    potentials, growing as phi(1) -> 0 next to lambda_1 (1.6e-12 at
-    lambda_1 (1 - 1e-3), 1.2e-8 at lambda_1 (1 - 1e-7)).  The first
-    nonpositive phi raises NodalSolutionError, the radius interpolated
-    linearly in t.  A non-finite propagator entry (V not finite at a
-    Gauss point, or an entry overflowing), or a phi beyond the double
-    range, raises StepFailureError when the solution reaches that cell:
-    a numerical failure, never a verdict.
+    nodes[0] and taken in log depth (`_prefix_products`) over every
+    cell.  It differs from the cell-by-cell recurrence (kept in the
+    tests as the oracle) by rounding alone: at most 4.3e-14 relative on
+    the benchmark's scan potentials, growing as phi(1) -> 0 next to
+    lambda_1 (1.6e-12 at lambda_1 (1 - 1e-3), 1.2e-8 at
+    lambda_1 (1 - 1e-7)).
+
+    One rule decides every failure, at the first phi that is not a
+    positive double.  Prefix i multiplies cells 0..i only, so a bad cell
+    cannot spoil an earlier phi.  A nonpositive phi raises
+    NodalSolutionError, the radius interpolated linearly in t.  If the
+    cell just before it has a non-finite propagator entry (V not finite
+    at a Gauss point, or an entry overflowing), StepFailureError names
+    that cell; otherwise the product has left the double range, also a
+    StepFailureError: a numerical failure, never a verdict.
     """
     # The last node is r = 1 where catalogue potentials may blow up; the
     # mesh ends at the last interior node.
     t_nodes = np.log(grid.nodes[:-1])
     mesh = _shooting_mesh(pot, t_nodes)
     entries = _magnus_propagators(pot, mesh)
-    finite = np.isfinite(entries).all(axis=0)
-    n_ok = finite.size if finite.all() else int(np.argmin(finite))
-    prefix = _prefix_products([e[:n_ok] for e in entries])
+    prefix = _prefix_products(entries)
     phis = np.concatenate([[1.0], prefix[0]])
-    q = float(prefix[2, -1]) if n_ok else 0.0
-    # The first phi that is not a positive double ends the shot: a
-    # crossing is a verdict, a product beyond the double range is not.
+    q = float(prefix[2, -1])
+    # The one failure rule of the docstring; q at the last node counts
+    # as one more phi.
     ok = np.append(np.isfinite(phis) & (phis > 0.0), math.isfinite(q))
     if not ok.all():
         i = min(int(np.argmin(ok)), phis.size - 1)
@@ -220,14 +223,14 @@ def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
             t_zero = mesh[i - 1] + (mesh[i] - mesh[i - 1]) * prev / (
                 prev - phis[i])
             raise NodalSolutionError(math.exp(t_zero))
+        if not np.isfinite([e[i - 1] for e in entries]).all():
+            raise StepFailureError(
+                f"non-finite propagator on the cell at r = "
+                f"{math.exp(mesh[i - 1]):.6g}: V is not finite there, or "
+                "the cell's propagator overflows")
         raise StepFailureError(
             f"the propagator product overflows the double range near "
             f"r = {math.exp(mesh[i]):.6g}: phi grows beyond 1e308")
-    if n_ok < finite.size:
-        raise StepFailureError(
-            f"non-finite propagator on the cell at r = "
-            f"{math.exp(mesh[n_ok]):.6g}: V is not finite there, or the "
-            "cell's propagator overflows")
 
     phi_vals = phis[np.searchsorted(mesh, t_nodes)]
     # Final cell [nodes[-2], 1]: linear continuation in t.

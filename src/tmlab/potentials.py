@@ -136,30 +136,35 @@ class TabulatedPotential(Potential):
         return np.interp(np.log(r), self._log_r, self.values)
 
 
+def finite_float(text: str) -> float:
+    """Flag type: a float other than nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def spec_float(spec: str, field: str) -> float:
     """A number field of a CLI spec; a malformed or non-finite one is a
     usage error."""
     try:
-        value = float(field)
+        return finite_float(field)
     except ValueError as exc:
         raise InvalidInputError(f"spec {spec!r}: {exc}") from exc
-    if not math.isfinite(value):
-        raise InvalidInputError(f"spec {spec!r}: {field!r} is not finite")
-    return value
 
 
 def parse_potential(text: str) -> Potential:
     """Parse CLI syntax: constant:<lam>, leray, gamma:<g>, wangye,
-    tabulated:<path.csv>."""
-    head, _, arg = text.strip().partition(":")
+    tabulated:<path.csv>; leray and wangye take no argument."""
+    head, sep, arg = text.strip().partition(":")
     head = head.lower()
     if head == "constant":
         return ConstantPotential(spec_float(text, arg))
-    if head == "leray":
+    if head == "leray" and not sep:
         return LerayPotential()
     if head == "gamma":
         return GammaPotential(spec_float(text, arg))
-    if head == "wangye":
+    if head == "wangye" and not sep:
         return WangYePotential()
     if head == "tabulated":
         prof = RadialFunction.from_csv(arg)

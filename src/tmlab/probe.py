@@ -288,9 +288,10 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
 
     The direction is the energy gradient: the nodal gradient g of J
     solved against the Dirichlet stiffness (A w = g, by radial.energy_solve)
-    and normalized in the energy norm sqrt(w^T A w).  On the doubly
-    graded grid the Euclidean gradient is dominated by the tiny cells;
-    the energy gradient weighs cells by the form's own metric.  Every
+    and normalized in the energy norm sqrt(w^T A w); it depends on u
+    alone, so rejected steps reuse it.  On the doubly graded grid the
+    Euclidean gradient is dominated by the tiny cells; the energy
+    gradient weighs cells by the form's own metric.  Every
     start is nonnegative and nonincreasing, and since g >= 0 on that
     cone, so is w and every candidate u + s w: the cone is invariant, so
     no monotone projection is needed.
@@ -323,7 +324,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
     # (ties to the larger k), so the ascent dominates the best Moser value.
     starts = [(j, u) for j, u, _ in sorted(
         (score(moser_function(grid, k).values) + (k,)
-         for k in (2, 4, 8, 16, 32, 64, 128, 256)),
+         for k in K_LADDER[:8]),
         key=lambda s: (s[0], s[2]), reverse=True)[:3]]
     r = grid.nodes
     # Log-spike seed: the shape that witnesses divergence for borderline
@@ -343,17 +344,18 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
     per_start = MAXIMIZE_BUDGET // len(starts)
     ke = cell_stiffness(grid)
     for j, u in starts:
-        step = 0.05
+        step, w = 0.05, None
         for _ in range(per_start):
             if j > DIVERGENCE_J_THRESHOLD:
                 break
             iters_used += 1
-            s = u.samples()
-            g = value_gradient(u, np.exp(FOUR_PI * s * s) * 2.0 * FOUR_PI * s)
-            w, energy = energy_solve(ke, g)
+            if w is None:  # a rejected step keeps u, so w stands
+                s = u.samples()
+                w, energy = energy_solve(ke, value_gradient(
+                    u, np.exp(FOUR_PI * s * s) * 2.0 * FOUR_PI * s))
             jc, cand = score(u.values + (step / math.sqrt(energy)) * w)
             if jc > j:
-                u, j = cand, jc
+                u, j, w = cand, jc, None
                 accepted += 1
                 step = min(step * 2.0, 1.0)
             else:

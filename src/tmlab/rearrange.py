@@ -1,7 +1,8 @@
 """Decreasing rearrangement of radial profiles on the Poincare disk.
 
 The rearrangement is taken with respect to a radial measure mu given by a
-closed-form cumulative function M(r) = mu(B_r):
+closed-form cumulative function M(r) = mu(B_r) and its inverse, one
+record per measure in MEASURES:
 
     hyperbolic   dmu = 4 dx / (1 - r^2)^2,   M(r) = 4 pi r^2 / (1 - r^2)
     euclidean    dmu = dx,                   M(r) = pi r^2
@@ -26,14 +27,16 @@ the discrete level:
 
 The test suite checks all three against its oracles (tests/oracles.py).
 
-The hyperbolic M diverges at r = 1, so hyperbolic distribution functions
-are truncated at the profile's last interior node; the profiles fed to
-these routines should vanish near the boundary.
+The hyperbolic M diverges at r = 1, so that measure is `truncated`: its
+distribution functions stop at the profile's last interior node, and the
+profiles fed to these routines should vanish near the boundary.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,61 +48,38 @@ from .radial import RadialFunction, RadialGrid, one_minus_r_sq
 LEVELS = 2048
 
 
+@dataclass(frozen=True)
 class RadialMeasure:
-    """Radial measure with closed-form cumulative M and inverse."""
-
-    def __init__(self, kind: str):
-        if kind not in ("hyperbolic", "euclidean"):
-            raise InvalidInputError(f"unknown measure kind {kind!r}")
-        self.kind = kind
-
-    def M(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "hyperbolic":
-            return 4.0 * math.pi * r * r / one_minus_r_sq(r)
-        return math.pi * r * r
-
-    def M_inv(self, m):
-        m = np.asarray(m, dtype=float)
-        if self.kind == "hyperbolic":
-            return np.sqrt(m / (4.0 * math.pi + m))
-        return np.sqrt(m / math.pi)
-
-    def __repr__(self):
-        return f"RadialMeasure({self.kind!r})"
+    """A radial measure mu by its closed-form cumulative M(r) = mu(B_r)
+    and inverse M_inv; a `truncated` measure drops the final cell
+    [nodes[-2], 1], whose measure is infinite (the working domain is
+    [0, nodes[-2]])."""
+    name: str
+    M: Callable = field(repr=False)
+    M_inv: Callable = field(repr=False)
+    truncated: bool
 
 
-def hyperbolic_measure() -> RadialMeasure:
-    return RadialMeasure("hyperbolic")
-
-
-def euclidean_measure() -> RadialMeasure:
-    return RadialMeasure("euclidean")
+# The measures of the module docstring, by their --measure name.
+MEASURES = {m.name: m for m in (
+    RadialMeasure("hyperbolic",
+                  lambda r: 4.0 * math.pi * r * r / one_minus_r_sq(r),
+                  lambda m: np.sqrt(m / (4.0 * math.pi + m)), True),
+    RadialMeasure("euclidean", lambda r: math.pi * r * r,
+                  lambda m: np.sqrt(m / math.pi), False))}
 
 
 # ---------------------------------------------------------------------------
 # distribution functions
 # ---------------------------------------------------------------------------
 
-def _domain_stop(f: RadialFunction, measure: RadialMeasure) -> int:
-    """Index of the last cell included in mu computations.
-
-    Hyperbolic measure: the final cell [nodes[-2], 1] has infinite measure
-    and is dropped (the working domain is [0, nodes[-2]]).
-    """
-    n_cells = len(f.grid) - 1
-    if measure.kind == "hyperbolic":
-        return n_cells - 1
-    return n_cells
-
-
 def distribution_function(f: RadialFunction, measure: RadialMeasure,
                           levels, strict: bool = True) -> np.ndarray:
     """mu{f > t} (strict) or mu{f >= t} for each level t, exactly.
 
     Exact for the piecewise-linear interpolant of f with respect to the
-    (possibly truncated) measure; the center disk r < nodes[0] counts as
-    a plateau at the first node value.
+    measure, over [0, nodes[-2]] when it is `truncated`; the center disk
+    r < nodes[0] counts as a plateau at the first node value.
 
     A sorted sweep: a cell lies wholly in the level set when its lower
     value lo exceeds t (or equals it, non-strict), so with the cells
@@ -117,7 +97,7 @@ def distribution_function(f: RadialFunction, measure: RadialMeasure,
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     nodes = f.grid.nodes
     vals = f.values
-    stop = _domain_stop(f, measure)
+    stop = len(f.grid) - 1 - measure.truncated
     a, b = nodes[:stop], nodes[1:stop + 1]
     fa, fb = vals[:stop], vals[1:stop + 1]
     Ma, Mb = measure.M(a), measure.M(b)
@@ -168,7 +148,7 @@ def rearrange_decreasing(f: RadialFunction, measure: RadialMeasure
     # Values held on a set of positive measure: constant cells, plus the
     # center cap where the profile extends constantly (keeping the cap
     # makes rearrangement exactly the identity on monotone inputs).
-    stop = _domain_stop(f, measure)
+    stop = len(f.grid) - 1 - measure.truncated
     fa, fb = f.values[:stop], f.values[1:stop + 1]
     plateau_vals = np.append(fa[fa == fb], f.values[0])
 

@@ -44,8 +44,8 @@ from tmlab.potentials import TabulatedPotential
 from tmlab.probe import LambdaPEstimate, _pav_nonincreasing, estimate_lambda_1
 from tmlab.radial import (RadialFunction, RadialGrid, exact_sum,
                           gradient_norm_sq, lp_norm, one_minus_r_sq)
-from tmlab.rearrange import (_domain_stop, distribution_function,
-                             hyperbolic_measure, rearrange_decreasing)
+from tmlab.rearrange import (MEASURES, distribution_function,
+                             rearrange_decreasing)
 
 
 def bessel_j0(x: float) -> float:
@@ -269,7 +269,7 @@ def rearranged_potential(pot, grid: RadialGrid) -> TabulatedPotential:
         i = int(np.argmax(~np.isfinite(g_vals)))
         raise SingularEvaluationError(r[i], g_vals[i])
     g = RadialFunction(grid, g_vals, dirichlet=False)
-    g_sharp = rearrange_decreasing(g, hyperbolic_measure())
+    g_sharp = rearrange_decreasing(g, MEASURES["hyperbolic"])
     # Tabulate on the union with the build grid: the class-V screen then
     # reads exact table values at its nodes, so monotonicity survives.
     out_r = np.union1d(g_sharp.grid.nodes, grid.nodes)
@@ -299,7 +299,7 @@ def check_equimeasurable(f: RadialFunction, g: RadialFunction, measure,
 def measure_density(measure, r):
     """dM/dr of the rearrangement measure."""
     r = np.asarray(r, dtype=float)
-    if measure.kind == "hyperbolic":
+    if measure.name == "hyperbolic":
         q = one_minus_r_sq(r)
         return 8.0 * math.pi * r / (q * q)
     return 2.0 * math.pi * r
@@ -347,9 +347,9 @@ def mu_integral(f: RadialFunction, measure, power: float) -> float:
     is returned in that case.
     """
     nodes = f.grid.nodes
-    stop = _domain_stop(f, measure)
+    stop = len(nodes) - 1 - measure.truncated
     total = _mu_quadrature(lambda r: f(r) ** power, nodes[:stop + 1], measure)
-    if measure.kind == "hyperbolic" and f.values[stop] > 0:
+    if measure.truncated and f.values[stop] > 0:
         # The density grows like 2 pi / (1 - r)^2 at the rim, so the
         # integral is finite iff f vanishes at r = 1 and power > 1.
         if power <= 1.0 or f.values[-1] != 0:
@@ -367,7 +367,7 @@ def mu_product_integral(f: RadialFunction, g: RadialFunction,
                         measure) -> float:
     """int f g dmu on the union of the two grids (truncated hyperbolic)."""
     nodes = np.unique(np.concatenate([f.grid.nodes, g.grid.nodes]))
-    if measure.kind == "hyperbolic":
+    if measure.truncated:
         nodes = nodes[nodes <= max(f.grid.nodes[-2], g.grid.nodes[-2])]
     return _mu_quadrature(lambda r: f(r) * g(r), nodes, measure)
 
@@ -428,7 +428,7 @@ def distribution_function_broadcast(f, measure, levels, strict=True):
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     nodes = f.grid.nodes
     vals = f.values
-    stop = _domain_stop(f, measure)
+    stop = len(f.grid) - 1 - measure.truncated
     a, b = nodes[:stop], nodes[1:stop + 1]
     fa, fb = vals[:stop], vals[1:stop + 1]
     Ma, Mb = measure.M(a), measure.M(b)
@@ -475,7 +475,7 @@ def rearrange_decreasing_loop(f, measure, levels=2048):
                               dirichlet=(vmax == 0.0))
     sample = np.unique(np.concatenate([np.linspace(vmin, vmax, levels),
                                        f.values]))[::-1]
-    stop = _domain_stop(f, measure)
+    stop = len(f.grid) - 1 - measure.truncated
     fa, fb = f.values[:stop], f.values[1:stop + 1]
     plateau_vals = set(np.unique(fa[fa == fb]).tolist())
     plateau_vals.add(float(f.values[0]))

@@ -23,7 +23,7 @@ from tmlab.probe import (BOUNDED, DIVERGENT, estimate_lambda_1,
                          ground_state_family, moser_family, probe_supremum)
 from tmlab.radial import (RadialFunction, RadialGrid, integral_weighted,
                           lp_norm, weight_samples)
-from tmlab.rearrange import hyperbolic_measure, rearrange_decreasing
+from tmlab.rearrange import MEASURES, rearrange_decreasing
 from tmlab.sampling import bump_profile, nonneg_profile
 
 
@@ -115,7 +115,7 @@ def test_c06_sharp_exponent_separation(grid):
 
 def test_c07_rearrangement_suite():
     rng = np.random.default_rng(7)
-    hyp = hyperbolic_measure()
+    hyp = MEASURES["hyperbolic"]
     worst = {"equi": 0.0, "hl": math.inf, "ps": math.inf, "lp": 0.0}
     for i in range(200):
         f = step_profile(rng)

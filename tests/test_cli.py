@@ -16,7 +16,7 @@ from profiles import from_callable
 import tmlab
 from tmlab.cli import COMMANDS, main
 from tmlab.radial import RadialFunction, RadialGrid
-from tmlab.rearrange import hyperbolic_measure, rearrange_decreasing
+from tmlab.rearrange import MEASURES, rearrange_decreasing
 
 
 def run(args):
@@ -125,6 +125,11 @@ def test_probe_commands(tmp_path, capsys):
     ["groundstate", "--potential", "leray", "--seed", "1"],
     ["probe", "--form", "none", "--seed", "1"],
     ["rearrange", "--u", "zero", "--seed", "1"],
+    # leray, wangye and zero take no argument; these once ignored it.
+    ["groundstate", "--potential", "leray:5"],
+    ["groundstate", "--potential", "wangye:abc"],
+    ["eval", "--u", "zero:7"],
+    ["eval", "--u", "zero", "--form", "potential:leray:junk"],
 ])
 def test_flags_without_meaning_are_usage_errors(tmp_path, argv, capsys):
     assert run(argv + ["--grid-n", "64", "--out", str(tmp_path / "o")]) == 2
@@ -255,7 +260,7 @@ def test_rearranged_profile_reads_back(tmp_path):
     prof.to_csv(src)
     assert run(["rearrange", "--u", f"file:{src}", "--out", str(out)]) == 0
     back = RadialFunction.from_csv(out)
-    want = rearrange_decreasing(prof, hyperbolic_measure())
+    want = rearrange_decreasing(prof, MEASURES["hyperbolic"])
     assert np.array_equal(back.grid.nodes, want.grid.nodes)
     assert np.array_equal(back.values, want.values)
     assert run(["eval", "--u", f"file:{out}",
@@ -598,7 +603,8 @@ _potential = st.one_of(
     _num(0.1, 8.0).map("gamma:{}".format))
 _bad_potential = st.one_of(
     _non_finite.map("constant:{}".format), _non_finite.map("gamma:{}".format),
-    st.sampled_from(["hardy", "bogus:1"]))
+    # leray and wangye take no argument
+    st.sampled_from(["hardy", "bogus:1", "leray:5", "wangye:abc", "leray:"]))
 _form = st.one_of(
     st.just("none"), _potential, _potential.map("potential:{}".format),
     st.tuples(_num(0.0, 2.0), _num(2.0, 8.0, exclude_min=True))
@@ -609,7 +615,7 @@ _bad_form = st.one_of(
     st.sampled_from(["lq:1:4", "bogus"]))
 _profile = st.one_of(st.just("zero"),
                      st.integers(2, 256).map("moser:{}".format))
-_bad_profile = st.sampled_from(["spline:3", "bogus"])
+_bad_profile = st.sampled_from(["spline:3", "bogus", "zero:7"])
 _seed = st.integers(0, 1000).map(str)
 _negative = st.integers(-5, -1).map(str)
 

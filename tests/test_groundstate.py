@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,43 @@ def test_nan_potential_is_step_failure(grid):
     # an integrator failure is no verdict
     with pytest.raises(StepFailureError):
         classify_coercivity(_NaNPotential(), grid)
+
+
+class _CutOff(Potential):
+    """The constant lam below r = edge and NaN from there on; the edge is
+    a breakpoint, so a mesh cell starts exactly on it."""
+
+    def __init__(self, lam, edge):
+        self.lam, self.breakpoints = lam, (edge,)
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < self.breakpoints[0], self.lam, math.nan)
+
+
+def test_crossing_before_a_nan_cell_is_nodal(grid):
+    # 2 lambda_1 crosses zero at r = 1/sqrt(2), before V turns NaN at 0.9:
+    # the first bad phi is the crossing, a verdict.
+    pot = _CutOff(2.0 * LAMBDA_1, 0.9)
+    with pytest.raises(NodalSolutionError) as new:
+        shoot(pot, grid)
+    with pytest.raises(NodalSolutionError) as old:
+        shoot_recurrence(pot, grid)
+    assert new.value.radius == pytest.approx(old.value.radius, rel=1e-12)
+    assert new.value.radius == pytest.approx(math.sqrt(0.5), abs=1e-3)
+
+
+def test_nan_cell_after_positive_phi_is_step_failure(grid):
+    # phi = J0(sqrt(2) r) > 0 up to r = 0.5, where V turns NaN: the first
+    # bad phi follows a non-finite cell, which the failure names.
+    pot = _CutOff(2.0, 0.5)
+    with pytest.raises(StepFailureError) as old:
+        shoot_recurrence(pot, grid)
+    assert str(old.value) == "non-finite propagator on the cell at r = 0.5"
+    with pytest.raises(StepFailureError, match=re.escape(str(old.value))):
+        shoot(pot, grid)
+    with pytest.raises(StepFailureError, match=re.escape(str(old.value))):
+        classify_coercivity(pot, grid)
 
 
 def test_shoot_vectorizes_potential_evaluation(grid):

@@ -10,7 +10,7 @@ from tmlab.potentials import (ConstantPotential, GammaPotential,
                               WangYePotential, check_class_v, check_kato,
                               parse_potential)
 from tmlab.radial import RadialFunction, RadialGrid
-from tmlab.rearrange import hyperbolic_measure
+from tmlab.rearrange import MEASURES
 
 
 def test_eval_examples():
@@ -132,9 +132,9 @@ def test_rearranged_potential_increasing_g(grid_1024):
     g_out = RadialFunction(RadialGrid(out_r),
                            out(out_r) * (1 - np.minimum(out_r, 1 - 1e-12)**2)**2,
                            dirichlet=False)
-    dev = check_equimeasurable(g_in, g_out, hyperbolic_measure(), levels=200)
+    dev = check_equimeasurable(g_in, g_out, MEASURES["hyperbolic"], levels=200)
     # measures at the truncation rim are ~1e9, so compare relatively
-    scale = hyperbolic_measure().M(grid_1024.nodes[-2])
+    scale = MEASURES["hyperbolic"].M(grid_1024.nodes[-2])
     assert dev < 1e-6 * scale
 
 

@@ -32,7 +32,7 @@ from tmlab.probe import _pav_nonincreasing
 from tmlab.radial import (RadialGrid, cell_stiffness, energy_solve,
                           gradient_norm_sq, lp_norm, mass, tridiag_apply,
                           tridiagonal)
-from tmlab.rearrange import hyperbolic_measure, rearrange_decreasing
+from tmlab.rearrange import MEASURES, rearrange_decreasing
 from tmlab.sampling import bump_profile
 
 
@@ -487,6 +487,23 @@ def test_maximize_accepts_ascent_steps(maximized_none):
     assert maximized_none.accepted == maximized_none.iterations == 399
 
 
+def test_maximize_reuses_the_direction_of_rejected_steps(grid, monkeypatch):
+    # A rejected step leaves u as it was, so only a start or an accepted
+    # step solves for a new direction: 136 solves for 388 steps here.
+    solves = []
+
+    def counting_solve(ke, g):
+        solves.append(g.size)
+        return energy_solve(ke, g)
+
+    monkeypatch.setattr(probe, "energy_solve", counting_solve)
+    res = maximize_J_constrained(PotentialRemainder(ConstantPotential(2.0)),
+                                 grid)
+    starts = 7  # three Moser plateaus, the log spike, three random bumps
+    assert res.iterations == 388 and res.accepted == 129
+    assert len(solves) <= res.accepted + starts
+
+
 @pytest.fixture(scope="module")
 def disk_extremal_j():
     a_star, j_star = disk_extremal()
@@ -642,5 +659,5 @@ def test_lambda_p_minimizer_shape(lambda4_estimate):
     assert np.all(u.values >= 0)
     assert np.all(np.diff(u.values) <= 1e-12)
     # rearrangement cannot improve an already monotone minimizer
-    us = rearrange_decreasing(u, hyperbolic_measure())
+    us = rearrange_decreasing(u, MEASURES["hyperbolic"])
     assert abs(polya_szego_gap(u, us)) < 1e-6

@@ -16,15 +16,14 @@ from tmlab.errors import InvalidInputError
 from tmlab.forms import PotentialRemainder, eval_J, eval_Q
 from tmlab.potentials import GammaPotential
 from tmlab.radial import RadialFunction, RadialGrid
-from tmlab.rearrange import (RadialMeasure, distribution_function,
-                             euclidean_measure, hyperbolic_measure,
+from tmlab.rearrange import (MEASURES, distribution_function,
                              rearrange_decreasing)
 from tmlab.sampling import nonneg_profile
 
 
 def test_measure_cumulatives():
-    hyp = hyperbolic_measure()
-    euc = euclidean_measure()
+    hyp = MEASURES["hyperbolic"]
+    euc = MEASURES["euclidean"]
     r = np.array([0.3, 0.9, 0.999])
     assert np.allclose(hyp.M(r), 4 * math.pi * r**2 / (1 - r**2), rtol=1e-12)
     assert np.allclose(euc.M(r), math.pi * r**2, rtol=1e-15)
@@ -32,15 +31,23 @@ def test_measure_cumulatives():
     assert np.allclose(euc.M_inv(euc.M(r)), r, rtol=1e-14)
 
 
+def test_measure_records_name_themselves():
+    # The repr names the measure and holds no function address; only the
+    # hyperbolic measure drops the rim cell.
+    assert [repr(m) for m in MEASURES.values()] == [
+        "RadialMeasure(name='hyperbolic', truncated=True)",
+        "RadialMeasure(name='euclidean', truncated=False)"]
+
+
 def test_nonincreasing_input_fixed_point(grid):
     f = from_callable(grid, lambda r: (1 - r) ** 2)
-    fs = rearrange_decreasing(f, hyperbolic_measure())
+    fs = rearrange_decreasing(f, MEASURES["hyperbolic"])
     assert np.max(np.abs(fs(grid.nodes) - f.values)) < 1e-10
 
 
 def test_constant_fixed_point(grid):
     f = constant(grid, 2.5)
-    fs = rearrange_decreasing(f, hyperbolic_measure())
+    fs = rearrange_decreasing(f, MEASURES["hyperbolic"])
     assert np.all(fs.values == 2.5)
 
 
@@ -48,13 +55,13 @@ def test_negative_input_rejected(grid):
     vals = -np.ones(len(grid))
     vals[-1] = 0.0
     with pytest.raises(InvalidInputError):
-        rearrange_decreasing(RadialFunction(grid, vals), euclidean_measure())
+        rearrange_decreasing(RadialFunction(grid, vals), MEASURES["euclidean"])
 
 
 def test_euclidean_ramp_closed_form(grid):
     # f(r) = r rearranges to sqrt(1 - r^2): mu{f > t} = pi (1 - t^2)
     f = RadialFunction(grid, grid.nodes.copy(), dirichlet=False)
-    fs = rearrange_decreasing(f, euclidean_measure())
+    fs = rearrange_decreasing(f, MEASURES["euclidean"])
     rr = np.linspace(0.0, 0.99, 500)
     assert np.max(np.abs(fs(rr) - np.sqrt(1 - rr**2))) < 1e-5
 
@@ -62,11 +69,11 @@ def test_euclidean_ramp_closed_form(grid):
 def test_equimeasurability_examples(grid):
     rng = np.random.default_rng(23)
     f = step_profile(rng)
-    fs = rearrange_decreasing(f, hyperbolic_measure())
-    assert check_equimeasurable(f, fs, hyperbolic_measure(), 300) < 1e-6
+    fs = rearrange_decreasing(f, MEASURES["hyperbolic"])
+    assert check_equimeasurable(f, fs, MEASURES["hyperbolic"], 300) < 1e-6
     # scaling changes the level sets
     f2 = RadialFunction(f.grid, 2.0 * f.values)
-    assert check_equimeasurable(f, f2, hyperbolic_measure(), 300) > 1e-3
+    assert check_equimeasurable(f, f2, MEASURES["hyperbolic"], 300) > 1e-3
 
 
 # Few distinct values, each repeated, make plateaus (constant cells) and
@@ -96,7 +103,7 @@ def test_distribution_function_agrees_with_broadcast(values, repeat, radii,
     f = RadialFunction(grid, vals, dirichlet=False)
     levels = np.concatenate([vals, extra,
                              np.linspace(0.0, np.max(vals), 17)])
-    measure = RadialMeasure(kind)
+    measure = MEASURES[kind]
     got = distribution_function(f, measure, levels, strict)
     with np.errstate(over="ignore"):  # crossings of cells far from t
         want = distribution_function_broadcast(f, measure, levels, strict)
@@ -114,7 +121,7 @@ def test_distribution_function_memory():
     assert levels.size == 6142  # rearrange_decreasing's sampled levels
     tracemalloc.start()
     try:
-        distribution_function(f, hyperbolic_measure(), levels)
+        distribution_function(f, MEASURES["hyperbolic"], levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -125,7 +132,7 @@ def test_distribution_function_memory():
 def test_level_count_below_two_rejected(grid, levels):
     f = from_callable(grid, lambda r: 1 - r)
     with pytest.raises(InvalidInputError, match="levels"):
-        check_equimeasurable(f, f, hyperbolic_measure(), levels=levels)
+        check_equimeasurable(f, f, MEASURES["hyperbolic"], levels=levels)
 
 
 def test_rearrange_bit_identical_to_loop():
@@ -136,7 +143,7 @@ def test_rearrange_bit_identical_to_loop():
     profiles.append(nonneg_profile(np.random.default_rng(0),
                                    RadialGrid.default(4096)))
     for f in profiles:
-        for measure in (hyperbolic_measure(), euclidean_measure()):
+        for measure in (MEASURES["hyperbolic"], MEASURES["euclidean"]):
             got = rearrange_decreasing(f, measure)
             want = rearrange_decreasing_loop(f, measure)
             assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
@@ -150,7 +157,7 @@ def test_no_rim_cell_ulps_wide():
     # (58 of these 300).
     rng = np.random.default_rng(0)
     profiles = [step_profile(rng) for _ in range(300)]
-    for measure in (hyperbolic_measure(), euclidean_measure()):
+    for measure in (MEASURES["hyperbolic"], MEASURES["euclidean"]):
         for f in profiles:
             nodes = rearrange_decreasing(f, measure).grid.nodes
             assert 1.0 - nodes[-2] >= 4.0 * np.finfo(float).epsneg
@@ -167,8 +174,8 @@ def test_rearrangement_equimeasurable(seed):
     # 39695 a shallow ramp between two close plateaus left the equispaced
     # levels 0.005 apart in rho (1.0e-4) until such gaps got more levels.
     f = step_profile(np.random.default_rng(seed))
-    fs = rearrange_decreasing(f, hyperbolic_measure())
-    assert check_equimeasurable(f, fs, hyperbolic_measure(), 300) < 1e-5
+    fs = rearrange_decreasing(f, MEASURES["hyperbolic"])
+    assert check_equimeasurable(f, fs, MEASURES["hyperbolic"], 300) < 1e-5
 
 
 def test_equimeasurability_level_refinement(grid_1024, monkeypatch):
@@ -180,8 +187,8 @@ def test_equimeasurability_level_refinement(grid_1024, monkeypatch):
     devs = []
     for levels in (512, 2048, 8192):
         monkeypatch.setattr(rearrange, "LEVELS", levels)
-        fs = rearrange_decreasing(f, hyperbolic_measure())
-        devs.append(check_equimeasurable(f, fs, hyperbolic_measure(), 777))
+        fs = rearrange_decreasing(f, MEASURES["hyperbolic"])
+        devs.append(check_equimeasurable(f, fs, MEASURES["hyperbolic"], 777))
     assert devs[1] < 5e-3
     assert devs[2] < 0.6 * devs[1] < 0.6 * devs[0]
 
@@ -192,7 +199,7 @@ def _hl_gap(f, g, measure):
 
 
 def _ps_gap(f):
-    return polya_szego_gap(f, rearrange_decreasing(f, hyperbolic_measure()))
+    return polya_szego_gap(f, rearrange_decreasing(f, MEASURES["hyperbolic"]))
 
 
 def test_hardy_littlewood_examples():
@@ -200,14 +207,14 @@ def test_hardy_littlewood_examples():
     g0 = RadialGrid.default(512)
     f = from_callable(g0, lambda r: (1 - r))
     h = from_callable(g0, lambda r: (1 - r) ** 3)
-    assert abs(_hl_gap(f, h, euclidean_measure())) < 1e-8
+    assert abs(_hl_gap(f, h, MEASURES["euclidean"])) < 1e-8
     # opposing monotonicity: strict gain, hand-computable
     nodes = np.array([1e-6, 0.8, 0.8 + 1e-9, 1.0])
     inc = RadialFunction(RadialGrid(nodes), np.array([0.0, 0.0, 1.0, 1.0]),
                          dirichlet=False)
     dec = RadialFunction(RadialGrid(nodes), np.array([1.0, 1.0, 0.0, 0.0]),
                          dirichlet=True)
-    gap = _hl_gap(inc, dec, euclidean_measure())
+    gap = _hl_gap(inc, dec, MEASURES["euclidean"])
     # f# occupies sqrt(1-0.64) = 0.6: overlap with g# is the disk r < 0.6
     assert gap == pytest.approx(math.pi * 0.36, rel=1e-6)
 
@@ -217,7 +224,7 @@ def test_hardy_littlewood_sweep():
     for _ in range(200):
         f = step_profile(rng)
         h = step_profile(rng)
-        assert _hl_gap(f, h, hyperbolic_measure()) >= -1e-6
+        assert _hl_gap(f, h, MEASURES["hyperbolic"]) >= -1e-6
 
 
 def test_polya_szego_examples():
@@ -240,7 +247,7 @@ def test_polya_szego_sweep():
 
 def test_lp_preservation():
     rng = np.random.default_rng(43)
-    hyp = hyperbolic_measure()
+    hyp = MEASURES["hyperbolic"]
     for _ in range(50):
         f = step_profile(rng)
         fs = rearrange_decreasing(f, hyp)
@@ -252,7 +259,7 @@ def test_lp_preservation():
 
 def test_idempotence():
     rng = np.random.default_rng(47)
-    hyp = hyperbolic_measure()
+    hyp = MEASURES["hyperbolic"]
     for _ in range(10):
         f = step_profile(rng)
         fs = rearrange_decreasing(f, hyp)
@@ -266,7 +273,7 @@ def test_radial_reduction_chain(grid):
     # integral and does not increase the form value
     rng = np.random.default_rng(53)
     form = PotentialRemainder(GammaPotential(0.5))
-    hyp = hyperbolic_measure()
+    hyp = MEASURES["hyperbolic"]
     for _ in range(15):
         f = step_profile(rng)
         fs = rearrange_decreasing(f, hyp)
@@ -284,7 +291,7 @@ def test_mu_integral_hyperbolic_rim_tail():
     # at p = 1.5, 6e-10 at p = 2 and 1e-16 at p = 3.
     from scipy.integrate import quad
 
-    hyp = hyperbolic_measure()
+    hyp = MEASURES["hyperbolic"]
     grid = RadialGrid.default(1024)
     f = from_callable(grid, lambda r: 1.0 - r)
     for p, rel in ((1.5, 1e-5), (3.0, 1e-12)):

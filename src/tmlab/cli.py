@@ -38,7 +38,7 @@ from .potentials import finite_float, parse_potential
 from .probe import (DIVERGENT, K_LADDER, ProbeRow, estimate_lambda_1,
                     estimate_lambda_p, ground_state_family, moser_family,
                     moser_function, probe_supremum)
-from .radial import RadialFunction, RadialGrid, gradient_norm_sq
+from .radial import DEFAULT_N, RadialFunction, RadialGrid, gradient_norm_sq
 from .rearrange import MEASURES, rearrange_decreasing
 from .sampling import bump_profile
 
@@ -296,7 +296,7 @@ class Command(NamedTuple):
 
 
 COMMON_FLAGS = (
-    ("--grid-n", {"type": int, "default": 4096}),
+    ("--grid-n", {"type": int, "default": DEFAULT_N}),
     ("--out", {"default": None}),
     ("--format", {"choices": ("csv", "json"), "default": "csv"}),
 )

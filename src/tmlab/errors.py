@@ -10,9 +10,9 @@ class InvalidInputError(TmLabError, ValueError):
 
 
 class SingularEvaluationError(TmLabError, ArithmeticError):
-    """A scalar field returned a non-finite value at a quadrature abscissa."""
+    """potentials.sample met a non-finite V: its radius and value."""
 
-    def __init__(self, abscissa, value=None):
+    def __init__(self, abscissa, value):
         self.abscissa = abscissa
         self.value = value
         super().__init__(

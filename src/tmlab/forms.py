@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .potentials import Potential, parse_potential, spec_float
+from .potentials import Potential, parse_potential, sample, spec_float
 from .radial import (RadialFunction, exact_sum, gradient_norm_sq,
-                     integral_weighted, lp_norm, weight_samples)
+                     integral_weighted, lp_norm)
 
 FOUR_PI = 4.0 * math.pi
 EXP_OVERFLOW = 700.0
@@ -70,7 +70,7 @@ class PotentialRemainder(Remainder):
     def psi(self, u: RadialFunction) -> float:
         grid, ws = self._sampled
         if grid is not u.grid:
-            ws = weight_samples(u.grid, self.potential)
+            ws = sample(self.potential, u.grid.sample_r)
             object.__setattr__(self, "_sampled", (u.grid, ws))
         return integral_weighted(u, ws)
 

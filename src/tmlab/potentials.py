@@ -9,7 +9,8 @@ Hardy-Moser-Trudinger remainder terms:
     wangye        V(r) = 1 / (1 - r^2)^2
     tabulated     samples on a radial grid, interpolated linearly in log r
 
-Two admissibility screens are provided:
+sample(pot, r) evaluates V for psi's quadrature and for both admissibility
+screens, with one rule for a non-finite value.  Two screens are provided:
 
   * class-V membership: r -> (1 - r^2)^2 V(r) is nonincreasing (the
     weighted monotonicity that makes hyperbolic rearrangement applicable);
@@ -172,6 +173,17 @@ def parse_potential(text: str) -> Potential:
     raise InvalidInputError(f"unknown potential spec {text!r}")
 
 
+def sample(pot, r) -> np.ndarray:
+    """V at the radii r as floats.  The first non-finite value raises
+    SingularEvaluationError naming its radius."""
+    v = np.asarray(pot(r), dtype=float)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularEvaluationError(r[i], v[i])
+    return v
+
+
 # ---------------------------------------------------------------------------
 # admissibility checks
 # ---------------------------------------------------------------------------
@@ -197,10 +209,7 @@ def check_class_v(pot: Potential, grid: RadialGrid) -> ClassVReport:
     reported.
     """
     r = grid.nodes[:-1]  # V may be singular at r = 1 exactly
-    g = np.asarray(pot(r), dtype=float) * one_minus_r_sq(r) ** 2
-    if not np.all(np.isfinite(g)):
-        i = int(np.argmax(~np.isfinite(g)))
-        raise SingularEvaluationError(r[i], g[i])
+    g = sample(pot, r) * one_minus_r_sq(r) ** 2
     tol = CLASS_V_SLACK * np.maximum(1.0, np.abs(g[:-1]))
     bad = g[1:] > g[:-1] + tol
     if np.any(bad):
@@ -231,10 +240,7 @@ def check_kato(pot: Potential, alpha: float) -> KatoReport:
     m = np.arange(2, 13)
     r = 10.0 ** (-m.astype(float))
     L = np.log(1.0 / r)
-    h = r * r * L ** (2.0 + alpha) * np.asarray(pot(r), dtype=float)
-    if not np.all(np.isfinite(h)):
-        i = int(np.argmax(~np.isfinite(h)))
-        raise SingularEvaluationError(r[i], h[i])
+    h = r * r * L ** (2.0 + alpha) * sample(pot, r)
     tail = h[-5:]
     if np.max(tail) < KATO_TINY:
         return KatoReport(True, r, h)

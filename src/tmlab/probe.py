@@ -155,19 +155,19 @@ class GrowthFit:
     slopes: list = field(default_factory=list)
 
 
-def classify_growth(ks, js, overflowed) -> tuple[str, GrowthFit]:
+def classify_growth(ks, js) -> tuple[str, GrowthFit]:
     """Verdict from the J sweep.
 
-    Overflow anywhere is divergence evidence.  Otherwise the sweep is
-    judged on the window of trailing rows: increments must be monotone
-    and the local log-log slope d log J / d log k must be sustained
-    (power-law or faster) for Divergent; a collapsing slope means the
-    sweep is saturating and reads Bounded.
+    Overflow anywhere (eval_J's inf) is divergence evidence.  Otherwise
+    the sweep is judged on the window of trailing rows: increments must be
+    monotone and the local log-log slope d log J / d log k must be
+    sustained (power-law or faster) for Divergent; a collapsing slope
+    means the sweep is saturating and reads Bounded.
     """
-    if any(overflowed):
-        return DIVERGENT, GrowthFit("overflow", (), 0.0)
     ks = np.asarray(ks, dtype=float)
     js = np.asarray(js, dtype=float)
+    if np.isinf(js).any():
+        return DIVERGENT, GrowthFit("overflow", (), 0.0)
     if ks.size < MIN_GROWTH_ROWS:
         return INCONCLUSIVE, GrowthFit("short", (), math.nan)
     w = min(FIT_WINDOW, ks.size)
@@ -263,8 +263,7 @@ def probe_supremum(form: Remainder, family: TrialFamily,
         verdict, fit = INCONCLUSIVE, GrowthFit("finite-stretch", (), math.nan)
     else:
         verdict, fit = classify_growth([r.k for r in rows],
-                                       [r.J for r in rows],
-                                       [r.overflow for r in rows])
+                                       [r.J for r in rows])
     return ProbeReport(family.name, form.spec_string(), rows, verdict, fit)
 
 

@@ -24,10 +24,11 @@ nearest the exact sum of its terms (the value math.fsum gives), so the
 result does not depend on the order of the terms.  One vectorized
 extraction decides a quadrature's same-sign terms; any sum it cannot
 decide goes to math.fsum.  Weighted integrals take the weight as its
-samples at grid.sample_r (weight_samples), so a caller samples once per
-grid.  The module, like the whole package, needs only numpy.  Grids and
-profiles are finite by construction: the constructors reject non-finite
-nodes and values.
+samples at grid.sample_r, given by the caller (potentials.sample), so a
+caller samples once per grid and this module evaluates no field.  The
+module, like the whole package, needs only numpy.  Grids and profiles
+are finite by construction: the constructors reject non-finite nodes
+and values.
 
 The default grid clusters nodes geometrically toward both endpoints
 (first node 1e-8, last interior node 1 - 1e-8) because the singular
@@ -43,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularEvaluationError
+from .errors import InvalidInputError
 
 DEFAULT_N = 4096
 DEFAULT_EDGE = 1e-8
@@ -263,25 +264,9 @@ def lp_norm(u: RadialFunction, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def weight_samples(grid: RadialGrid, w) -> np.ndarray:
-    """The callable scalar field `w` on (0, 1) at grid.sample_r, where
-    integral_weighted and mass read it: endpoint-singular weights
-    (Hardy/Leray type) stay finite there.  A non-finite value raises
-    SingularEvaluationError naming the offending abscissa."""
-    rs = grid.sample_r
-    ws = np.asarray(w(rs), dtype=float)
-    if ws.shape != rs.shape:
-        ws = np.broadcast_to(ws, rs.shape)
-    bad = ~np.isfinite(ws)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SingularEvaluationError(rs[i], ws[i])
-    return ws
-
-
 def integral_weighted(u: RadialFunction, ws: np.ndarray) -> float:
     """2 pi int_0^1 w(r) u(r)^2 r dr over the cap-and-midpoint samples,
-    given ws = weight_samples(u.grid, w)."""
+    given the finite weights ws = w(u.grid.sample_r)."""
     s = u.samples()
     return exact_sum(ws * s * s * u.grid.cap_areas)
 
@@ -328,7 +313,7 @@ def mass(grid: RadialGrid, w: np.ndarray):
     (S x)_s^2, S the sampling of RadialFunction.samples and w given at
     grid.sample_r: 0.25 w area on each cell's two nodes and their
     coupling, plus the cap term w_0 cap on entry 0 of diag.  For
-    ws = weight_samples(grid, V), integral_weighted(u, ws) is u^T M_ws u."""
+    ws = V(grid.sample_r), integral_weighted(u, ws) is u^T M_ws u."""
     diag, off = tridiagonal(0.25 * w[1:] * grid.cell_areas, 1.0)
     diag[0] += w[0] * grid.cap_areas[0]
     return diag, off

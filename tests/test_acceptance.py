@@ -18,11 +18,11 @@ from tmlab.forms import (LpRemainder, NoRemainder, PotentialRemainder,
 from tmlab.groundstate import (GROUND_STATE, INDEFINITE, WEAKLY_COERCIVE,
                                classify_coercivity, shoot, transform_s)
 from tmlab.potentials import (ConstantPotential, GammaPotential,
-                              LerayPotential, WangYePotential)
+                              LerayPotential, WangYePotential, sample)
 from tmlab.probe import (BOUNDED, DIVERGENT, estimate_lambda_1,
                          ground_state_family, moser_family, probe_supremum)
 from tmlab.radial import (RadialFunction, RadialGrid, integral_weighted,
-                          lp_norm, weight_samples)
+                          lp_norm)
 from tmlab.rearrange import MEASURES, rearrange_decreasing
 from tmlab.sampling import bump_profile, nonneg_profile
 
@@ -180,7 +180,7 @@ def test_c09_holder_step(grid):
             u = nonneg_profile(rng, grid)
             phi = nonneg_profile(rng, grid)
             lhs = integral_weighted(
-                phi, weight_samples(grid, lambda r: u(r) ** (p - 2)))
+                phi, sample(lambda r: u(r) ** (p - 2), grid.sample_r))
             rhs = lp_norm(u, p) ** (p - 2) * lp_norm(phi, p) ** 2
             worst = min(worst, (rhs - lhs) / max(1.0, rhs))
     assert worst >= -1e-10

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from profiles import from_callable
@@ -660,10 +660,26 @@ def _argv(draw):
     return argv, bad_flag
 
 
-# A fixed draw sequence, so each run times the same 40 commands.
+def _bad_spec(command, flag, spec):
+    """A case whose only invalid value is the literal `spec` for `flag`."""
+    return [*command, "--grid-n", "64", "--format", "csv",
+            f"{flag}={spec}"], flag
+
+
+# A fixed draw sequence, so each run times the same 40 commands; the
+# draws reach none of the literal bad specs, so each is an example.
 @settings(deadline=None, max_examples=40, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argv())
+@example(_bad_spec(["groundstate"], "--potential", "hardy"))
+@example(_bad_spec(["groundstate"], "--potential", "bogus:1"))
+@example(_bad_spec(["groundstate"], "--potential", "leray:5"))
+@example(_bad_spec(["groundstate"], "--potential", "wangye:abc"))
+@example(_bad_spec(["groundstate"], "--potential", "leray:"))
+@example(_bad_spec(["probe"], "--form", "lq:1:4"))
+@example(_bad_spec(["probe"], "--form", "bogus"))
+@example(_bad_spec(["eval", "--form=none"], "--u", "spline:3"))
+@example(_bad_spec(["eval", "--form=none"], "--u", "zero:7"))
 def test_exit_code_contract(tmp_path, case):
     argv, bad_flag = case
     out = tmp_path / "out"

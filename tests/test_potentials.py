@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import check_equimeasurable, rearranged_potential
-from tmlab.errors import InvalidInputError
+from tmlab.errors import InvalidInputError, SingularEvaluationError
+from tmlab.forms import PotentialRemainder
+from tmlab.groundstate import KATO_ALPHA
 from tmlab.potentials import (ConstantPotential, GammaPotential,
                               LerayPotential, TabulatedPotential,
                               WangYePotential, check_class_v, check_kato,
@@ -93,6 +95,27 @@ def test_kato_examples():
     assert check_kato(WangYePotential(), 0.5).ok
     with pytest.raises(InvalidInputError):
         check_kato(ConstantPotential(1.0), -1.0)
+
+
+def test_one_non_finite_value_one_report():
+    # V is NaN at r* = 1e-4 alone, a radius that psi's quadrature (the
+    # cap sample of a grid starting at 2 r*), the class-V screen (a node)
+    # and the Kato screen (m = 4) all sample: each names r* and nan.
+    r_star = 10.0 ** -4.0
+
+    def pot(r):
+        return np.where(r == r_star, np.nan, 1.0)
+
+    calls = [
+        lambda: PotentialRemainder(pot).psi(
+            RadialFunction.zero(RadialGrid([2 * r_star, 0.5, 1.0]))),
+        lambda: check_class_v(pot, RadialGrid([r_star, 0.5, 1.0])),
+        lambda: check_kato(pot, KATO_ALPHA)]
+    for call in calls:
+        with pytest.raises(SingularEvaluationError) as err:
+            call()
+        assert err.value.abscissa == r_star
+        assert math.isnan(err.value.value)
 
 
 def test_pointwise_domination(grid):

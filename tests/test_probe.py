@@ -184,8 +184,7 @@ def test_short_sweep_is_inconclusive(grid, spec):
     verdicts = ""
     for m in range(1, 15):
         verdict, fit = probe.classify_growth(
-            [r.k for r in rows[:m]], [r.J for r in rows[:m]],
-            [r.overflow for r in rows[:m]])
+            [r.k for r in rows[:m]], [r.J for r in rows[:m]])
         if m < probe.MIN_GROWTH_ROWS:
             assert (verdict, fit.model) == (INCONCLUSIVE, "short"), m
         else:
@@ -212,7 +211,7 @@ def test_finite_stretch_family_is_inconclusive(grid, spec, rows):
 
 def test_growth_flat_sweep_is_bounded():
     ks = [2.0 ** m for m in range(1, 15)]
-    verdict, fit = probe.classify_growth(ks, [12.5] * 14, [False] * 14)
+    verdict, fit = probe.classify_growth(ks, [12.5] * 14)
     assert (verdict, fit.model) == (BOUNDED, "flat")
 
 
@@ -221,7 +220,7 @@ def test_growth_late_jump_is_inconclusive():
     # to 30 defeats every fit: neither Divergent nor Bounded.
     ks = [2.0 ** m for m in range(7, 15)]
     js = [10, 10.01, 10.02, 30, 30.01, 30.02, 31.2, 32.5]
-    verdict, _ = probe.classify_growth(ks, js, [False] * 8)
+    verdict, _ = probe.classify_growth(ks, js)
     assert verdict == INCONCLUSIVE
 
 
@@ -233,7 +232,7 @@ def test_growth_fit_overflow_is_silent():
     js = [10.0 ** (30 * m) for m in range(1, 9)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdict, fit = probe.classify_growth(ks, js, [False] * 8)
+        verdict, fit = probe.classify_growth(ks, js)
     assert (verdict, fit.model) == (DIVERGENT, "power")
     assert math.isinf(fit.residual)
 

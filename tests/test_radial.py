@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from profiles import constant, from_callable
 from tmlab import radial
 from tmlab.errors import InvalidInputError, SingularEvaluationError
-from tmlab.potentials import LerayPotential
+from tmlab.potentials import LerayPotential, sample
 from tmlab.radial import (RadialFunction, RadialGrid, derivative, exact_sum,
-                          gradient_norm_sq, integral_weighted, lp_norm,
-                          weight_samples)
+                          gradient_norm_sq, integral_weighted, lp_norm)
 from tmlab.probe import moser_function
 
 
@@ -88,8 +87,8 @@ def test_lp_norm_examples(grid):
 
 def test_integral_weighted_examples(grid):
     one = constant(grid, 1.0)
-    assert integral_weighted(one, weight_samples(grid, np.zeros_like)) == 0.0
-    assert integral_weighted(one, weight_samples(grid, np.ones_like)) == \
+    assert integral_weighted(one, sample(np.zeros_like, grid.sample_r)) == 0.0
+    assert integral_weighted(one, sample(np.ones_like, grid.sample_r)) == \
         pytest.approx(math.pi, abs=1e-12)
 
 
@@ -104,7 +103,7 @@ def test_integral_weighted_leray_oracle(grid):
     def w(r):
         return np.where((r >= r_lo) & (r < eps_edge), pot(r), 0.0)
 
-    disc = integral_weighted(u, weight_samples(grid, w))
+    disc = integral_weighted(u, sample(w, grid.sample_r))
     oracle = (math.pi / 2.0) * math.log(math.log(1.0 / grid.nodes[0])
                                         / math.log(1.0 / eps_edge))
     assert disc == pytest.approx(oracle, rel=1e-4)
@@ -117,7 +116,7 @@ def test_integral_weighted_singular_report(grid):
         return out
 
     with pytest.raises(SingularEvaluationError) as err:
-        weight_samples(grid, bad)
+        sample(bad, grid.sample_r)
     assert err.value.abscissa > 0.5
 
 
@@ -128,9 +127,9 @@ def test_integral_weighted_linear_and_monotone(grid):
     u = RadialFunction(grid, vals)
     w1 = lambda r: np.exp(-r)
     w2 = lambda r: np.exp(-r) + 0.3 * r
-    a = integral_weighted(u, weight_samples(grid, w1))
-    b = integral_weighted(u, weight_samples(grid, lambda r: 0.3 * r))
-    c = integral_weighted(u, weight_samples(grid, w2))
+    a = integral_weighted(u, sample(w1, grid.sample_r))
+    b = integral_weighted(u, sample(lambda r: 0.3 * r, grid.sample_r))
+    c = integral_weighted(u, sample(w2, grid.sample_r))
     assert c == pytest.approx(a + b, rel=1e-12)
     assert a <= c
 

@@ -24,9 +24,6 @@ ROOT = Path(__file__).parents[1]
 ALLOWED = {
     # the tm-lab script leaves it to sys.argv; the traced stand-in passes it
     "cli.main.argv": "perfbench/cli_child.py::main",
-    # potentials and radial raise it with the offending value
-    "errors.SingularEvaluationError.__init__.value":
-        "src/tmlab/radial.py::weight_samples",
     # `eval --coeff`
     "forms.eval_J.coeff": "src/tmlab/cli.py::cmd_eval",
     # `probe --kmax-pow`, for either family

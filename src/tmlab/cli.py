@@ -289,6 +289,14 @@ def int_range(lo: int, hi: float) -> Callable[[str], int]:
     return integer
 
 
+def nonneg_float(text: str) -> float:
+    """Flag type: a finite float >= 0."""
+    value = finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 class Command(NamedTuple):
     help: str
     run: Callable[[argparse.Namespace, RadialGrid], Output]
@@ -323,7 +331,7 @@ COMMANDS = {
         ("--ineq", {"required": True, "choices": tuple(AUDITS)}),
         _FORM,
         ("--samples", {"type": int_range(1, math.inf), "default": 100}),
-        ("--slack-tol", {"type": finite_float, "default": 1e-8}),
+        ("--slack-tol", {"type": nonneg_float, "default": 1e-8}),
         _SEED)),
     "rearrange": Command("decreasing rearrangement of a profile", cmd_rearrange, (
         ("--u", {"required": True}),

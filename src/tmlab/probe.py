@@ -63,7 +63,7 @@ SLOPE_DECAY_RATIO = 0.75
 # A log-log slope persistently above this is power growth regardless
 # of a mildly drifting rate.
 STRONG_SLOPE = 0.3
-RESIDUAL_RATIO = 0.5  # best fit's residual against the constant fit's
+RESIDUAL_RATIO = 0.5  # power fit's residual against the constant fit's
 # A sweep of fewer rows reads Inconclusive: it has too few slopes to tell
 # growth from saturation.  Divergent also needs the window's last
 # MIN_GROWTH_ROWS increments positive (all four of a five-row sweep).
@@ -156,13 +156,22 @@ class GrowthFit:
 
 
 def classify_growth(ks, js) -> tuple[str, GrowthFit]:
-    """Verdict from the J sweep.
+    """Verdict from the J sweep, by the first reading rule that fires
+    (the first two are probe_supremum's):
 
-    Overflow anywhere (eval_J's inf) is divergence evidence.  Otherwise
-    the sweep is judged on the window of trailing rows: increments must be
-    monotone and the local log-log slope d log J / d log k must be
-    sustained (power-law or faster) for Divergent; a collapsing slope
-    means the sweep is saturating and reads Bounded.
+      1. a profile with Q <= 0: Divergent ("indefinite-direction");
+      2. a family on a finite stretch: Inconclusive ("finite-stretch");
+      3. any J overflow (eval_J's inf): Divergent ("overflow");
+      4. fewer than MIN_GROWTH_ROWS rows: Inconclusive ("short");
+      5. over the last FIT_WINDOW rows, with the last MIN_GROWTH_ROWS
+         increments positive, Divergent ("power") when the last three
+         local slopes d log J / d log k exceed STRONG_SLOPE, or when the
+         last slope is sustained (above MIN_DIVERGENT_SLOPE and
+         SLOPE_DECAY_RATIO times the window's first) and the power fit's
+         residual is below RESIDUAL_RATIO times the constant fit's;
+      6. growth that is not monotone or a slope that is not sustained
+         (the sweep saturates): Bounded ("power"); anything else:
+         Inconclusive ("power").
     """
     ks = np.asarray(ks, dtype=float)
     js = np.asarray(js, dtype=float)
@@ -171,41 +180,28 @@ def classify_growth(ks, js) -> tuple[str, GrowthFit]:
     if ks.size < MIN_GROWTH_ROWS:
         return INCONCLUSIVE, GrowthFit("short", (), math.nan)
     w = min(FIT_WINDOW, ks.size)
-    kw, jw = ks[-w:], js[-w:]
-    inc = np.diff(jw)
-    rel = np.abs(inc) / np.maximum(1.0, np.abs(jw[:-1]))
-    if np.all(rel < 1e-9):
-        return BOUNDED, GrowthFit("flat", (float(np.mean(jw)),), 0.0)
-    slopes = (np.diff(np.log(np.maximum(jw, 1e-300)))
-              / np.diff(np.log(kw))).tolist()
+    jw = js[-w:]
+    lk, lj = np.log(ks[-w:]), np.log(np.maximum(jw, 1e-300))
+    slopes = (np.diff(lj) / np.diff(lk)).tolist()
 
-    # Least-squares fits over the window, residuals in J units.  A sweep
-    # that reaches J ~ 1e160 squares to inf: an infinite residual is a
-    # legitimate value (the comparisons below order it correctly), not a
-    # numerical fault, so the overflow is not reported.
-    lk, lj = np.log(kw), np.log(np.maximum(jw, 1e-300))
-    b_pow, a_pow = np.polyfit(lk, lj, 1)
-    c_exp, a_exp = np.polyfit(kw, lj, 1)
+    # Least-squares fit log J = log A + b log k over the window, residuals
+    # in J units.  A sweep that reaches J ~ 1e160 squares to inf: an
+    # infinite residual is a legitimate value (the comparison below orders
+    # it correctly), not a numerical fault, so the overflow is not reported.
+    b, a = np.polyfit(lk, lj, 1)
     with np.errstate(over="ignore"):
         const_resid = float(np.sqrt(np.mean((jw - np.mean(jw)) ** 2)))
-        pow_resid = float(np.sqrt(np.mean(
-            (jw - np.exp(a_pow + b_pow * lk)) ** 2)))
-        exp_resid = float(np.sqrt(np.mean(
-            (jw - np.exp(a_exp + c_exp * kw)) ** 2)))
-    if exp_resid < pow_resid:
-        fit = GrowthFit("exponential", (math.exp(a_exp), float(c_exp)),
-                        exp_resid, slopes)
-    else:
-        fit = GrowthFit("power", (math.exp(a_pow), float(b_pow)),
-                        pow_resid, slopes)
+        fit = GrowthFit("power", (math.exp(a), float(b)), float(np.sqrt(
+            np.mean((jw - np.exp(a + b * lk)) ** 2))), slopes)
 
+    inc = np.diff(jw)
     grow_window = min(MIN_GROWTH_ROWS, len(inc))
     monotone_growth = bool(np.all(inc[-grow_window:] > 0))
     strong = min(slopes[-3:]) > STRONG_SLOPE
     sustained = (slopes[-1] > MIN_DIVERGENT_SLOPE
                  and slopes[-1] > SLOPE_DECAY_RATIO * slopes[0])
-    best_wins = fit.residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
-    if monotone_growth and (strong or (sustained and best_wins)):
+    fit_wins = fit.residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
+    if monotone_growth and (strong or (sustained and fit_wins)):
         return DIVERGENT, fit
     if not (monotone_growth and sustained):
         return BOUNDED, fit
@@ -328,7 +324,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
     r = grid.nodes
     # Log-spike seed: the shape that witnesses divergence for borderline
     # Hardy-type remainders.
-    spike = np.sqrt(np.maximum(np.log(1.0 / r), 0.0))
+    spike = np.sqrt(log_inv(r))
     spike[-1] = 0.0
     starts.append(score(spike))
     for _ in range(3):

@@ -25,6 +25,10 @@ shooting recurrence, which the prefix product must match to roundoff
 closed-form stiffness solve must match to roundoff, and the broadcast
 distribution function, which the sorted sweep sums in another order and
 must match to cells * 2^-52 relative.
+The two-fit growth classifier is the probe verdict as it was when an
+exponential fit competed with the power fit and a flat window had its
+own early return; the one-fit classifier must give the same verdict on
+the Moser and ground-state sweeps of the catalogue.
 Both the Thomas solve and the lambda_p descent copy work on the
 Dirichlet-reduced stiffness built here from the grid's cell geometry,
 not on the package's tridiagonal operator.  The descent copy recomputes
@@ -41,7 +45,11 @@ from tmlab.errors import (InvalidInputError, NodalSolutionError,
 from tmlab.groundstate import (GroundStateResult, _magnus_propagators,
                                _shooting_mesh)
 from tmlab.potentials import TabulatedPotential
-from tmlab.probe import LambdaPEstimate, _pav_nonincreasing, estimate_lambda_1
+from tmlab.probe import (BOUNDED, DIVERGENT, FIT_WINDOW, INCONCLUSIVE,
+                         MIN_DIVERGENT_SLOPE, MIN_GROWTH_ROWS,
+                         RESIDUAL_RATIO, SLOPE_DECAY_RATIO, STRONG_SLOPE,
+                         GrowthFit, LambdaPEstimate, _pav_nonincreasing,
+                         estimate_lambda_1)
 from tmlab.radial import (RadialFunction, RadialGrid, exact_sum,
                           gradient_norm_sq, lp_norm, one_minus_r_sq)
 from tmlab.rearrange import (MEASURES, distribution_function,
@@ -182,6 +190,25 @@ def moser_j_oracle(k: int, coeff: float, r_min: float = 1e-8) -> float:
 
     ramp = 2.0 * math.pi * simpson(integrand, 0.0, lk)
     return plateau + ramp
+
+
+def gamma_moser_psi(g: float, k: int, r_min: float = 1e-8) -> float:
+    """psi(m_k) = int_B V u^2 for the damped Leray weight gamma:g, in
+    closed form in L = log(1/r).
+
+    With V = 1 / (4 r^2 L^2 max(L^g, 1)) and 2 pi m_k^2 = min(l, L^2 / l),
+    l = log k, the integral is
+        [int_0^l dL / max(L^g, 1) + l^2 int_l^L0 dL / (L^2 max(L^g, 1))]
+        / (4 l),
+    with the center disk r < r_min (L > L0 = log(1/r_min)) excluded,
+    matching the grid convention.  Needs 1 <= l <= L0.
+    """
+    lk, L0 = math.log(k), math.log(1.0 / r_min)
+    assert 1.0 <= lk <= L0
+    head = 1.0 + (math.log(lk) if g == 1.0
+                  else (lk ** (1.0 - g) - 1.0) / (1.0 - g))
+    tail = (lk ** (-1.0 - g) - L0 ** (-1.0 - g)) / (1.0 + g)
+    return (head + lk * lk * tail) / (4.0 * lk)
 
 
 def leray_sqrt_log_residual(r: np.ndarray) -> np.ndarray:
@@ -705,3 +732,60 @@ def estimate_lambda_p_descent(p, grid, seed=0, n_starts=32, iterations=120):
     vals = np.asarray(minima)
     return LambdaPEstimate(best[0], float(np.max(vals) - np.min(vals)),
                            best[1], minima)
+
+
+def classify_growth_two_fits(ks, js) -> tuple[str, GrowthFit]:
+    """Verdict from the J sweep.
+
+    Overflow anywhere (eval_J's inf) is divergence evidence.  Otherwise
+    the sweep is judged on the window of trailing rows: increments must be
+    monotone and the local log-log slope d log J / d log k must be
+    sustained (power-law or faster) for Divergent; a collapsing slope
+    means the sweep is saturating and reads Bounded.
+    """
+    ks = np.asarray(ks, dtype=float)
+    js = np.asarray(js, dtype=float)
+    if np.isinf(js).any():
+        return DIVERGENT, GrowthFit("overflow", (), 0.0)
+    if ks.size < MIN_GROWTH_ROWS:
+        return INCONCLUSIVE, GrowthFit("short", (), math.nan)
+    w = min(FIT_WINDOW, ks.size)
+    kw, jw = ks[-w:], js[-w:]
+    inc = np.diff(jw)
+    rel = np.abs(inc) / np.maximum(1.0, np.abs(jw[:-1]))
+    if np.all(rel < 1e-9):
+        return BOUNDED, GrowthFit("flat", (float(np.mean(jw)),), 0.0)
+    slopes = (np.diff(np.log(np.maximum(jw, 1e-300)))
+              / np.diff(np.log(kw))).tolist()
+
+    # Least-squares fits over the window, residuals in J units.  A sweep
+    # that reaches J ~ 1e160 squares to inf: an infinite residual is a
+    # legitimate value (the comparisons below order it correctly), not a
+    # numerical fault, so the overflow is not reported.
+    lk, lj = np.log(kw), np.log(np.maximum(jw, 1e-300))
+    b_pow, a_pow = np.polyfit(lk, lj, 1)
+    c_exp, a_exp = np.polyfit(kw, lj, 1)
+    with np.errstate(over="ignore"):
+        const_resid = float(np.sqrt(np.mean((jw - np.mean(jw)) ** 2)))
+        pow_resid = float(np.sqrt(np.mean(
+            (jw - np.exp(a_pow + b_pow * lk)) ** 2)))
+        exp_resid = float(np.sqrt(np.mean(
+            (jw - np.exp(a_exp + c_exp * kw)) ** 2)))
+    if exp_resid < pow_resid:
+        fit = GrowthFit("exponential", (math.exp(a_exp), float(c_exp)),
+                        exp_resid, slopes)
+    else:
+        fit = GrowthFit("power", (math.exp(a_pow), float(b_pow)),
+                        pow_resid, slopes)
+
+    grow_window = min(MIN_GROWTH_ROWS, len(inc))
+    monotone_growth = bool(np.all(inc[-grow_window:] > 0))
+    strong = min(slopes[-3:]) > STRONG_SLOPE
+    sustained = (slopes[-1] > MIN_DIVERGENT_SLOPE
+                 and slopes[-1] > SLOPE_DECAY_RATIO * slopes[0])
+    best_wins = fit.residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
+    if monotone_growth and (strong or (sustained and best_wins)):
+        return DIVERGENT, fit
+    if not (monotone_growth and sustained):
+        return BOUNDED, fit
+    return INCONCLUSIVE, fit

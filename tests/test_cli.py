@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -275,6 +276,26 @@ def test_readme_flag_table_matches_commands():
     table = {name: re.findall(r"`(--[a-z-]+)", cell) for name, cell in rows}
     assert table == {name: [flag for flag, _ in command.flags]
                      for name, command in COMMANDS.items()}
+
+
+def test_readme_probe_rules_name_every_model():
+    # Each GrowthFit("<model>", ...) literal of tmlab.probe names a reading
+    # rule; the README's rules list and classify_growth's docstring name
+    # exactly those models, so neither drifts when the rules change.
+    source = Path(tmlab.__file__).with_name("probe.py").read_text()
+    tree = ast.parse(source)
+    models = {node.args[0].value for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "GrowthFit"
+              and isinstance(node.args[0], ast.Constant)}
+    assert {"overflow", "short", "power"} <= models
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rules = readme.split("A probe reads its verdict", 1)[1].split("\n\n")[1]
+    assert set(re.findall(r"\(`([a-z-]+)`\)", rules)) == models
+    doc = next(ast.get_docstring(node) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "classify_growth")
+    assert set(re.findall(r'\("([a-z-]+)"\)', doc)) == models
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
@@ -587,7 +608,8 @@ def test_cli_import_skips_scipy_integrate(tmp_path):
 # The exit-code contract over random argv.  Each command's options are
 # drawn from the README's ranges; at most one of them is then replaced by
 # a value that is invalid by construction (non-finite, a non-positive
-# count, a negative seed or an unknown spec), and such a draw must exit 2.
+# count, a negative seed or tolerance, or an unknown spec), and such a
+# draw must exit 2.
 _non_finite = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
                                "Infinity", "1e999"])
 _non_positive = st.integers(-5, 0).map(str)
@@ -618,6 +640,9 @@ _profile = st.one_of(st.just("zero"),
 _bad_profile = st.sampled_from(["spline:3", "bogus", "zero:7"])
 _seed = st.integers(0, 1000).map(str)
 _negative = st.integers(-5, -1).map(str)
+# A negative --slack-tol would count samples of positive slack as
+# violations.
+_negative_float = _num(-1e3, -1e-300)
 
 # command and its fixed options -> {flag: (valid values, invalid values
 # or None)}.  --p and --seed mean something only with --which p.
@@ -632,7 +657,7 @@ _COMMANDS = {
                                           "adimurthi-druet", "orlicz"]), None),
               "--form": (_form, _bad_form),
               "--samples": (st.integers(1, 4).map(str), _non_positive),
-              "--slack-tol": (_num(0.0, 1e-6), _non_finite),
+              "--slack-tol": (_num(0.0, 1e-6), _non_finite | _negative_float),
               "--seed": (_seed, _negative)},
     "rearrange": {"--u": (_profile, _bad_profile),
                   "--measure": (st.sampled_from(["hyperbolic", "euclidean"]),
@@ -680,6 +705,7 @@ def _bad_spec(command, flag, spec):
 @example(_bad_spec(["probe"], "--form", "bogus"))
 @example(_bad_spec(["eval", "--form=none"], "--u", "spline:3"))
 @example(_bad_spec(["eval", "--form=none"], "--u", "zero:7"))
+@example(_bad_spec(["audit", "--ineq=onofri"], "--slack-tol", "-1"))
 def test_exit_code_contract(tmp_path, case):
     argv, bad_flag = case
     out = tmp_path / "out"

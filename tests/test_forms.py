@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import LAMBDA_1, luxemburg_norm_bisection, moser_j_oracle
+from oracles import (LAMBDA_1, gamma_moser_psi, luxemburg_norm_bisection,
+                     moser_j_oracle)
 from profiles import constant, from_callable
 from tmlab import forms
 from tmlab.errors import InvalidInputError
@@ -49,6 +50,22 @@ def test_parse_form(grid):
     assert isinstance(pf.potential, GammaPotential)
     bare = parse_form("constant:2.0")
     assert bare.potential.lam == 2.0
+
+
+@pytest.mark.parametrize("n, tol", [(4096, 3e-5), (16384, 1.5e-6)])
+def test_gamma_psi_of_moser_matches_closed_form(n, tol):
+    # The abstract's V is gamma:0.5.  Off the center cap, psi(m_k) is
+    # midpoint quadrature of a closed form in L = log(1/r); the worst
+    # relative error seen is 1.8e-5 at n = 4096 and 7.3e-7 at n = 16384.
+    grid = RadialGrid.default(n)
+    for g in (0.5, 1.0, 2.0):
+        form = PotentialRemainder(GammaPotential(g))
+        v0 = float(form.potential(grid.sample_r[:1])[0])
+        for m in range(2, 27):
+            u = moser_function(grid, 2 ** m)
+            cap = v0 * u.samples()[0] ** 2 * grid.cap_areas[0]
+            want = gamma_moser_psi(g, 2 ** m, float(grid.nodes[0]))
+            assert form.psi(u) - cap == pytest.approx(want, rel=tol), (g, m)
 
 
 def test_eval_j_trivials(grid):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (LAMBDA_1, bessel_j0, disk_extremal,
-                     estimate_lambda_p_descent, j0_first_zero,
+from oracles import (LAMBDA_1, bessel_j0, classify_growth_two_fits,
+                     disk_extremal, estimate_lambda_p_descent, j0_first_zero,
                      lane_emden_lambda_p, pav_nonincreasing_stack,
                      polya_szego_gap, reduced_stiffness, thomas_solve,
                      tridiag_product)
@@ -210,9 +210,32 @@ def test_finite_stretch_family_is_inconclusive(grid, spec, rows):
 
 
 def test_growth_flat_sweep_is_bounded():
+    # Vanishing increments are no growth: the slope rule reads Bounded.
     ks = [2.0 ** m for m in range(1, 15)]
     verdict, fit = probe.classify_growth(ks, [12.5] * 14)
-    assert (verdict, fit.model) == (BOUNDED, "flat")
+    assert (verdict, fit.model) == (BOUNDED, "power")
+
+
+def test_one_fit_matches_two_fit_classifier(grid, gs_cache):
+    # The power fit alone reads the two-fit reference's verdict on every
+    # prefix of 5 or more rows of the catalogue's sweeps at 4 pi: the
+    # Moser family under each form and the ground-state family of each
+    # potential.
+    sweeps = [probe_supremum(parse_form(spec), moser_family(grid)).rows
+              for spec in ("none", "constant:2.0", "leray", "gamma:0.5",
+                           "wangye", "lp:1.0:4")]
+    sweeps += [probe_supremum(PotentialRemainder(gs.potential),
+                              ground_state_family(gs)).rows
+               for gs in gs_cache.values()]
+    compared = 0
+    for rows in sweeps:
+        for m in range(probe.MIN_GROWTH_ROWS, len(rows) + 1):
+            ks, js = [r.k for r in rows[:m]], [r.J for r in rows[:m]]
+            verdict, fit = probe.classify_growth(ks, js)
+            assert verdict == classify_growth_two_fits(ks, js)[0], (ks, js)
+            assert fit.model == "power"
+            compared += 1
+    assert compared == 64
 
 
 def test_growth_late_jump_is_inconclusive():

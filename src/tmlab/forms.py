@@ -120,10 +120,12 @@ def eval_Q(form: Remainder, u: RadialFunction) -> float:
 def eval_J(u: RadialFunction, coeff: float = FOUR_PI) -> float:
     """J(u) = 2 pi int exp(coeff * u(r)^2) r dr; math.inf on overflow."""
     s = u.samples()
-    expo = coeff * s * s
-    if np.max(expo) > EXP_OVERFLOW:
+    s *= coeff * s  # (coeff s) s: products commute exactly
+    if s.max() > EXP_OVERFLOW:
         return math.inf
-    return exact_sum(np.exp(expo) * u.grid.cap_areas)
+    np.exp(s, out=s)
+    s *= u.grid.cap_areas
+    return exact_sum(s)
 
 
 def onofri_lhs(u: RadialFunction) -> float:
@@ -148,11 +150,14 @@ def onofri_rhs(u: RadialFunction, form: Remainder) -> float:
 
 def orlicz_integral(u: RadialFunction, t: float) -> float:
     """2 pi int (exp(4 pi (u/t)^2) - 1) r dr; math.inf on overflow."""
-    s = u.samples() / t
-    expo = FOUR_PI * s * s
-    if np.max(expo) > EXP_OVERFLOW:
+    s = u.samples()
+    s /= t
+    s *= FOUR_PI * s
+    if s.max() > EXP_OVERFLOW:
         return math.inf
-    return exact_sum(np.expm1(expo) * u.grid.cap_areas)
+    np.expm1(s, out=s)
+    s *= u.grid.cap_areas
+    return exact_sum(s)
 
 
 _GAUGE_REL_TOL = 1e-10  # relative bracket width where luxemburg_norm stops

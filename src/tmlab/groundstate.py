@@ -243,8 +243,8 @@ def transform_s(pot: Potential, phi: RadialFunction) -> GroundStateResult:
     """The ground-state record of `pot` from its shot solution phi: the
     stretch log s(r), anchored so s(1/e) = 1 exactly, and the Kato tag.
 
-    d(log s)/dt = 1/phi(t)^2 in t = log r, integrated cumulatively by the
-    trapezoid rule over the grid; s(1) is declared divergent when the
+    d(log s)/dt = 1/phi(t)^2 in t = log r, integrated by the trapezoid
+    rule outward from r = 1/e; s(1) is declared divergent when the
     log s increments over the last two (1-r)-decades fail to collapse,
     else extrapolated geometrically.  A phi so small against its maximum
     that 1/phi^2 overflows raises StepFailureError.
@@ -261,10 +261,17 @@ def transform_s(pot: Potential, phi: RadialFunction) -> GroundStateResult:
         raise StepFailureError(
             f"1/phi^2 overflows at r = {nodes[i]:.6g} (phi = {vals[i]:.3g} "
             "of its maximum): phi spans more than the double range")
-    cum = np.concatenate([[0.0],
-                          np.cumsum(0.5 * (integ[1:] + integ[:-1]) * np.diff(t))])
-    anchor = np.interp(-1.0, t, cum)  # t = -1 is r = 1/e
-    logs_interior = cum - anchor
+    # Trapezoid increments, summed outward from the anchor t = -1 (r =
+    # 1/e) both ways, its cell split at theta (clamped to the end nodes).
+    # A sum from the centre, where 1/phi^2 reaches 1e84 at V = -1e4, less
+    # its value at the anchor would lose the rim's increments.
+    inc = 0.5 * (integ[1:] + integ[:-1]) * np.diff(t)
+    j = min(max(int(np.searchsorted(t, -1.0)) - 1, 0), inc.size - 1)
+    theta = min(max((-1.0 - t[j]) / (t[j + 1] - t[j]), 0.0), 1.0)
+    left = np.cumsum(np.concatenate([[theta * inc[j]], inc[:j][::-1]]))
+    right = np.cumsum(np.concatenate([[(1.0 - theta) * inc[j]],
+                                      inc[j + 1:]]))
+    logs_interior = np.concatenate([-left[::-1], right])
 
     # Increments of log s over the last decades of 1 - r (np.interp
     # holds the end values outside the grid).

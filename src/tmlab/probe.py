@@ -346,8 +346,13 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
             iters_used += 1
             if w is None:  # a rejected step keeps u, so w stands
                 s = u.samples()
-                w, energy = energy_solve(ke, value_gradient(
-                    u, np.exp(FOUR_PI * s * s) * 2.0 * FOUR_PI * s))
+                df = FOUR_PI * s  # exp(4 pi s^2) 2 (4 pi) s, in place
+                df *= s
+                np.exp(df, out=df)
+                df *= 2.0
+                df *= FOUR_PI
+                df *= s
+                w, energy = energy_solve(ke, value_gradient(u, df))
             jc, cand = score(u.values + (step / math.sqrt(energy)) * w)
             if jc > j:
                 u, j, w = cand, jc, None

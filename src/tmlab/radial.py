@@ -127,7 +127,7 @@ class RadialFunction:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.nodes.shape:
             raise InvalidInputError("values must match grid nodes")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidInputError("profile values must be finite")
         if dirichlet and values[-1] != 0.0:
             raise InvalidInputError("Dirichlet profile must vanish at r = 1")
@@ -147,7 +147,11 @@ class RadialFunction:
         """Values at grid.sample_r: u(r0) on the center cap, then the
         interpolant at the cell midpoints."""
         v = self.values
-        return np.concatenate([v[:1], 0.5 * (v[:-1] + v[1:])])
+        s = np.empty(v.size)
+        s[0] = v[0]
+        np.add(v[:-1], v[1:], out=s[1:])
+        s[1:] *= 0.5
+        return s
 
     def scaled(self, c: float) -> "RadialFunction":
         return RadialFunction(self.grid, c * self.values,
@@ -193,43 +197,48 @@ def exact_sum(x) -> float:
     One error-free extraction (Rump, Ogita and Oishi, "Accurate
     floating-point summation part I", SIAM J. Sci. Comput. 31, 2008,
     Lemma 3.3): with m = max|x| <= 2^-k sigma, sigma a power of two and
-    2^k > n + 2, q = (x + sigma) - sigma and r = x - q are exact, and
-    every q_i is a multiple of ulp(sigma)/2 with sum |q_i| < sigma, so
-    sum(q) is exact in any order.  The exact sum of r lies within
-    e = 2 (n + 1) 2^-53 sum|r| of its float sum s: any summation order of
-    n terms errs by at most (n - 1) 2^-53 sum|r| / (1 - (n - 1) 2^-53),
-    and the float sum of |r| and the product lose at most a factor
-    (1 - n 2^-53), so e bounds the error while e is a normal double.
-    With head = [sum(q), s], once fsum(head + [e]) equals
-    fsum(head + [-e]), that value is fsum(x), since rounding is monotone
-    (Rump, Ogita and Oishi's stopping test).
+    2^k > n + 2, q = (x + sigma) - sigma and r = x - q are exact, every
+    q_i is a multiple of ulp(sigma)/2 with sum |q_i| < sigma, so sum(q)
+    is exact in any order, and |r_i| <= 2^-53 sigma, so sum|r| <=
+    n 2^-53 sigma.  Any summation order of the n terms of r errs by at
+    most (n - 1) 2^-53 sum|r| / (1 - (n - 1) 2^-53), below
+    e = 2 (n + 1) n 2^-106 sigma: an integer times a power of two, exact
+    while it is a normal double.
+    Once fsum((sum(q), s, e)) equals fsum((sum(q), s, -e)), s the float
+    sum of r, that value is fsum(x), since rounding is monotone (Rump,
+    Ogita and Oishi's stopping test).
 
     Every other input goes to math.fsum(x): a sum that cancels below e, an
     e that is subnormal or zero, and zero, non-finite and near-overflow
     input (which keeps fsum's signed zero, inf/nan results and
     exceptions).  The package's quadratures (same-sign terms) end on the
-    one test.
+    one test, unless their total sits within e of a rounding boundary
+    (at most 2^-15 of its ulp at n = 4096).
     """
     x = np.asarray(x, dtype=float)
-    m = float(np.max(np.abs(x))) if x.size else 0.0
+    # max|x| with no |x| temporary; a nan propagates through both ends.
+    m = max(x.max(), -x.min()) if x.size else 0.0
     if not 0.0 < m < 2.0 ** 900:
         return math.fsum(x)
-    sigma = math.ldexp(1.0, math.frexp(m)[1] + (x.size + 2).bit_length())
+    k = math.frexp(m)[1] + (x.size + 2).bit_length()
+    sigma = math.ldexp(1.0, k)
     q = x + sigma
     q -= sigma
-    r = x - q
-    head = [float(q.sum()), float(r.sum())]
-    e = 2.0 * (x.size + 1) * 2.0 ** -53 * float(np.abs(r, out=q).sum())
+    head = float(q.sum())
+    np.subtract(x, q, out=q)  # the residual r
+    s = float(q.sum())
+    e = math.ldexp((x.size + 1) * x.size, k - 105)  # 2 (n+1) n 2^-106 sigma
     if e >= 2.0 ** -1022:  # the smallest normal double
-        total = math.fsum(head + [e])
-        if total == math.fsum(head + [-e]):
+        total = math.fsum((head, s, e))
+        if total == math.fsum((head, s, -e)):
             return total
     return math.fsum(x)
 
 
 def derivative(u: RadialFunction) -> np.ndarray:
     """Cellwise slope du/dr of the piecewise-linear interpolant."""
-    return np.diff(u.values) / u.grid.widths
+    v = u.values
+    return (v[1:] - v[:-1]) / u.grid.widths
 
 
 def gradient_norm_sq(u: RadialFunction) -> float:
@@ -240,7 +249,9 @@ def gradient_norm_sq(u: RadialFunction) -> float:
     energy (constant extension).
     """
     s = derivative(u)
-    return exact_sum(s * s * u.grid.cell_areas)
+    s *= s
+    s *= u.grid.cell_areas
+    return exact_sum(s)
 
 
 def lp_norm(u: RadialFunction, p: float) -> float:
@@ -268,7 +279,9 @@ def integral_weighted(u: RadialFunction, ws: np.ndarray) -> float:
     """2 pi int_0^1 w(r) u(r)^2 r dr over the cap-and-midpoint samples,
     given the finite weights ws = w(u.grid.sample_r)."""
     s = u.samples()
-    return exact_sum(ws * s * s * u.grid.cap_areas)
+    s *= ws * s  # (ws s) s: products commute exactly
+    s *= u.grid.cap_areas
+    return exact_sum(s)
 
 
 # ---------------------------------------------------------------------------

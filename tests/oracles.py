@@ -2,9 +2,10 @@
 
 The analytic oracles are computed without touching the package's
 quadrature or solver paths: Bessel values come from the power series,
-zeros from bisection on that series, exponential integrals from 1-D
-Simpson quadrature after the log substitution L = log(1/r), and the disk
-extremal's J* from scipy's DOP853 shooting of its Euler-Lagrange equation.
+zeros from bisection on that series, the stretch of V = -c from scipy's
+i0e and quad, exponential integrals from 1-D Simpson quadrature after
+the log substitution L = log(1/r), and the disk extremal's J* from
+scipy's DOP853 shooting of its Euler-Lagrange equation.
 
 The comparison checks in the middle are the classical facts that the
 package's outputs must satisfy: the Jacobi identity of a ground state,
@@ -127,6 +128,26 @@ def disk_extremal() -> tuple[float, float]:
     a = brentq(lambda a: shoot(a)[0] - 1.0, 0.5, 1.0, xtol=1e-14,
                rtol=1e-14)
     return a, float(shoot(a)[1])
+
+
+def negative_constant_log_s1(c: float) -> float:
+    """log s(1) of the stretch for V = -c, c > 0, in closed form.
+
+    phi = I_0(sqrt(c) r) / I_0(sqrt(c)) (max 1, at the rim), so
+    log s(1) = int_{1/e}^1 dr / (r phi(r)^2).  With a = sqrt(c) and
+    i0e(x) = e^-x I_0(x), 1/phi^2 = (i0e(a) / i0e(a r))^2 e^(2 a (1 - r));
+    scipy's quad integrates it with e^(2 a (1 - 1/e)) factored out, which
+    stays in range for c < 3e5.
+    """
+    from scipy.integrate import quad
+    from scipy.special import i0e
+
+    a = math.sqrt(c)
+    r0 = math.exp(-1.0)
+    val, _ = quad(lambda r: (i0e(a) / i0e(a * r)) ** 2
+                  * math.exp(-2.0 * a * (r - r0)) / r, r0, 1.0,
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    return val * math.exp(2.0 * a * (1.0 - r0))
 
 
 def lane_emden_lambda_p(p: float) -> float:
@@ -789,3 +810,59 @@ def classify_growth_two_fits(ks, js) -> tuple[str, GrowthFit]:
     if not (monotone_growth and sustained):
         return BOUNDED, fit
     return INCONCLUSIVE, fit
+
+
+# The quadrature kernels as they were before they built their terms in
+# place, with math.fsum for exact_sum (equal to it bit for bit).
+
+def samples_concat(u):
+    v = u.values
+    return np.concatenate([v[:1], 0.5 * (v[:-1] + v[1:])])
+
+
+def derivative_diff(u):
+    return np.diff(u.values) / u.grid.widths
+
+
+def gradient_norm_sq_expr(u):
+    s = derivative_diff(u)
+    return math.fsum(s * s * u.grid.cell_areas)
+
+
+def integral_weighted_expr(u, ws):
+    s = samples_concat(u)
+    return math.fsum(ws * s * s * u.grid.cap_areas)
+
+
+def eval_J_expr(u, coeff=forms.FOUR_PI):
+    s = samples_concat(u)
+    expo = coeff * s * s
+    if np.max(expo) > forms.EXP_OVERFLOW:
+        return math.inf
+    return math.fsum(np.exp(expo) * u.grid.cap_areas)
+
+
+def orlicz_integral_expr(u, t):
+    s = samples_concat(u) / t
+    expo = forms.FOUR_PI * s * s
+    if np.max(expo) > forms.EXP_OVERFLOW:
+        return math.inf
+    return math.fsum(np.expm1(expo) * u.grid.cap_areas)
+
+
+def lp_norm_expr(u, p):
+    terms = samples_concat(u)
+    np.abs(terms, out=terms)
+    with np.errstate(over="ignore"):
+        np.power(terms, p, out=terms)
+        terms *= u.grid.cap_areas
+    total = math.fsum(terms)
+    if not total < math.inf or (total == 0.0 and u.values.any()):
+        raise FloatingPointError(f"||u||_{p:g}")
+    return total ** (1.0 / p)
+
+
+def j_gradient_expr(u):
+    """F'(u_s) of the maximizer's J-gradient, F(s) = exp(4 pi s^2)."""
+    s = samples_concat(u)
+    return np.exp(forms.FOUR_PI * s * s) * 2.0 * forms.FOUR_PI * s

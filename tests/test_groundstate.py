@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (LAMBDA_1, bessel_j0, jacobi_identity_residual,
-                     leray_sqrt_log_residual, shoot_recurrence, shoot_rk45)
+                     leray_sqrt_log_residual, negative_constant_log_s1,
+                     shoot_recurrence, shoot_rk45)
 from profiles import constant, from_callable
 from tmlab import groundstate
 from tmlab.errors import (InvalidInputError, NodalSolutionError,
@@ -405,6 +406,18 @@ def test_shoot_matches_recurrence_nodal_radius(grid):
             shoot_recurrence(pot, grid)
         assert new.value.radius == pytest.approx(old.value.radius,
                                                  rel=1e-12), pot
+
+
+@pytest.mark.parametrize("c", [1e2, 1e3, 3e3, 1e4])
+def test_negative_constant_stretch_matches_bessel(grid, c):
+    # For V = -c, 1/phi^2 at the centre is about I_0(sqrt c)^2 (1e84 at
+    # c = 1e4), far above its values near the rim, which log s(1) sums;
+    # only the grid error may remain.
+    exact = negative_constant_log_s1(c)
+    pot = ConstantPotential(-c)
+    for g, rel in ((grid, 0.1), (RadialGrid.default(16384), 5e-3)):
+        gs = transform_s(pot, shoot(pot, g))
+        assert gs.log_s_at_1 == pytest.approx(exact, rel=rel), len(g)
 
 
 @pytest.mark.parametrize("lam, where", [(-1e6, "shoot"),

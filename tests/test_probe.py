@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import (LAMBDA_1, bessel_j0, classify_growth_two_fits,
                      disk_extremal, estimate_lambda_p_descent, j0_first_zero,
-                     lane_emden_lambda_p, pav_nonincreasing_stack,
+                     j_gradient_expr, lane_emden_lambda_p,
+                     pav_nonincreasing_stack,
                      polya_szego_gap, reduced_stiffness, thomas_solve,
                      tridiag_product)
 from tmlab import cli, probe
@@ -31,7 +32,7 @@ from tmlab.probe import (BOUNDED, DIVERGENT, INCONCLUSIVE, TrialFamily,
 from tmlab.probe import _pav_nonincreasing
 from tmlab.radial import (RadialGrid, cell_stiffness, energy_solve,
                           gradient_norm_sq, lp_norm, mass, tridiag_apply,
-                          tridiagonal)
+                          tridiagonal, value_gradient)
 from tmlab.rearrange import MEASURES, rearrange_decreasing
 from tmlab.sampling import bump_profile
 
@@ -314,6 +315,24 @@ def _lambda_p_shaped(draw):
 @given(_lambda_p_shaped())
 def test_pav_bit_identical_on_lambda_p_inputs(y):
     assert np.array_equal(_pav_nonincreasing(y), pav_nonincreasing_stack(y))
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(16, 4096),
+       st.sampled_from(["none", "gamma:0.5", "constant:-30", "lp:1.0:4"]))
+def test_maximizer_gradient_matches_old_expression(n, spec):
+    # Every J-gradient of the ascent, F'(u_s) = exp(4 pi s^2) 8 pi s,
+    # equals the expression it replaced bit for bit.
+    seen = []
+
+    def spy(u, df):
+        seen.append(df.tobytes() == j_gradient_expr(u).tobytes())
+        return value_gradient(u, df)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probe, "value_gradient", spy)
+        maximize_J_constrained(parse_form(spec), RadialGrid.default(n))
+    assert seen and all(seen)
 
 
 def test_maximize_monotone_in_lambda(grid):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from profiles import constant, from_callable
 from tmlab import radial
 from tmlab.errors import InvalidInputError, SingularEvaluationError
+from tmlab.forms import eval_J, orlicz_integral
 from tmlab.potentials import LerayPotential, sample
 from tmlab.radial import (RadialFunction, RadialGrid, derivative, exact_sum,
                           gradient_norm_sq, integral_weighted, lp_norm)
@@ -355,7 +357,58 @@ def test_exact_sum_pass_counts(grid):
         assert _fsum_calls(terms)[-1] is terms
 
 
+def test_exact_sum_near_tie_goes_to_fsum():
+    # 1 + 2^-53 + 2^-100 rounds up, but only 2^-100 above the tie: inside
+    # the bracket 2 (n + 1) n 2^-106 sigma = 12 * 2^-102 (sigma = 16), so
+    # the one-pass test cannot round it and math.fsum(x) does.
+    x = np.array([1.0, 2.0 ** -53 + 2.0 ** -100])
+    calls = _fsum_calls(x)
+    assert len(calls) == 3 and calls[-1] is x
+    assert exact_sum(x) == 1.0 + 2.0 ** -52
+
+
 @given(st.lists(st.floats(), min_size=1, max_size=50))
 def test_exact_sum_non_finite_like_fsum(values):
     x = np.array(values)
     assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A profile of either sign on a default grid of 16..4096 nodes, with
+    a peak from 1e-3 to 12 (4 pi u^2 crosses EXP_OVERFLOW above 7.47),
+    V samples of both signs over six decades, an Orlicz scale and an
+    exponent p."""
+    grid = RadialGrid.default(draw(st.integers(16, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = draw(st.floats(1e-3, 12.0)) * rng.uniform(-0.5, 1.0, len(grid))
+    if draw(st.booleans()):
+        vals[-1] = 0.0
+    ws = rng.normal(0.0, 1.0, len(grid)) * 10.0 ** rng.uniform(-3, 3,
+                                                               len(grid))
+    return (RadialFunction(grid, vals, dirichlet=False), ws,
+            draw(st.floats(0.05, 20.0)), draw(st.floats(1.0, 8.0)))
+
+
+def _bits(f, *args):
+    """The bytes of f(*args) (a float or an array), or the exception type."""
+    try:
+        out = f(*args)
+    except FloatingPointError as exc:
+        return type(exc)
+    return np.asarray(out, dtype=float).tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(_kernel_inputs())
+def test_kernels_match_their_old_expressions(inputs):
+    u, ws, t, p = inputs
+    for new, old, args in (
+            (RadialFunction.samples, oracles.samples_concat, ()),
+            (derivative, oracles.derivative_diff, ()),
+            (gradient_norm_sq, oracles.gradient_norm_sq_expr, ()),
+            (integral_weighted, oracles.integral_weighted_expr, (ws,)),
+            (eval_J, oracles.eval_J_expr, ()),
+            (orlicz_integral, oracles.orlicz_integral_expr, (t,)),
+            (lp_norm, oracles.lp_norm_expr, (p,))):
+        assert _bits(new, u, *args) == _bits(old, u, *args), new.__name__

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -189,8 +189,7 @@ def cmd_probe(args, grid: RadialGrid) -> Output:
             return Output(line, columns, footer=footer, payload=footer)
         family = ground_state_family(res.result, ks)
     report = probe_supremum(form, family, args.coeff)
-    # overflow is 0/1 in the CSV, false/true in the JSON.
-    rows = [astuple(replace(r, overflow=int(r.overflow))) for r in report.rows]
+    rows = [astuple(r) for r in report.rows]
     return Output(f"verdict={report.verdict}", columns, rows,
                   {"verdict": report.verdict}, asdict(report))
 

@@ -181,6 +181,28 @@ def _prefix_products(entries) -> np.ndarray:
     return p
 
 
+def _sturm_zero(pot: Potential, mesh: np.ndarray) -> None:
+    """Raise NodalSolutionError at the first cell of `mesh` on which
+    a = r^2 V >= m > 0 and which is wider than pi / sqrt(m).
+
+    By Sturm comparison with sin(sqrt(m) (t - t_i)), phi, positive at the
+    cell's left edge t_i, vanishes by t_i + pi / sqrt(m), whatever the
+    propagators computed: such a cell has h sqrt(a) > pi, beyond the
+    step sizes where fourth-order Magnus is accurate (its c^2 term
+    overflows first for huge V).  m is the smaller edge value of a, as
+    every catalogue potential is monotone in t between mesh edges.  V is
+    evaluated at the edges here only, on a failed shot.
+    """
+    r = np.exp(mesh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = r * r * np.asarray(pot(r), dtype=float)
+        m = np.minimum(a[:-1], a[1:])
+        wide = np.isfinite(m) & (np.diff(mesh) ** 2 * m > math.pi ** 2)
+    if wide.any():
+        i = int(np.argmax(wide))
+        raise NodalSolutionError(math.exp(mesh[i] + math.pi / math.sqrt(m[i])))
+
+
 def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
     """Integrate the radial equation across the grid; phi normalized to
     max 1 (attained at the center for admissible potentials).
@@ -199,11 +221,15 @@ def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
     One rule decides every failure, at the first phi that is not a
     positive double.  Prefix i multiplies cells 0..i only, so a bad cell
     cannot spoil an earlier phi.  A nonpositive phi raises
-    NodalSolutionError, the radius interpolated linearly in t.  If the
-    cell just before it has a non-finite propagator entry (V not finite
-    at a Gauss point, or an entry overflowing), StepFailureError names
-    that cell; otherwise the product has left the double range, also a
-    StepFailureError: a numerical failure, never a verdict.
+    NodalSolutionError, the radius interpolated linearly in t.  Any other
+    failure first looks for a cell up to that phi which forces a zero
+    (`_sturm_zero`: a strongly positive V, such as constant:1e27, whose
+    propagators overflow), and raises NodalSolutionError there.  Failing
+    that, if the cell just before it has a non-finite propagator entry (V
+    not finite at a Gauss point, or an entry overflowing),
+    StepFailureError names that cell; otherwise the product has left the
+    double range, also a StepFailureError: a numerical failure, never a
+    verdict.
     """
     # The last node is r = 1 where catalogue potentials may blow up; the
     # mesh ends at the last interior node.
@@ -223,6 +249,7 @@ def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
             t_zero = mesh[i - 1] + (mesh[i] - mesh[i - 1]) * prev / (
                 prev - phis[i])
             raise NodalSolutionError(math.exp(t_zero))
+        _sturm_zero(pot, mesh[:i + 1])
         if not np.isfinite([e[i - 1] for e in entries]).all():
             raise StepFailureError(
                 f"non-finite propagator on the cell at r = "

@@ -30,9 +30,10 @@ mass of the cap-and-midpoint sampling, its transpose for the J-gradient,
 closed-form stiffness solve); none is built here.
 
 The verdict thresholds, the k-ladder and the search sizes are module
-constants; only what a command sets is a parameter.  Every randomized
-search is seeded; per-parameter rows are independent and assembled in
-deterministic order.
+constants; only what a command sets is a parameter.  Only
+estimate_lambda_p draws random numbers, from the seed its caller passes
+(`lambda --seed`); the maximizer's starts are fixed.  Per-parameter rows
+are independent and assembled in deterministic order.
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ DIVERGENCE_J_THRESHOLD = 1e6
 
 # k = 2^1 .. 2^14 for both trial families; probe --kmax-pow sets 2^1 .. 2^kmax.
 K_LADDER = tuple(2 ** m for m in range(1, 15))
-# Search sizes: the maximizer's ascent steps (shared by its seven starts)
-# and the seed of its Gaussian starts; estimate_lambda_p's starts and steps
-# per start (its value ends 0.8-2.9% above Lane-Emden's for p = 3, 4, 6).
+# Search sizes: the maximizer's ascent steps (shared by its seven starts);
+# estimate_lambda_p's starts and steps per start (its value ends 0.8-2.9%
+# above Lane-Emden's for p = 3, 4, 6).
 MAXIMIZE_BUDGET = 400
-MAXIMIZE_SEED = 0
 LAMBDA_P_STARTS = 32
 LAMBDA_P_STEPS = 120
 
@@ -217,7 +217,6 @@ class ProbeRow:
     k: float
     Q: float
     J: float
-    overflow: bool
     error: str = ""
 
 
@@ -230,10 +229,26 @@ class ProbeReport:
     fit: GrowthFit | None = None
 
 
+def _on_constraint(form: Remainder, u: RadialFunction, coeff: float
+                   ) -> tuple[float, float, RadialFunction]:
+    """(Q(u), J of u scaled onto Q = 1 with exponent coefficient `coeff`,
+    the scaled u).  The scaling is exact because every remainder here is
+    quadratically homogeneous, and J is monotone in |u|, so no profile
+    below the boundary Q = 1 scores higher.  A u with Q <= 0 returns
+    J = inf and u unscaled: the divergence witness, as J of its large
+    multiples blows up.
+    """
+    q = eval_Q(form, u)
+    if q <= 0.0:
+        return q, math.inf, u
+    u = u.scaled(1.0 / math.sqrt(q))
+    return q, eval_J(u, coeff), u
+
+
 def probe_supremum(form: Remainder, family: TrialFamily,
                    coeff: float = FOUR_PI) -> ProbeReport:
-    """Sweep the family, normalize each profile to Q = 1, record J with
-    exponent coefficient `coeff`.
+    """Sweep the family, record each profile's Q and its J on Q = 1 with
+    exponent coefficient `coeff` (`_on_constraint`).
 
     A profile with Q <= 0 is immediate divergence evidence (J of its
     large multiples blows up), reported without further fitting.  A
@@ -245,16 +260,13 @@ def probe_supremum(form: Remainder, family: TrialFamily,
     """
     rows: list[ProbeRow] = []
     for k in family.params:
-        u = family.make(k)
-        q = eval_Q(form, u)
+        q, j, _ = _on_constraint(form, family.make(k), coeff)
         if q <= 0.0:
-            rows.append(ProbeRow(float(k), q, math.inf, True,
-                                 "nonpositive form value"))
+            rows.append(ProbeRow(float(k), q, j, "nonpositive form value"))
             return ProbeReport(family.name, form.spec_string(), rows,
                                DIVERGENT,
                                GrowthFit("indefinite-direction", (), 0.0))
-        j = eval_J(u.scaled(1.0 / math.sqrt(q)), coeff)
-        rows.append(ProbeRow(float(k), q, j, math.isinf(j)))
+        rows.append(ProbeRow(float(k), q, j))
     if family.finite_stretch:
         verdict, fit = INCONCLUSIVE, GrowthFit("finite-stretch", (), math.nan)
     else:
@@ -269,9 +281,8 @@ def probe_supremum(form: Remainder, family: TrialFamily,
 
 @dataclass
 class MaximizeResult:
-    best_j: float
+    best_j: float  # above DIVERGENCE_J_THRESHOLD: divergence evidence
     profile: RadialFunction
-    divergence_evidence: bool
     iterations: int
     accepted: int = 0  # ascent steps that raised J
 
@@ -291,48 +302,35 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
     cone, so is w and every candidate u + s w: the cone is invariant, so
     no monotone projection is needed.
 
-    One local `score` values starts and candidates alike: it scales a
-    profile onto Q = 1 (valid because every remainder here is
-    quadratically homogeneous) and returns its J, or J = inf for a
-    Q <= 0 witness.  The returned value is a lower bound for the
-    supremum, never the supremum itself.
+    Starts and candidates are valued alike, by `_on_constraint`: J on
+    Q = 1, or J = inf for a Q <= 0 witness.  The returned value is a
+    lower bound for the supremum, never the supremum itself.  The starts
+    are fixed, so the search draws no random numbers.
 
     Stop rule: a start's ascent stops once its J exceeds
     DIVERGENCE_J_THRESHOLD (inf included), and the search stops after
-    that start, with divergence evidence.  J <= 1e6 before every
-    gradient bounds area * exp(4 pi u^2) by 1e6 on each cell, so the
-    gradient stays finite.
+    that start, its best_j the divergence evidence.  J <= 1e6 before
+    every gradient bounds area * exp(4 pi u^2) by 1e6 on each cell, so
+    the gradient stays finite.
     """
-    rng = np.random.default_rng(MAXIMIZE_SEED)
-
-    def score(vals: np.ndarray) -> tuple[float, RadialFunction]:
-        u = RadialFunction(grid, vals, dirichlet=True)
-        q = eval_Q(form, u)
-        if q <= 0.0:
-            return math.inf, u  # divergence witness
-        # Scale onto the constraint boundary Q = 1: J is monotone in |u|,
-        # so sitting below the boundary is never optimal.
-        u = u.scaled(1.0 / math.sqrt(q))
-        return eval_J(u, FOUR_PI), u
-
     # Seed with the three best plateau profiles of a quick family sweep
     # (ties to the larger k), so the ascent dominates the best Moser value.
-    starts = [(j, u) for j, u, _ in sorted(
-        (score(moser_function(grid, k).values) + (k,)
+    starts = [(j, u) for _, j, u, _ in sorted(
+        (_on_constraint(form, moser_function(grid, k), FOUR_PI) + (k,)
          for k in K_LADDER[:8]),
-        key=lambda s: (s[0], s[2]), reverse=True)[:3]]
+        key=lambda s: (s[1], s[3]), reverse=True)[:3]]
     r = grid.nodes
-    # Log-spike seed: the shape that witnesses divergence for borderline
-    # Hardy-type remainders.
-    spike = np.sqrt(log_inv(r))
-    spike[-1] = 0.0
-    starts.append(score(spike))
-    for _ in range(3):
-        width = rng.uniform(0.05, 0.5)
-        amp = rng.uniform(0.2, 1.5)
-        vals = amp * np.exp(-(r / width) ** 2)
+    # Then the log spike, the shape that witnesses divergence for
+    # borderline Hardy-type remainders, and three Gaussian bumps
+    # amp exp(-(r/width)^2) at fixed (width, amp) in [0.05, 0.5] x [0.2, 1.5].
+    for vals in [np.sqrt(log_inv(r))] + [
+            amp * np.exp(-(r / width) ** 2) for width, amp in (
+                (0.3366327592946544, 0.5507227278930314),
+                (0.06843808577128761, 0.22148592618708784),
+                (0.4159716076401226, 1.3865822504610383))]:
         vals[-1] = 0.0
-        starts.append(score(vals))
+        starts.append(
+            _on_constraint(form, RadialFunction(grid, vals), FOUR_PI)[1:])
 
     best_j, best_u = -math.inf, starts[0][1]
     iters_used = accepted = 0
@@ -353,7 +351,8 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
                 df *= FOUR_PI
                 df *= s
                 w, energy = energy_solve(ke, value_gradient(u, df))
-            jc, cand = score(u.values + (step / math.sqrt(energy)) * w)
+            _, jc, cand = _on_constraint(form, RadialFunction(
+                grid, u.values + (step / math.sqrt(energy)) * w), FOUR_PI)
             if jc > j:
                 u, j, w = cand, jc, None
                 accepted += 1
@@ -366,8 +365,7 @@ def maximize_J_constrained(form: Remainder, grid: RadialGrid
             best_j, best_u = j, u
         if best_j > DIVERGENCE_J_THRESHOLD:
             break
-    evidence = best_j > DIVERGENCE_J_THRESHOLD
-    return MaximizeResult(best_j, best_u, evidence, iters_used, accepted)
+    return MaximizeResult(best_j, best_u, iters_used, accepted)
 
 
 # ---------------------------------------------------------------------------

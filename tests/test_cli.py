@@ -145,13 +145,13 @@ def test_probe_report_serialization(tmp_path):
     data = json.loads(out.read_text())["data"]
     assert sorted(data) == ["family", "fit", "form", "rows", "verdict"]
     assert [row["k"] for row in data["rows"]] == [2.0, 4.0, 8.0]
-    assert all(sorted(row) == ["J", "Q", "error", "k", "overflow"]
-               and row["overflow"] is False for row in data["rows"])
+    assert all(sorted(row) == ["J", "Q", "error", "k"]
+               for row in data["rows"])
     assert sorted(data["fit"]) == ["model", "params", "residual", "slopes"]
     assert run(argv + ["--format", "csv"]) == 0
     lines = out.read_text().splitlines()
-    assert lines[2] == "k,Q,J,overflow,error"
-    assert [line.split(",")[3] for line in lines[3:6]] == ["0", "0", "0"]
+    assert lines[2] == "k,Q,J,error"
+    assert [line.split(",")[3] for line in lines[3:6]] == ["", "", ""]
     assert lines[6:] == [f"# verdict={data['verdict']}"]
 
 
@@ -423,10 +423,11 @@ def test_provenance_headers(tmp_path):
 
 def test_integrator_failure_is_numerical(tmp_path, monkeypatch, capsys):
     # A propagator that is not finite is a numerical failure (exit 3),
-    # never a verdict.  V = 1e300 is finite, but the first cell's c^2
-    # overflows: the message once said only that V is not finite there.
+    # never a verdict.  V = -1e300 is finite, but the first cell's
+    # propagator overflows: the message once said only that V is not
+    # finite there.  (V = +1e300 reads Indefinite: a zero is certified.)
     out = tmp_path / "gs.csv"
-    assert run(["groundstate", "--potential", "constant:1e300",
+    assert run(["groundstate", "--potential", "constant:-1e300",
                 "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "non-finite propagator" in err
@@ -592,11 +593,17 @@ def test_eval_nan_is_numerical_failure(tmp_path, capsys):
 
 
 def test_cli_import_skips_scipy_integrate(tmp_path):
-    # Shooting included, the package runs on numpy alone.
+    # Shooting included, the package runs on numpy alone, and the
+    # maximizer's fixed starts load no numpy.random.
     code = ("import sys; from tmlab.cli import main; "
             "rc = main(['groundstate', '--potential', 'leray', '--out', "
             f"{str(tmp_path / 'gs.csv')!r}]); "
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "from tmlab.forms import NoRemainder; "
+            "from tmlab.probe import maximize_J_constrained; "
+            "from tmlab.radial import RadialGrid; "
+            "maximize_J_constrained(NoRemainder(), RadialGrid.default(256)); "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m == 'numpy.random']; "
             "print(loaded); sys.exit(rc if rc else bool(loaded))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(tmlab.__path__[0])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -435,3 +435,18 @@ def test_overflowing_phi_is_step_failure(grid, lam, where):
             transform_s(pot, phi)
     with pytest.raises(StepFailureError, match="overflows"):
         classify_coercivity(pot, grid)
+
+
+@pytest.mark.parametrize("c", [6.4e25, 7e25, 1e26, 1e27, 1e30, 1e308])
+def test_strongly_indefinite_constant_is_nodal(grid, c):
+    # On the first cell h sqrt(r^2 c) > pi: the Magnus propagator
+    # overflows there, and the shot once failed as numerical.  Sturm
+    # comparison with sin(sqrt(m) (t - t0)), m = r0^2 c, puts a zero of
+    # phi by t0 + pi / sqrt(m).
+    pot = ConstantPotential(c)
+    r0 = grid.nodes[0]
+    with pytest.raises(NodalSolutionError) as exc:
+        shoot(pot, grid)
+    assert exc.value.radius == pytest.approx(
+        r0 * math.exp(math.pi / (r0 * math.sqrt(c))), rel=1e-12)
+    assert classify_coercivity(pot, grid).classification == INDEFINITE

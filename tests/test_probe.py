@@ -345,8 +345,7 @@ def test_maximize_monotone_in_lambda(grid):
 
 def test_maximize_leray_divergence_evidence(grid):
     res = maximize_J_constrained(PotentialRemainder(LerayPotential()), grid)
-    assert res.divergence_evidence
-    assert res.best_j > 1e6
+    assert res.best_j > probe.DIVERGENCE_J_THRESHOLD
 
 
 def test_maximize_above_lambda_1_stops_without_overflow(grid):
@@ -355,7 +354,6 @@ def test_maximize_above_lambda_1_stops_without_overflow(grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = maximize_J_constrained(parse_form("constant:6.5"), grid)
-    assert res.divergence_evidence
     assert res.best_j > probe.DIVERGENCE_J_THRESHOLD
     assert res.iterations < probe.MAXIMIZE_BUDGET
 
@@ -364,7 +362,7 @@ def test_maximize_q_witness_is_infinite(grid):
     # Far above lambda_1 every Moser profile has Q <= 0: J = inf, and the
     # search ends before its first gradient.
     res = maximize_J_constrained(parse_form("constant:20"), grid)
-    assert res.best_j == math.inf and res.divergence_evidence
+    assert res.best_j == math.inf
     assert res.iterations == 0
     assert eval_Q(parse_form("constant:20"), res.profile) <= 0.0
 
@@ -386,7 +384,7 @@ def test_maximize_stops_at_first_j_above_threshold(grid, monkeypatch, spec):
     ascent = seen[len(seen) - res.iterations:]
     assert 0 < res.iterations < probe.MAXIMIZE_BUDGET
     assert max(ascent[:-1]) <= probe.DIVERGENCE_J_THRESHOLD < ascent[-1]
-    assert res.best_j == ascent[-1] and res.divergence_evidence
+    assert res.best_j == ascent[-1]
 
 
 class CountingPotential(Potential):
@@ -515,7 +513,7 @@ def test_maximize_exceeds_carleson_chang(grid, maximized_none):
                for r in probe_supremum(NoRemainder(), moser_family(grid)).rows)
     assert res.best_j >= best
     assert eval_Q(NoRemainder(), res.profile) <= 1.0 + 1e-9
-    assert not res.divergence_evidence
+    assert res.best_j <= probe.DIVERGENCE_J_THRESHOLD
 
 
 def test_maximize_accepts_ascent_steps(maximized_none):
@@ -528,9 +526,19 @@ def test_maximize_accepts_ascent_steps(maximized_none):
     assert maximized_none.accepted == maximized_none.iterations == 399
 
 
-def test_maximize_reuses_the_direction_of_rejected_steps(grid, monkeypatch):
+@pytest.mark.parametrize("spec, best_j, iterations, accepted", [
+    ("constant:2.0", 39.95203208912225, 388, 129),
+    # A Gaussian start wins on these three: the first on constant:1 and
+    # lp:1.0:4, the third on constant:5.0.
+    ("constant:1", 21.00048331770934, 394, 190),
+    ("constant:5.0", 33783.02050125306, 340, 54),
+    ("lp:1.0:4", 24.715761720996174, 396, 213),
+], ids=["constant:2.0", "constant:1", "constant:5.0", "lp:1.0:4"])
+def test_maximize_reuses_the_direction_of_rejected_steps(
+        grid, monkeypatch, spec, best_j, iterations, accepted):
     # A rejected step leaves u as it was, so only a start or an accepted
-    # step solves for a new direction: 136 solves for 388 steps here.
+    # step solves for a new direction.  The search is pinned bit for bit,
+    # so a change to its fixed starts shows here.
     solves = []
 
     def counting_solve(ke, g):
@@ -538,10 +546,10 @@ def test_maximize_reuses_the_direction_of_rejected_steps(grid, monkeypatch):
         return energy_solve(ke, g)
 
     monkeypatch.setattr(probe, "energy_solve", counting_solve)
-    res = maximize_J_constrained(PotentialRemainder(ConstantPotential(2.0)),
-                                 grid)
-    starts = 7  # three Moser plateaus, the log spike, three random bumps
-    assert res.iterations == 388 and res.accepted == 129
+    res = maximize_J_constrained(parse_form(spec), grid)
+    starts = 7  # three Moser plateaus, the log spike, three Gaussian bumps
+    assert (res.best_j, res.iterations, res.accepted) == (
+        best_j, iterations, accepted)
     assert len(solves) <= res.accepted + starts
 
 

@@ -35,9 +35,9 @@ from .forms import (FOUR_PI, PotentialRemainder, eval_J, eval_Q,
                     luxemburg_norm, onofri_lhs, onofri_rhs, parse_form)
 from .groundstate import classify_coercivity
 from .potentials import finite_float, parse_potential
-from .probe import (DIVERGENT, K_LADDER, ProbeRow, estimate_lambda_1,
-                    estimate_lambda_p, ground_state_family, moser_family,
-                    moser_function, probe_supremum)
+from .probe import (DIVERGENT, K_LADDER, ProbeReport, ProbeRow,
+                    estimate_lambda_1, estimate_lambda_p, ground_state_family,
+                    moser_family, moser_function, probe_supremum)
 from .radial import DEFAULT_N, RadialFunction, RadialGrid, gradient_norm_sq
 from .rearrange import MEASURES, rearrange_decreasing
 from .sampling import bump_profile
@@ -173,9 +173,8 @@ def cmd_groundstate(args, grid: RadialGrid) -> Output:
 def cmd_probe(args, grid: RadialGrid) -> Output:
     form = parse_form(args.form)
     ks = [2 ** m for m in range(1, args.kmax_pow + 1)]
-    columns = tuple(f.name for f in fields(ProbeRow))
     if args.family == "moser":
-        family = moser_family(grid, ks)
+        report = probe_supremum(form, moser_family(grid, ks), args.coeff)
     else:
         # The family approximates the ground state of the form's own
         # potential; against any other form its energies mean nothing.
@@ -184,14 +183,18 @@ def cmd_probe(args, grid: RadialGrid) -> Output:
                                     f"form, not {args.form!r}")
         res = classify_coercivity(form.potential, grid)
         if res.result is None:
-            footer = {"verdict": DIVERGENT, "detail": res.detail}
-            line = f"verdict={DIVERGENT} (indefinite form: {res.detail})"
-            return Output(line, columns, footer=footer, payload=footer)
-        family = ground_state_family(res.result, ks)
-    report = probe_supremum(form, family, args.coeff)
-    rows = [astuple(r) for r in report.rows]
-    return Output(f"verdict={report.verdict}", columns, rows,
-                  {"verdict": report.verdict}, asdict(report))
+            report = ProbeReport(args.family, form.spec_string(), [],
+                                 DIVERGENT, "nodal", {"detail": res.detail})
+        else:
+            report = probe_supremum(
+                form, ground_state_family(res.result, ks), args.coeff)
+    line = f"verdict={report.verdict}"
+    if report.rule == "nodal":
+        line += f" (indefinite form: {report.evidence['detail']})"
+    return Output(line, tuple(f.name for f in fields(ProbeRow)),
+                  [astuple(r) for r in report.rows],
+                  {"verdict": report.verdict, "rule": report.rule,
+                   **report.evidence}, asdict(report))
 
 
 def _onofri_row(u, form, rng):

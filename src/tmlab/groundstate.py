@@ -220,16 +220,16 @@ def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
 
     One rule decides every failure, at the first phi that is not a
     positive double.  Prefix i multiplies cells 0..i only, so a bad cell
-    cannot spoil an earlier phi.  A nonpositive phi raises
-    NodalSolutionError, the radius interpolated linearly in t.  Any other
-    failure first looks for a cell up to that phi which forces a zero
-    (`_sturm_zero`: a strongly positive V, such as constant:1e27, whose
-    propagators overflow), and raises NodalSolutionError there.  Failing
-    that, if the cell just before it has a non-finite propagator entry (V
-    not finite at a Gauss point, or an entry overflowing),
-    StepFailureError names that cell; otherwise the product has left the
-    double range, also a StepFailureError: a numerical failure, never a
-    verdict.
+    cannot spoil an earlier phi.  Every failure first looks for a cell up
+    to that phi which forces a zero (`_sturm_zero`: a strongly positive
+    V, such as constant:1e25, on whose cells phi oscillates, or
+    constant:1e27, whose propagators overflow), and raises
+    NodalSolutionError at its Sturm bound.  Failing that, a nonpositive
+    phi raises NodalSolutionError, the radius interpolated linearly in t.
+    Any other failure is a StepFailureError, a numerical failure, never a
+    verdict: it names the cell just before it if that cell has a
+    non-finite propagator entry (V not finite at a Gauss point, or an
+    entry overflowing); otherwise the product has left the double range.
     """
     # The last node is r = 1 where catalogue potentials may blow up; the
     # mesh ends at the last interior node.
@@ -244,12 +244,12 @@ def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
     ok = np.append(np.isfinite(phis) & (phis > 0.0), math.isfinite(q))
     if not ok.all():
         i = min(int(np.argmin(ok)), phis.size - 1)
+        _sturm_zero(pot, mesh[:i + 1])
         if -math.inf < phis[i] <= 0.0:
             prev = phis[i - 1]
             t_zero = mesh[i - 1] + (mesh[i] - mesh[i - 1]) * prev / (
                 prev - phis[i])
             raise NodalSolutionError(math.exp(t_zero))
-        _sturm_zero(pot, mesh[:i + 1])
         if not np.isfinite([e[i - 1] for e in entries]).all():
             raise StepFailureError(
                 f"non-finite propagator on the cell at r = "

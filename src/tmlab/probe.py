@@ -20,6 +20,10 @@ verdict:
   * an energy-gradient ascent over nonincreasing Dirichlet profiles
     (reported strictly as a lower bound for S).
 
+A verdict's ProbeReport names the reading rule that fired, one of
+"nodal", "indefinite-direction", "finite-stretch", "overflow", "short"
+and "growth-fit" (classify_growth), with the numbers that rule read.
+
 Also here: Rayleigh-quotient estimators for the first Dirichlet
 eigenvalue lambda_1 (inverse-power iteration, second-order accurate) and
 for the L^p Sobolev constant lambda_p = inf { |grad u|_2^2 : ||u||_p = 1 }
@@ -39,7 +43,7 @@ are independent and assembled in deterministic order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,38 +151,38 @@ def ground_state_family(gs: GroundStateResult, ks=K_LADDER) -> TrialFamily:
 # growth classification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GrowthFit:
-    model: str
-    params: tuple
-    residual: float
-    slopes: list = field(default_factory=list)
+def classify_growth(ks, js) -> tuple[str, str, dict]:
+    """(verdict, rule, evidence) from the J sweep, by the first reading
+    rule that fires; the first is cmd_probe's, the next two
+    probe_supremum's:
 
+      1. a gsapprox family on an Indefinite potential: Divergent
+         ("nodal"), its evidence the shot's `detail`;
+      2. a profile with Q <= 0: Divergent ("indefinite-direction");
+      3. a family on a finite stretch: Inconclusive ("finite-stretch");
+      4. any J overflow (eval_J's inf): Divergent ("overflow");
+      5. fewer than MIN_GROWTH_ROWS rows: Inconclusive ("short");
+      6. over the last FIT_WINDOW rows, with the last MIN_GROWTH_ROWS
+         increments positive (`monotone`), Divergent ("growth-fit") when
+         the last three local slopes d log J / d log k exceed
+         STRONG_SLOPE (`strong`), or when the last slope is sustained
+         (above MIN_DIVERGENT_SLOPE and SLOPE_DECAY_RATIO times the
+         window's first: `sustained`) and the power fit's residual is
+         below RESIDUAL_RATIO times the constant fit's (`fit_wins`);
+         growth that is not monotone or a slope that is not sustained
+         (the sweep saturates): Bounded ("growth-fit"); anything else:
+         Inconclusive ("growth-fit").
 
-def classify_growth(ks, js) -> tuple[str, GrowthFit]:
-    """Verdict from the J sweep, by the first reading rule that fires
-    (the first two are probe_supremum's):
-
-      1. a profile with Q <= 0: Divergent ("indefinite-direction");
-      2. a family on a finite stretch: Inconclusive ("finite-stretch");
-      3. any J overflow (eval_J's inf): Divergent ("overflow");
-      4. fewer than MIN_GROWTH_ROWS rows: Inconclusive ("short");
-      5. over the last FIT_WINDOW rows, with the last MIN_GROWTH_ROWS
-         increments positive, Divergent ("power") when the last three
-         local slopes d log J / d log k exceed STRONG_SLOPE, or when the
-         last slope is sustained (above MIN_DIVERGENT_SLOPE and
-         SLOPE_DECAY_RATIO times the window's first) and the power fit's
-         residual is below RESIDUAL_RATIO times the constant fit's;
-      6. growth that is not monotone or a slope that is not sustained
-         (the sweep saturates): Bounded ("power"); anything else:
-         Inconclusive ("power").
+    Only "growth-fit" has evidence here: the power fit J = A k^b
+    (`amplitude`, `exponent`, `residual`), the window's `slopes` and the
+    four tests above.  The other rules' rows show what decided them.
     """
     ks = np.asarray(ks, dtype=float)
     js = np.asarray(js, dtype=float)
     if np.isinf(js).any():
-        return DIVERGENT, GrowthFit("overflow", (), 0.0)
+        return DIVERGENT, "overflow", {}
     if ks.size < MIN_GROWTH_ROWS:
-        return INCONCLUSIVE, GrowthFit("short", (), math.nan)
+        return INCONCLUSIVE, "short", {}
     w = min(FIT_WINDOW, ks.size)
     jw = js[-w:]
     lk, lj = np.log(ks[-w:]), np.log(np.maximum(jw, 1e-300))
@@ -191,21 +195,24 @@ def classify_growth(ks, js) -> tuple[str, GrowthFit]:
     b, a = np.polyfit(lk, lj, 1)
     with np.errstate(over="ignore"):
         const_resid = float(np.sqrt(np.mean((jw - np.mean(jw)) ** 2)))
-        fit = GrowthFit("power", (math.exp(a), float(b)), float(np.sqrt(
-            np.mean((jw - np.exp(a + b * lk)) ** 2))), slopes)
+        residual = float(np.sqrt(np.mean((jw - np.exp(a + b * lk)) ** 2)))
 
     inc = np.diff(jw)
     grow_window = min(MIN_GROWTH_ROWS, len(inc))
-    monotone_growth = bool(np.all(inc[-grow_window:] > 0))
+    monotone = bool(np.all(inc[-grow_window:] > 0))
     strong = min(slopes[-3:]) > STRONG_SLOPE
     sustained = (slopes[-1] > MIN_DIVERGENT_SLOPE
                  and slopes[-1] > SLOPE_DECAY_RATIO * slopes[0])
-    fit_wins = fit.residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
-    if monotone_growth and (strong or (sustained and fit_wins)):
-        return DIVERGENT, fit
-    if not (monotone_growth and sustained):
-        return BOUNDED, fit
-    return INCONCLUSIVE, fit
+    fit_wins = residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
+    evidence = {"amplitude": math.exp(a), "exponent": float(b),
+                "residual": residual, "slopes": slopes,
+                "monotone": monotone, "strong": strong,
+                "sustained": sustained, "fit_wins": fit_wins}
+    if monotone and (strong or (sustained and fit_wins)):
+        return DIVERGENT, "growth-fit", evidence
+    if not (monotone and sustained):
+        return BOUNDED, "growth-fit", evidence
+    return INCONCLUSIVE, "growth-fit", evidence
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +224,6 @@ class ProbeRow:
     k: float
     Q: float
     J: float
-    error: str = ""
 
 
 @dataclass
@@ -226,7 +232,8 @@ class ProbeReport:
     form: str
     rows: list
     verdict: str
-    fit: GrowthFit | None = None
+    rule: str
+    evidence: dict
 
 
 def _on_constraint(form: Remainder, u: RadialFunction, coeff: float
@@ -261,18 +268,15 @@ def probe_supremum(form: Remainder, family: TrialFamily,
     rows: list[ProbeRow] = []
     for k in family.params:
         q, j, _ = _on_constraint(form, family.make(k), coeff)
-        if q <= 0.0:
-            rows.append(ProbeRow(float(k), q, j, "nonpositive form value"))
-            return ProbeReport(family.name, form.spec_string(), rows,
-                               DIVERGENT,
-                               GrowthFit("indefinite-direction", (), 0.0))
         rows.append(ProbeRow(float(k), q, j))
+        if q <= 0.0:
+            return ProbeReport(family.name, form.spec_string(), rows,
+                               DIVERGENT, "indefinite-direction", {})
     if family.finite_stretch:
-        verdict, fit = INCONCLUSIVE, GrowthFit("finite-stretch", (), math.nan)
+        reading = INCONCLUSIVE, "finite-stretch", {}
     else:
-        verdict, fit = classify_growth([r.k for r in rows],
-                                       [r.J for r in rows])
-    return ProbeReport(family.name, form.spec_string(), rows, verdict, fit)
+        reading = classify_growth([r.k for r in rows], [r.J for r in rows])
+    return ProbeReport(family.name, form.spec_string(), rows, *reading)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from tmlab.potentials import TabulatedPotential
 from tmlab.probe import (BOUNDED, DIVERGENT, FIT_WINDOW, INCONCLUSIVE,
                          MIN_DIVERGENT_SLOPE, MIN_GROWTH_ROWS,
                          RESIDUAL_RATIO, SLOPE_DECAY_RATIO, STRONG_SLOPE,
-                         GrowthFit, LambdaPEstimate, _pav_nonincreasing,
+                         LambdaPEstimate, _pav_nonincreasing,
                          estimate_lambda_1)
 from tmlab.radial import (RadialFunction, RadialGrid, exact_sum,
                           gradient_norm_sq, lp_norm, one_minus_r_sq)
@@ -755,8 +755,8 @@ def estimate_lambda_p_descent(p, grid, seed=0, n_starts=32, iterations=120):
                            best[1], minima)
 
 
-def classify_growth_two_fits(ks, js) -> tuple[str, GrowthFit]:
-    """Verdict from the J sweep.
+def classify_growth_two_fits(ks, js) -> tuple[str, str, tuple, float]:
+    """(verdict, model, params, residual) from the J sweep.
 
     Overflow anywhere (eval_J's inf) is divergence evidence.  Otherwise
     the sweep is judged on the window of trailing rows: increments must be
@@ -767,15 +767,15 @@ def classify_growth_two_fits(ks, js) -> tuple[str, GrowthFit]:
     ks = np.asarray(ks, dtype=float)
     js = np.asarray(js, dtype=float)
     if np.isinf(js).any():
-        return DIVERGENT, GrowthFit("overflow", (), 0.0)
+        return DIVERGENT, "overflow", (), 0.0
     if ks.size < MIN_GROWTH_ROWS:
-        return INCONCLUSIVE, GrowthFit("short", (), math.nan)
+        return INCONCLUSIVE, "short", (), math.nan
     w = min(FIT_WINDOW, ks.size)
     kw, jw = ks[-w:], js[-w:]
     inc = np.diff(jw)
     rel = np.abs(inc) / np.maximum(1.0, np.abs(jw[:-1]))
     if np.all(rel < 1e-9):
-        return BOUNDED, GrowthFit("flat", (float(np.mean(jw)),), 0.0)
+        return BOUNDED, "flat", (float(np.mean(jw)),), 0.0
     slopes = (np.diff(np.log(np.maximum(jw, 1e-300)))
               / np.diff(np.log(kw))).tolist()
 
@@ -793,23 +793,23 @@ def classify_growth_two_fits(ks, js) -> tuple[str, GrowthFit]:
         exp_resid = float(np.sqrt(np.mean(
             (jw - np.exp(a_exp + c_exp * kw)) ** 2)))
     if exp_resid < pow_resid:
-        fit = GrowthFit("exponential", (math.exp(a_exp), float(c_exp)),
-                        exp_resid, slopes)
+        model, params, residual = (
+            "exponential", (math.exp(a_exp), float(c_exp)), exp_resid)
     else:
-        fit = GrowthFit("power", (math.exp(a_pow), float(b_pow)),
-                        pow_resid, slopes)
+        model, params, residual = (
+            "power", (math.exp(a_pow), float(b_pow)), pow_resid)
 
     grow_window = min(MIN_GROWTH_ROWS, len(inc))
     monotone_growth = bool(np.all(inc[-grow_window:] > 0))
     strong = min(slopes[-3:]) > STRONG_SLOPE
     sustained = (slopes[-1] > MIN_DIVERGENT_SLOPE
                  and slopes[-1] > SLOPE_DECAY_RATIO * slopes[0])
-    best_wins = fit.residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
+    best_wins = residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
     if monotone_growth and (strong or (sustained and best_wins)):
-        return DIVERGENT, fit
+        return DIVERGENT, model, params, residual
     if not (monotone_growth and sustained):
-        return BOUNDED, fit
-    return INCONCLUSIVE, fit
+        return BOUNDED, model, params, residual
+    return INCONCLUSIVE, model, params, residual
 
 
 # The quadrature kernels as they were before they built their terms in

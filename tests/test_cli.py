@@ -143,16 +143,53 @@ def test_probe_report_serialization(tmp_path):
             "--out", str(out)]
     assert run(argv + ["--format", "json"]) == 0
     data = json.loads(out.read_text())["data"]
-    assert sorted(data) == ["family", "fit", "form", "rows", "verdict"]
+    assert sorted(data) == ["evidence", "family", "form", "rows", "rule",
+                            "verdict"]
     assert [row["k"] for row in data["rows"]] == [2.0, 4.0, 8.0]
-    assert all(sorted(row) == ["J", "Q", "error", "k"]
-               for row in data["rows"])
-    assert sorted(data["fit"]) == ["model", "params", "residual", "slopes"]
+    assert all(sorted(row) == ["J", "Q", "k"] for row in data["rows"])
+    assert (data["rule"], data["evidence"]) == ("short", {})
     assert run(argv + ["--format", "csv"]) == 0
     lines = out.read_text().splitlines()
-    assert lines[2] == "k,Q,J,error"
-    assert [line.split(",")[3] for line in lines[3:6]] == ["", "", ""]
-    assert lines[6:] == [f"# verdict={data['verdict']}"]
+    assert lines[2] == "k,Q,J"
+    assert lines[6:] == [f"# verdict={data['verdict']}", "# rule=short"]
+
+
+# One argv per reading rule, in firing order, with the verdict it reads.
+PROBE_RULES = [
+    (["potential:constant:7", "--family", "gsapprox"], "Divergent", "nodal"),
+    (["potential:constant:20"], "Divergent", "indefinite-direction"),
+    (["potential:constant:1", "--family", "gsapprox"], "Inconclusive",
+     "finite-stretch"),
+    (["none", "--coeff", "2000"], "Divergent", "overflow"),
+    (["none", "--kmax-pow", "3"], "Inconclusive", "short"),
+    (["none"], "Bounded", "growth-fit"),
+    (["potential:leray", "--family", "gsapprox"], "Divergent", "growth-fit"),
+]
+
+
+@pytest.mark.parametrize("form, verdict, rule", PROBE_RULES,
+                         ids=[f"{r}-{v}" for _, v, r in PROBE_RULES])
+def test_every_probe_rule_writes_one_file_shape(tmp_path, form, verdict,
+                                                rule):
+    # The nodal reading once wrote a second file shape (no rows, family,
+    # form or column of errors): every probe file now holds the report,
+    # its CSV the rows k, Q, J and the footers verdict, rule and the
+    # rule's evidence under their own names.
+    out = tmp_path / "p"
+    argv = ["probe", "--form"] + form + ["--out", str(out)]
+    assert run(argv + ["--format", "json"]) == 0
+    data = json.loads(out.read_text())["data"]
+    assert sorted(data) == ["evidence", "family", "form", "rows", "rule",
+                            "verdict"]
+    assert (data["verdict"], data["rule"]) == (verdict, rule)
+    assert run(argv + ["--format", "csv"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2] == "k,Q,J"
+    assert len(lines) == 3 + len(data["rows"]) + 2 + len(data["evidence"])
+    footers = [line[2:].split("=", 1)[0] for line in lines[3:]
+               if line.startswith("# ")]
+    assert footers[:2] == ["verdict", "rule"]
+    assert sorted(footers[2:]) == sorted(data["evidence"])
 
 
 def test_kmax_pow_bounds_the_ground_state_family(tmp_path, capsys):
@@ -279,23 +316,34 @@ def test_readme_flag_table_matches_commands():
 
 
 def test_readme_probe_rules_name_every_model():
-    # Each GrowthFit("<model>", ...) literal of tmlab.probe names a reading
-    # rule; the README's rules list and classify_growth's docstring name
-    # exactly those models, so neither drifts when the rules change.
-    source = Path(tmlab.__file__).with_name("probe.py").read_text()
-    tree = ast.parse(source)
-    models = {node.args[0].value for node in ast.walk(tree)
-              if isinstance(node, ast.Call)
-              and getattr(node.func, "id", None) == "GrowthFit"
-              and isinstance(node.args[0], ast.Constant)}
-    assert {"overflow", "short", "power"} <= models
+    # Each verdict constant followed by a string literal in tmlab.probe or
+    # tmlab.cli (`DIVERGENT, "overflow"`) names a reading rule; the
+    # README's rules list, classify_growth's docstring and the probe
+    # module docstring name exactly those rules, so none drifts when the
+    # rules change.
+    src = Path(tmlab.__file__).parent
+    trees = [ast.parse((src / name).read_text())
+             for name in ("probe.py", "cli.py")]
+    verdicts = {"BOUNDED", "DIVERGENT", "INCONCLUSIVE"}
+    rules = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        items = (node.elts if isinstance(node, ast.Tuple)
+                 else node.args if isinstance(node, ast.Call) else [])
+        rules |= {b.value for a, b in zip(items, items[1:])
+                  if getattr(a, "id", None) in verdicts
+                  and isinstance(b, ast.Constant)
+                  and isinstance(b.value, str)}
+    assert rules == {"nodal", "indefinite-direction", "finite-stretch",
+                     "overflow", "short", "growth-fit"}
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    rules = readme.split("A probe reads its verdict", 1)[1].split("\n\n")[1]
-    assert set(re.findall(r"\(`([a-z-]+)`\)", rules)) == models
-    doc = next(ast.get_docstring(node) for node in ast.walk(tree)
+    listed = readme.split("A probe reads its verdict", 1)[1].split("\n\n")[1]
+    assert set(re.findall(r"\(`([a-z-]+)`\)", listed)) == rules
+    doc = next(ast.get_docstring(node) for node in ast.walk(trees[0])
                if isinstance(node, ast.FunctionDef)
                and node.name == "classify_growth")
-    assert set(re.findall(r'\("([a-z-]+)"\)', doc)) == models
+    assert set(re.findall(r'\("([a-z-]+)"\)', doc)) == rules
+    module_doc = ast.get_docstring(trees[0])
+    assert set(re.findall(r'"([a-z-]+)"', module_doc)) == rules
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
@@ -756,8 +804,8 @@ def _reject_constant(name):
     # NaN and +-inf are not RFC 8259 JSON: they are written null / "inf".
     (["audit", "--ineq", "adimurthi-druet", "--form", "none", "--samples",
       "3"], lambda d: d["min_slack"] is None),  # no sample has 0 < psi < 1
-    (["probe", "--form", "none", "--kmax-pow", "1"],
-     lambda d: d["fit"]["residual"] is None),  # a one-row sweep
+    (["probe", "--form", "none", "--coeff", "2000"],
+     lambda d: d["rows"][-1]["J"] == "inf"),  # an overflowing sweep
     # These once wrote CSV under --format json ...
     (["groundstate", "--potential", "leray"], lambda d: d["s_at_1"] == "inf"),
     (["groundstate", "--potential", "constant:12.0"],

@@ -450,3 +450,17 @@ def test_strongly_indefinite_constant_is_nodal(grid, c):
     assert exc.value.radius == pytest.approx(
         r0 * math.exp(math.pi / (r0 * math.sqrt(c))), rel=1e-12)
     assert classify_coercivity(pot, grid).classification == INDEFINITE
+
+
+def test_nodal_radius_within_sturm_bound(grid):
+    # phi, positive at r0 = nodes[0], vanishes by r0 exp(pi / (r0 sqrt c))
+    # (Sturm comparison on r >= r0).  From about 1e22 to 6e25 the shot
+    # once interpolated the zero linearly across a cell on which phi had
+    # oscillated and read a radius up to 2e-3 past that bound.
+    r0 = grid.nodes[0]
+    for c in np.logspace(16, 308, 147):
+        with pytest.raises(NodalSolutionError) as exc:
+            shoot(ConstantPotential(c), grid)
+        bound = r0 * math.exp(math.pi / (r0 * math.sqrt(c)))
+        assert (r0 * (1 - 1e-12) <= exc.value.radius
+                <= bound * (1 + 1e-12)), c

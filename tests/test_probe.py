@@ -184,10 +184,11 @@ def test_short_sweep_is_inconclusive(grid, spec):
     rows = probe_supremum(parse_form(spec), moser_family(grid)).rows
     verdicts = ""
     for m in range(1, 15):
-        verdict, fit = probe.classify_growth(
+        reading = probe.classify_growth(
             [r.k for r in rows[:m]], [r.J for r in rows[:m]])
+        verdict = reading[0]
         if m < probe.MIN_GROWTH_ROWS:
-            assert (verdict, fit.model) == (INCONCLUSIVE, "short"), m
+            assert reading == (INCONCLUSIVE, "short", {}), m
         else:
             verdicts += verdict[0]
     assert verdicts == PREFIX_VERDICTS[spec]
@@ -206,15 +207,26 @@ def test_finite_stretch_family_is_inconclusive(grid, spec, rows):
     assert verdict.classification == WEAKLY_COERCIVE
     rep = probe_supremum(PotentialRemainder(pot),
                          ground_state_family(verdict.result))
-    assert (rep.verdict, rep.fit.model) == (INCONCLUSIVE, "finite-stretch")
+    assert (rep.verdict, rep.rule, rep.evidence) == (
+        INCONCLUSIVE, "finite-stretch", {})
     assert [r.k for r in rep.rows] == [2.0 ** m for m in range(1, rows + 1)]
+
+
+# The four booleans behind a "growth-fit" verdict.
+GROWTH_TESTS = ("monotone", "strong", "sustained", "fit_wins")
 
 
 def test_growth_flat_sweep_is_bounded():
     # Vanishing increments are no growth: the slope rule reads Bounded.
     ks = [2.0 ** m for m in range(1, 15)]
-    verdict, fit = probe.classify_growth(ks, [12.5] * 14)
-    assert (verdict, fit.model) == (BOUNDED, "power")
+    verdict, rule, evidence = probe.classify_growth(ks, [12.5] * 14)
+    assert (verdict, rule) == (BOUNDED, "growth-fit")
+    # The evidence names why: no increment is positive, and no slope is
+    # strong or sustained.
+    assert {k: evidence[k] for k in GROWTH_TESTS} == {
+        "monotone": False, "strong": False, "sustained": False,
+        "fit_wins": False}
+    assert evidence["slopes"] == [0.0] * 7
 
 
 def test_one_fit_matches_two_fit_classifier(grid, gs_cache):
@@ -232,9 +244,9 @@ def test_one_fit_matches_two_fit_classifier(grid, gs_cache):
     for rows in sweeps:
         for m in range(probe.MIN_GROWTH_ROWS, len(rows) + 1):
             ks, js = [r.k for r in rows[:m]], [r.J for r in rows[:m]]
-            verdict, fit = probe.classify_growth(ks, js)
+            verdict, rule, _ = probe.classify_growth(ks, js)
             assert verdict == classify_growth_two_fits(ks, js)[0], (ks, js)
-            assert fit.model == "power"
+            assert rule == "growth-fit"
             compared += 1
     assert compared == 64
 
@@ -244,8 +256,13 @@ def test_growth_late_jump_is_inconclusive():
     # to 30 defeats every fit: neither Divergent nor Bounded.
     ks = [2.0 ** m for m in range(7, 15)]
     js = [10, 10.01, 10.02, 30, 30.01, 30.02, 31.2, 32.5]
-    verdict, _ = probe.classify_growth(ks, js)
-    assert verdict == INCONCLUSIVE
+    verdict, rule, evidence = probe.classify_growth(ks, js)
+    assert (verdict, rule) == (INCONCLUSIVE, "growth-fit")
+    # Only the fit test fails: the power fit's residual is not below half
+    # the constant fit's.
+    assert {k: evidence[k] for k in GROWTH_TESTS} == {
+        "monotone": True, "strong": False, "sustained": True,
+        "fit_wins": False}
 
 
 def test_growth_fit_overflow_is_silent():
@@ -256,9 +273,9 @@ def test_growth_fit_overflow_is_silent():
     js = [10.0 ** (30 * m) for m in range(1, 9)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdict, fit = probe.classify_growth(ks, js)
-    assert (verdict, fit.model) == (DIVERGENT, "power")
-    assert math.isinf(fit.residual)
+        verdict, rule, evidence = probe.classify_growth(ks, js)
+    assert (verdict, rule) == (DIVERGENT, "growth-fit")
+    assert math.isinf(evidence["residual"])
 
 
 def test_pav_projection():

@@ -5,9 +5,9 @@ The quantity of interest is
     S = sup { J(u) : Q(u) <= 1 },    J(u) = int_B exp(4 pi u^2) dx,
 
 which is either finite or +infinity.  This module supplies the standard
-families of trial profiles, sweeps them to collect evidence, and fits the
-growth of J along the sweep to emit a Bounded / Divergent / Inconclusive
-verdict:
+families of trial profiles, sweeps them to collect evidence, and reads
+the growth of J along the sweep from its local slopes to emit a
+Bounded / Divergent / Inconclusive verdict:
 
   * Moser plateau functions m_k, energy-normalized log profiles that
     concentrate at the origin as k grows (the classical extremizing
@@ -68,7 +68,6 @@ SLOPE_DECAY_RATIO = 0.75
 # A log-log slope persistently above this is power growth regardless
 # of a mildly drifting rate.
 STRONG_SLOPE = 0.3
-RESIDUAL_RATIO = 0.5  # power fit's residual against the constant fit's
 # A sweep of fewer rows reads Inconclusive: it has too few slopes to tell
 # growth from saturation.  Divergent also needs the window's last
 # MIN_GROWTH_ROWS increments positive (all four of a five-row sweep).
@@ -98,10 +97,16 @@ def moser_function(grid: RadialGrid, k: int) -> RadialFunction:
         m_k(r) = (2 pi)^(-1/2) * min( sqrt(log k), log(1/r)/sqrt(log k) ).
 
     gradient_norm_sq(m_k) = 1 in the continuum; the sampled profile
-    reproduces it to a few parts in 1e4 on the default grid.
+    reproduces it to a few parts in 1e4 on the default grid.  k runs
+    from 2 to 1/nodes[0] (1e8 on the default grid): beyond that the
+    plateau r < 1/k lies inside the centre cap, and the sampled profile
+    is a truncated log, not m_k.
     """
-    if k < 2:
-        raise InvalidInputError("Moser profile needs k >= 2")
+    k_max = 1.0 / float(grid.nodes[0])
+    if not 2 <= k <= k_max:
+        raise InvalidInputError(
+            f"Moser profile needs 2 <= k <= 1/nodes[0] = {k_max:g}: a larger "
+            f"k puts its plateau inside the grid's centre cap")
     lk = math.log(k)
     r = grid.nodes
     vals = np.minimum(math.sqrt(lk),
@@ -167,15 +172,12 @@ def classify_growth(ks, js) -> tuple[str, str, dict]:
          the last three local slopes d log J / d log k exceed
          STRONG_SLOPE (`strong`), or when the last slope is sustained
          (above MIN_DIVERGENT_SLOPE and SLOPE_DECAY_RATIO times the
-         window's first: `sustained`) and the power fit's residual is
-         below RESIDUAL_RATIO times the constant fit's (`fit_wins`);
-         growth that is not monotone or a slope that is not sustained
-         (the sweep saturates): Bounded ("growth-fit"); anything else:
-         Inconclusive ("growth-fit").
+         window's first: `sustained`); anything else, growth that is
+         not monotone or a slope that collapses (the sweep saturates),
+         Bounded ("growth-fit").
 
-    Only "growth-fit" has evidence here: the power fit J = A k^b
-    (`amplitude`, `exponent`, `residual`), the window's `slopes` and the
-    four tests above.  The other rules' rows show what decided them.
+    Only "growth-fit" has evidence here: the window's `slopes` and the
+    three tests above.  The other rules' rows show what decided them.
     """
     ks = np.asarray(ks, dtype=float)
     js = np.asarray(js, dtype=float)
@@ -185,34 +187,19 @@ def classify_growth(ks, js) -> tuple[str, str, dict]:
         return INCONCLUSIVE, "short", {}
     w = min(FIT_WINDOW, ks.size)
     jw = js[-w:]
-    lk, lj = np.log(ks[-w:]), np.log(np.maximum(jw, 1e-300))
-    slopes = (np.diff(lj) / np.diff(lk)).tolist()
-
-    # Least-squares fit log J = log A + b log k over the window, residuals
-    # in J units.  A sweep that reaches J ~ 1e160 squares to inf: an
-    # infinite residual is a legitimate value (the comparison below orders
-    # it correctly), not a numerical fault, so the overflow is not reported.
-    b, a = np.polyfit(lk, lj, 1)
-    with np.errstate(over="ignore"):
-        const_resid = float(np.sqrt(np.mean((jw - np.mean(jw)) ** 2)))
-        residual = float(np.sqrt(np.mean((jw - np.exp(a + b * lk)) ** 2)))
-
+    slopes = (np.diff(np.log(np.maximum(jw, 1e-300)))
+              / np.diff(np.log(ks[-w:]))).tolist()
     inc = np.diff(jw)
     grow_window = min(MIN_GROWTH_ROWS, len(inc))
     monotone = bool(np.all(inc[-grow_window:] > 0))
     strong = min(slopes[-3:]) > STRONG_SLOPE
     sustained = (slopes[-1] > MIN_DIVERGENT_SLOPE
                  and slopes[-1] > SLOPE_DECAY_RATIO * slopes[0])
-    fit_wins = residual < RESIDUAL_RATIO * max(const_resid, 1e-300)
-    evidence = {"amplitude": math.exp(a), "exponent": float(b),
-                "residual": residual, "slopes": slopes,
-                "monotone": monotone, "strong": strong,
-                "sustained": sustained, "fit_wins": fit_wins}
-    if monotone and (strong or (sustained and fit_wins)):
+    evidence = {"slopes": slopes, "monotone": monotone, "strong": strong,
+                "sustained": sustained}
+    if monotone and (strong or sustained):
         return DIVERGENT, "growth-fit", evidence
-    if not (monotone and sustained):
-        return BOUNDED, "growth-fit", evidence
-    return INCONCLUSIVE, "growth-fit", evidence
+    return BOUNDED, "growth-fit", evidence
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ closed-form stiffness solve must match to roundoff, and the broadcast
 distribution function, which the sorted sweep sums in another order and
 must match to cells * 2^-52 relative.
 The two-fit growth classifier is the probe verdict as it was when an
-exponential fit competed with the power fit and a flat window had its
-own early return; the one-fit classifier must give the same verdict on
-the Moser and ground-state sweeps of the catalogue.
+exponential fit competed with the power fit, a fit's residual could hold
+a sustained slope back, and a flat window had its own early return; the
+slope rule must give the same verdict on the Moser and ground-state
+sweeps of the catalogue.
 Both the Thomas solve and the lambda_p descent copy work on the
 Dirichlet-reduced stiffness built here from the grid's cell geometry,
 not on the package's tridiagonal operator.  The descent copy recomputes
@@ -48,7 +49,7 @@ from tmlab.groundstate import (GroundStateResult, _magnus_propagators,
 from tmlab.potentials import TabulatedPotential
 from tmlab.probe import (BOUNDED, DIVERGENT, FIT_WINDOW, INCONCLUSIVE,
                          MIN_DIVERGENT_SLOPE, MIN_GROWTH_ROWS,
-                         RESIDUAL_RATIO, SLOPE_DECAY_RATIO, STRONG_SLOPE,
+                         SLOPE_DECAY_RATIO, STRONG_SLOPE,
                          LambdaPEstimate, _pav_nonincreasing,
                          estimate_lambda_1)
 from tmlab.radial import (RadialFunction, RadialGrid, exact_sum,
@@ -753,6 +754,11 @@ def estimate_lambda_p_descent(p, grid, seed=0, n_starts=32, iterations=120):
     vals = np.asarray(minima)
     return LambdaPEstimate(best[0], float(np.max(vals) - np.min(vals)),
                            best[1], minima)
+
+
+# The best fit's residual against the constant fit's, below which the
+# two-fit classifier lets a sustained slope read Divergent.
+RESIDUAL_RATIO = 0.5
 
 
 def classify_growth_two_fits(ks, js) -> tuple[str, str, tuple, float]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from profiles import from_callable
 import tmlab
+from tmlab import probe
 from tmlab.cli import COMMANDS, main
 from tmlab.radial import RadialFunction, RadialGrid
 from tmlab.rearrange import MEASURES, rearrange_decreasing
@@ -204,6 +205,43 @@ def test_kmax_pow_bounds_the_ground_state_family(tmp_path, capsys):
                                             range(1, rows + 1)]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--u", "moser:100000000"], 0),
+    (["eval", "--u", "moser:100000001"], 2),
+    (["probe", "--form", "none", "--coeff", "13.2", "--kmax-pow", "26"], 0),
+    (["probe", "--form", "none", "--coeff", "13.2", "--kmax-pow", "27"], 2),
+], ids=["moser-1e8", "moser-1e8+1", "kmax-pow-26", "kmax-pow-27"])
+def test_moser_k_stops_at_the_grid(tmp_path, argv, code):
+    # Past k = 1/nodes[0] (1e8 on the default grid) the plateau lies
+    # inside the centre cap, and the sampled profile is a truncated log:
+    # moser:99999999999999999999999 once read Q = 0.348, and `none` at
+    # coefficient 13.2 > 4 pi (S = inf) read Bounded at --kmax-pow 27.
+    assert run(argv + ["--out", str(tmp_path / "o")]) == code
+
+
+@pytest.mark.parametrize("form, coeff, kmax", [
+    ("constant:5", 4.4 * math.pi, "12"),
+    ("constant:5.7", 4.3 * math.pi, "14"),
+    ("constant:6.4", 5.0 * math.pi, "12"),
+])
+def test_supercritical_sustained_sweep_is_divergent(tmp_path, capsys, form,
+                                                    coeff, kmax):
+    # Above 4 pi S = inf (Moser's sharpness; Q <= |grad u|^2 here).  Each
+    # Moser sweep grows monotone with a sustained, not strong, last slope:
+    # Divergent by the slopes, where a power fit's residual once held it
+    # back as Inconclusive.
+    out = tmp_path / "p.json"
+    assert run(["probe", "--form", form, "--coeff", repr(coeff),
+                "--kmax-pow", kmax, "--format", "json",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "verdict=Divergent\n"
+    data = json.loads(out.read_text())["data"]
+    assert data["rule"] == "growth-fit"
+    assert {k: data["evidence"][k] for k in
+            ("monotone", "strong", "sustained")} == {
+        "monotone": True, "strong": False, "sustained": True}
+
+
 def test_probe_lp_form(tmp_path, capsys):
     assert run(["probe", "--form", "lp:1.0:4", "--family", "moser",
                 "--kmax-pow", "8",
@@ -344,6 +382,14 @@ def test_readme_probe_rules_name_every_model():
     assert set(re.findall(r'\("([a-z-]+)"\)', doc)) == rules
     module_doc = ast.get_docstring(trees[0])
     assert set(re.findall(r'"([a-z-]+)"', module_doc)) == rules
+    # Rule 6 of each list names exactly the evidence keys classify_growth
+    # returns, and each backticked constant it cites is one of
+    # tmlab.probe's.
+    _, _, evidence = probe.classify_growth(probe.K_LADDER, probe.K_LADDER)
+    for text in (listed.split("\n6. ", 1)[1], doc.split("\n  6. ", 1)[1]):
+        cited = set(re.findall(r"`([A-Za-z_]+)`", text))
+        assert {c for c in cited if not c.isupper()} == set(evidence)
+        assert all(hasattr(probe, c) for c in cited if c.isupper()), cited
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
@@ -583,8 +629,6 @@ def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_defect_in_trial_family_exits_3(tmp_path, monkeypatch, capsys):
     # A defect while building a trial profile is no verdict either.
-    import tmlab.probe as probe
-
     def broken(grid, k):
         raise TypeError("defect")
 

@@ -212,8 +212,8 @@ def test_finite_stretch_family_is_inconclusive(grid, spec, rows):
     assert [r.k for r in rep.rows] == [2.0 ** m for m in range(1, rows + 1)]
 
 
-# The four booleans behind a "growth-fit" verdict.
-GROWTH_TESTS = ("monotone", "strong", "sustained", "fit_wins")
+# The three booleans behind a "growth-fit" verdict.
+GROWTH_TESTS = ("monotone", "strong", "sustained")
 
 
 def test_growth_flat_sweep_is_bounded():
@@ -224,16 +224,15 @@ def test_growth_flat_sweep_is_bounded():
     # The evidence names why: no increment is positive, and no slope is
     # strong or sustained.
     assert {k: evidence[k] for k in GROWTH_TESTS} == {
-        "monotone": False, "strong": False, "sustained": False,
-        "fit_wins": False}
+        "monotone": False, "strong": False, "sustained": False}
     assert evidence["slopes"] == [0.0] * 7
 
 
 def test_one_fit_matches_two_fit_classifier(grid, gs_cache):
-    # The power fit alone reads the two-fit reference's verdict on every
-    # prefix of 5 or more rows of the catalogue's sweeps at 4 pi: the
-    # Moser family under each form and the ground-state family of each
-    # potential.
+    # The slope rule alone, with no fit, reads the two-fit reference's
+    # verdict on every prefix of 5 or more rows of the catalogue's sweeps
+    # at 4 pi: the Moser family under each form and the ground-state
+    # family of each potential.
     sweeps = [probe_supremum(parse_form(spec), moser_family(grid)).rows
               for spec in ("none", "constant:2.0", "leray", "gamma:0.5",
                            "wangye", "lp:1.0:4")]
@@ -251,31 +250,28 @@ def test_one_fit_matches_two_fit_classifier(grid, gs_cache):
     assert compared == 64
 
 
-def test_growth_late_jump_is_inconclusive():
-    # Monotone with a sustained last slope (0.059), but the jump from 10
-    # to 30 defeats every fit: neither Divergent nor Bounded.
+def test_growth_late_jump_is_divergent():
+    # Monotone with a sustained last slope (0.059): Divergent.  The jump
+    # from 10 to 30 defeats every fit, and once a power fit's residual
+    # held this sweep back as Inconclusive; the slopes alone decide.
     ks = [2.0 ** m for m in range(7, 15)]
     js = [10, 10.01, 10.02, 30, 30.01, 30.02, 31.2, 32.5]
     verdict, rule, evidence = probe.classify_growth(ks, js)
-    assert (verdict, rule) == (INCONCLUSIVE, "growth-fit")
-    # Only the fit test fails: the power fit's residual is not below half
-    # the constant fit's.
+    assert (verdict, rule) == (DIVERGENT, "growth-fit")
     assert {k: evidence[k] for k in GROWTH_TESTS} == {
-        "monotone": True, "strong": False, "sustained": True,
-        "fit_wins": False}
+        "monotone": True, "strong": False, "sustained": True}
 
 
 def test_growth_fit_overflow_is_silent():
-    # A sweep that reaches J ~ 1e240 (a --coeff above 4 pi can) squares
-    # its residuals to inf: a legitimate value, so no RuntimeWarning, and
-    # the verdict is read as usual.
+    # A sweep that reaches J ~ 1e240 (a --coeff above 4 pi can) raises no
+    # RuntimeWarning, and the verdict is read as usual.
     ks = probe.K_LADDER[:8]
     js = [10.0 ** (30 * m) for m in range(1, 9)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verdict, rule, evidence = probe.classify_growth(ks, js)
     assert (verdict, rule) == (DIVERGENT, "growth-fit")
-    assert math.isinf(evidence["residual"])
+    assert evidence["strong"]
 
 
 def test_pav_projection():

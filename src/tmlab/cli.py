@@ -156,18 +156,15 @@ def cmd_groundstate(args, grid: RadialGrid) -> Output:
     line = f"classification={verdict.classification} ({verdict.detail})"
     gs = verdict.result
     if gs is None:
-        return Output(line, ("r", "phi", "s"),
+        return Output(line, ("r", "phi", "log_s"),
                       footer={"classification": verdict.classification,
                               "detail": verdict.detail})
-    # The s column caps log s at 700 (a vanishing rim value passes it).
     rows = list(zip(grid.nodes.tolist(), gs.phi.values.tolist(),
-                    np.exp(np.minimum(gs.log_s, 700.0)).tolist()))
-    return Output(line, ("r", "phi", "s"), rows,
-                  {"phi_at_1": gs.phi_at_1, "s_at_1": gs.s_at_1,
-                   "log_s_at_1": gs.log_s_at_1,
+                    gs.log_s.tolist()))
+    return Output(line, ("r", "phi", "log_s"), rows,
+                  {"phi_at_1": gs.phi_at_1, "log_s_at_1": gs.log_s_at_1,
                    "classification": verdict.classification,
-                   "kato_ok": gs.kato_ok, "gamma_fit": gs.gamma_fit,
-                   "log_gamma": gs.log_gamma})
+                   "kato_ok": gs.kato_ok, "log_gamma": gs.log_gamma})
 
 
 def cmd_probe(args, grid: RadialGrid) -> Output:

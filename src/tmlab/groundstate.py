@@ -23,22 +23,27 @@ A positive solution induces the coordinate stretch
 
     log s(r) = int_{1/e}^{r} dt / (t phi(t)^2)   ( = int dt/phi^2 in log r ),
 
-which maps the disk onto a disk of radius s(1) = lim_{r->1} s(r).  The
-dichotomy driving everything downstream is whether s(1) is finite:
+which maps the disk onto a disk of radius s(1) = lim_{r->1} s(r).  Whether
+s(1) is finite decides the class of Q_V:
 
-  * s(1) finite: the form is weakly coercive and the constrained
-    exponential supremum is finite;
-  * s(1) infinite: the form has a ground state and the supremum
-    diverges.  phi(1) = 0 forces it: a non-oscillating solution that
-    vanishes at the rim is O(sqrt(1 - r)), so 1/phi^2 is not integrable.
+  * s(1) finite: the form is weakly coercive.  That says nothing about
+    the constrained exponential supremum S: gamma:0.5, the abstract's V,
+    has s(1) = 96.05, yet `probe --form gamma:0.5 --kmax-pow 5` reads
+    Divergent on Moser's family;
+  * s(1) infinite: the form has a ground state, and the gsapprox family
+    (`tmlab.probe.ground_state_family`) turns the divergent stretch into
+    evidence that S diverges.  phi(1) = 0 forces it: a non-oscillating
+    solution that vanishes at the rim is O(sqrt(1 - r)), so 1/phi^2 is
+    not integrable.
 
 Numerically s(1) is classified from the growth of log s over the last
 grid decades in (1 - r): a borderline ground state produces increments
 that stay large decade after decade, a coercive potential produces
 increments collapsing at a geometric rate.  The thresholds are module
-constants and the raw increments are reported for audit.  The stretch
-stays in log space: an s(1) beyond the double range reads inf, and its
-log s(1) stays finite.
+constants and the raw increments are reported for audit.  phi is kept
+as shot, phi(r0) = 1 at the first node r0, for every V, and the stretch
+and its centre fit are kept and reported only as logarithms, log s and
+log gamma, which stay finite where s(1) or gamma leave the double range.
 """
 
 from __future__ import annotations
@@ -68,11 +73,12 @@ KATO_ALPHA = 0.5  # the Kato-class tag's exponent (check_kato)
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """phi and its stretch: log s at the grid nodes (the last entry
-    continued over the final cell), the extrapolated log s(1) (inf when
-    the stretch diverges), log gamma of the centre fit s(r) ~ gamma r
-    and, in diagnostics, the log s increments over the last two
-    (1 - r)-decades."""
+    """phi as shot (phi(r0) = 1 at the first node) and its stretch: log s
+    at the grid nodes (the last entry continued over the final cell), the
+    extrapolated log s(1) (inf when the stretch diverges), log gamma of
+    the centre fit s(r) ~ gamma r and, in diagnostics, the log s
+    increments over the last two (1 - r)-decades.  The stretch and gamma
+    exist only as these logarithms."""
     potential: Potential
     phi: RadialFunction
     kato_ok: bool
@@ -88,19 +94,6 @@ class GroundStateResult:
     @property
     def s_divergent(self) -> bool:
         return math.isinf(self.log_s_at_1)
-
-    @property
-    def gamma_fit(self) -> float:
-        """gamma, 0 below the double range; phi <= 1 keeps log_gamma <= 1."""
-        return math.exp(self.log_gamma)
-
-    @property
-    def s_at_1(self) -> float:
-        """s(1), inf beyond the double range."""
-        try:
-            return math.exp(self.log_s_at_1)
-        except OverflowError:
-            return math.inf
 
 
 @functools.cache
@@ -204,8 +197,9 @@ def _sturm_zero(pot: Potential, mesh: np.ndarray) -> None:
 
 
 def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
-    """Integrate the radial equation across the grid; phi normalized to
-    max 1 (attained at the center for admissible potentials).
+    """Integrate the radial equation across the grid; phi is returned as
+    shot, phi(nodes[0]) = 1 (its maximum for V >= 0; for V < 0 phi grows
+    outward).
 
     The cells are those of `_shooting_mesh`, so a coarse grid is never
     integrated more coarsely than the default one and no cell straddles a
@@ -262,8 +256,8 @@ def shoot(pot: Potential, grid: RadialGrid) -> RadialFunction:
     phi_vals = phis[np.searchsorted(mesh, t_nodes)]
     # Final cell [nodes[-2], 1]: linear continuation in t.
     phi_end = phi_vals[-1] + q * (0.0 - t_nodes[-1])
-    full = np.concatenate([phi_vals, [phi_end]])
-    return RadialFunction(grid, full / np.max(full), dirichlet=False)
+    return RadialFunction(grid, np.concatenate([phi_vals, [phi_end]]),
+                          dirichlet=False)
 
 
 def transform_s(pot: Potential, phi: RadialFunction) -> GroundStateResult:
@@ -273,25 +267,24 @@ def transform_s(pot: Potential, phi: RadialFunction) -> GroundStateResult:
     d(log s)/dt = 1/phi(t)^2 in t = log r, integrated by the trapezoid
     rule outward from r = 1/e; s(1) is declared divergent when the
     log s increments over the last two (1-r)-decades fail to collapse,
-    else extrapolated geometrically.  A phi so small against its maximum
-    that 1/phi^2 overflows raises StepFailureError.
+    else extrapolated geometrically.  phi is positive and finite at every
+    interior node, as `shoot` guarantees; a phi below about 1e-154, for
+    which 1/phi^2 overflows, still raises StepFailureError.
     """
     nodes = phi.grid.nodes
     vals = phi.values
-    if np.any(vals[:-1] <= 0.0):
-        raise NodalSolutionError(nodes[int(np.argmax(vals[:-1] <= 0.0))])
     t = np.log(nodes[:-1])
     with np.errstate(under="ignore", divide="ignore", over="ignore"):
         integ = 1.0 / (vals[:-1] ** 2)
     if not np.isfinite(integ).all():
         i = int(np.argmin(np.isfinite(integ)))
         raise StepFailureError(
-            f"1/phi^2 overflows at r = {nodes[i]:.6g} (phi = {vals[i]:.3g} "
-            "of its maximum): phi spans more than the double range")
+            f"1/phi^2 overflows at r = {nodes[i]:.6g} (phi = {vals[i]:.3g})")
     # Trapezoid increments, summed outward from the anchor t = -1 (r =
     # 1/e) both ways, its cell split at theta (clamped to the end nodes).
-    # A sum from the centre, where 1/phi^2 reaches 1e84 at V = -1e4, less
-    # its value at the anchor would lose the rim's increments.
+    # A sum from the centre, where 1/phi^2 = 1 while it falls to 1e-84 at
+    # the rim at V = -1e4, less its value at the anchor would lose the
+    # rim's increments.
     inc = 0.5 * (integ[1:] + integ[:-1]) * np.diff(t)
     j = min(max(int(np.searchsorted(t, -1.0)) - 1, 0), inc.size - 1)
     theta = min(max((-1.0 - t[j]) / (t[j + 1] - t[j]), 0.0), 1.0)
@@ -358,8 +351,6 @@ def classify_coercivity(pot: Potential, grid: RadialGrid) -> CoercivityResult:
             GROUND_STATE, gs,
             "stretch diverges (log s increment "
             f"{gs.diagnostics['inc_last_decade']:.4g} per decade)")
-    # An s(1) beyond the double range is shown by its logarithm.
-    stretch = (f"s(1) = {gs.s_at_1:.6g}" if math.isfinite(gs.s_at_1)
-               else f"log s(1) = {gs.log_s_at_1:.6g}")
     return CoercivityResult(WEAKLY_COERCIVE, gs,
-                            f"{stretch}, phi(1) = {gs.phi_at_1:.6g}")
+                            f"log s(1) = {gs.log_s_at_1:.6g}, "
+                            f"phi(1) = {gs.phi_at_1:.6g}")

@@ -134,21 +134,21 @@ def disk_extremal() -> tuple[float, float]:
 def negative_constant_log_s1(c: float) -> float:
     """log s(1) of the stretch for V = -c, c > 0, in closed form.
 
-    phi = I_0(sqrt(c) r) / I_0(sqrt(c)) (max 1, at the rim), so
-    log s(1) = int_{1/e}^1 dr / (r phi(r)^2).  With a = sqrt(c) and
-    i0e(x) = e^-x I_0(x), 1/phi^2 = (i0e(a) / i0e(a r))^2 e^(2 a (1 - r));
-    scipy's quad integrates it with e^(2 a (1 - 1/e)) factored out, which
-    stays in range for c < 3e5.
+    phi = I_0(sqrt(c) r) (phi(0) = 1, growing to the rim), so
+    log s(1) = int_{1/e}^1 dr / (r phi(r)^2).  With a = sqrt(c), r0 = 1/e
+    and i0e(x) = e^-x I_0(x), 1/phi^2 = e^(-2 a r) / i0e(a r)^2; scipy's
+    quad integrates e^(-2 a (r - r0)) / (i0e(a r)^2 r), which is at most
+    1 / r0, and e^(-2 a r0) multiplies the result.
     """
     from scipy.integrate import quad
     from scipy.special import i0e
 
     a = math.sqrt(c)
     r0 = math.exp(-1.0)
-    val, _ = quad(lambda r: (i0e(a) / i0e(a * r)) ** 2
-                  * math.exp(-2.0 * a * (r - r0)) / r, r0, 1.0,
+    val, _ = quad(lambda r: math.exp(-2.0 * a * (r - r0))
+                  / (i0e(a * r) ** 2 * r), r0, 1.0,
                   epsabs=0.0, epsrel=1e-12, limit=200)
-    return val * math.exp(2.0 * a * (1.0 - r0))
+    return val * math.exp(-2.0 * a * r0)
 
 
 def lane_emden_lambda_p(p: float) -> float:
@@ -630,13 +630,13 @@ def shoot_rk45(pot, grid, rtol=1e-10, atol=1e-12):
     if np.any(full[:-1] <= 0.0):
         i = int(np.argmax(full[:-1] <= 0.0))
         raise NodalSolutionError(nodes[i])
-    return RadialFunction(grid, full / np.max(full), dirichlet=False)
+    return RadialFunction(grid, full, dirichlet=False)
 
 
 def shoot_recurrence(pot, grid):
     """The cell-by-cell shooter that the prefix product replaced: (phi, q)
     carried through the Magnus cell propagators by a Python loop over
-    the mesh, stopping at the first nonpositive phi."""
+    the mesh from phi(r0) = 1, stopping at the first nonpositive phi."""
     t_nodes = np.log(grid.nodes[:-1])
     mesh = _shooting_mesh(pot, t_nodes)
     entries = _magnus_propagators(pot, mesh)
@@ -660,8 +660,8 @@ def shoot_recurrence(pot, grid):
     phi_vals = np.asarray(phis)[np.searchsorted(mesh, t_nodes)]
     # Final cell [nodes[-2], 1]: linear continuation in t.
     phi_end = phi_vals[-1] + q * (0.0 - t_nodes[-1])
-    full = np.concatenate([phi_vals, [phi_end]])
-    return RadialFunction(grid, full / np.max(full), dirichlet=False)
+    return RadialFunction(grid, np.concatenate([phi_vals, [phi_end]]),
+                          dirichlet=False)
 
 
 def reduced_stiffness(grid):

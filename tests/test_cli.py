@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import negative_constant_log_s1
 from profiles import from_callable
 import tmlab
 from tmlab import probe
@@ -91,14 +92,13 @@ def test_groundstate_verdicts(tmp_path, capsys):
         assert expected in capsys.readouterr().out
         text = out.read_text()
         assert f"classification={expected}" in text
-        assert text.splitlines()[2] == "r,phi,s"
+        assert text.splitlines()[2] == "r,phi,log_s"
         footers = [line[2:].partition("=")[0]
                    for line in text.splitlines()[3:] if line.startswith("# ")]
         assert footers == (["classification", "detail"]
                            if expected == "Indefinite" else
-                           ["phi_at_1", "s_at_1", "log_s_at_1",
-                            "classification", "kato_ok", "gamma_fit",
-                            "log_gamma"])
+                           ["phi_at_1", "log_s_at_1", "classification",
+                            "kato_ok", "log_gamma"])
 
 
 def test_probe_commands(tmp_path, capsys):
@@ -392,6 +392,34 @@ def test_readme_probe_rules_name_every_model():
         assert all(hasattr(probe, c) for c in cited if c.isupper()), cited
 
 
+def test_readme_groundstate_file_names_its_columns(tmp_path, capsys):
+    # The README's gs.csv comment names exactly the columns and footers
+    # that `groundstate` writes, in CSV and in JSON, for a potential with
+    # a stretch and for an Indefinite one.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    comment = readme.split("# gs.csv:", 1)[1].split(")", 1)[0]
+    comment = " ".join(ln.strip(" #") for ln in comment.splitlines())
+    columns, footers, nodal = re.fullmatch(
+        r"columns (\S+) plus footer rows (.*) \(an Indefinite potential "
+        r"has no rows, and its footers are (.*)", comment).groups()
+    names = lambda text: re.findall(r"\w+", text.replace(" and ", ", "))
+    for spec, want in (("leray", names(footers)),
+                       ("constant:12.0", names(nodal))):
+        csv, js = tmp_path / "gs.csv", tmp_path / "gs.json"
+        argv = ["groundstate", "--potential", spec, "--grid-n", "256"]
+        assert run(argv + ["--out", str(csv)]) == 0
+        assert run(argv + ["--out", str(js), "--format", "json"]) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[2] == columns, spec
+        assert [ln[2:].partition("=")[0] for ln in lines[3:]
+                if ln.startswith("# ")] == want, spec
+        data = json.loads(js.read_text())["data"]
+        assert all(sorted(row) == sorted(columns.split(","))
+                   for row in data["rows"]), spec
+        assert sorted(data.keys() - {"rows"}) == sorted(want), spec
+    capsys.readouterr()
+
+
 def test_readme_examples_run(tmp_path, monkeypatch):
     # Every command of the README's command-line block, on a small grid,
     # in a directory holding the profile.csv it reads.
@@ -536,18 +564,29 @@ def test_integrator_failure_is_numerical(tmp_path, monkeypatch, capsys):
     assert "non-finite propagator" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["constant:-1e6", "constant:-2e5"])
+@pytest.mark.parametrize("spec", ["constant:-1e6"])
 def test_overflowing_shot_is_numerical(tmp_path, capsys, spec):
-    # phi grows like I_0(sqrt(-c) r).  At -1e6 it overflows: the NaN
-    # profile once exited 2 as bad input.  At -2e5 phi/max phi underflows
-    # near the centre: the stretch once read nan with exit 0 and a
-    # WeaklyCoercive verdict.  Both are numerical failures now.
+    # phi grows like I_0(sqrt(-c) r) and overflows at -1e6: the NaN
+    # profile once exited 2 as bad input.  A numerical failure now.
     out = tmp_path / "gs.csv"
     assert run(["groundstate", "--potential", spec, "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert "overflows" in captured.err
     assert "classification" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["constant:-2e5", "constant:-4e5"])
+def test_strongly_negative_constant_is_weakly_coercive(tmp_path, capsys,
+                                                       spec):
+    # phi(1) = I_0(sqrt(-c)) reaches 7.5e272 at -4e5, yet phi as shot
+    # starts at 1, so 1/phi^2 stays in range (-2e5 once exited 3 when phi
+    # was divided by its maximum, which made 1/phi^2 overflow at the
+    # centre).
+    out = tmp_path / "gs.csv"
+    assert run(["groundstate", "--potential", spec, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "classification=WeaklyCoercive (log s(1) = ")
 
 
 def test_stretch_beyond_double_range_reads_in_log(tmp_path, capsys):
@@ -559,22 +598,37 @@ def test_stretch_beyond_double_range_reads_in_log(tmp_path, capsys):
     assert line.startswith("classification=WeaklyCoercive (log s(1) = ")
     footer = dict(ln[2:].split("=", 1) for ln in out.read_text().splitlines()
                   if ln.startswith("# ") and "=" in ln)
-    assert footer["s_at_1"] == "inf"
     log_s = float(footer["log_s_at_1"])
     assert 709.8 < log_s < math.inf
     assert f"log s(1) = {log_s:.6g}," in line
 
 
-def test_centre_fit_below_double_range_reads_in_log(tmp_path, capsys):
-    # gamma = exp(-499851) underflows; its logarithm does not (the
-    # footer once read gamma_fit=0 alone).
+def test_negative_constant_reads_phi_as_shot(tmp_path, capsys):
+    # phi(0) = 1 for every V: for V = -50, phi = I_0(sqrt(50) r) grows to
+    # 180 at the rim, and the stretch stays continuous through V = 0
+    # (s(1) < e).  Divided by its maximum, phi once gave log gamma =
+    # -499851 and s(1) = 1e219.
     out = tmp_path / "gs.csv"
     assert run(["groundstate", "--potential", "constant:-50",
                 "--out", str(out)]) == 0
-    footer = dict(ln[2:].split("=", 1) for ln in out.read_text().splitlines()
+    lines = out.read_text().splitlines()
+    footer = dict(ln[2:].split("=", 1) for ln in lines
                   if ln.startswith("# ") and "=" in ln)
-    assert footer["gamma_fit"] == "0"
-    assert -5.0e5 < float(footer["log_gamma"]) < -4.9e5
+    assert lines[3].split(",")[1] == "1"
+    assert float(footer["log_s_at_1"]) == pytest.approx(
+        negative_constant_log_s1(50.0), rel=1e-3)
+    assert float(footer["log_gamma"]) == pytest.approx(1.856, abs=1e-3)
+
+
+def test_short_stretch_gives_gsapprox_no_rows(tmp_path, capsys):
+    # log s(1) = 0.0156 for V = -50, below 2 log 2: no k >= 2 has its
+    # ramp end k^2 within the stretch.
+    out = tmp_path / "probe.json"
+    assert run(["probe", "--form", "constant:-50", "--family", "gsapprox",
+                "--out", str(out), "--format", "json"]) == 0
+    assert capsys.readouterr().out.strip() == "verdict=Inconclusive"
+    data = json.loads(out.read_text())["data"]
+    assert data["rule"] == "finite-stretch" and data["rows"] == []
 
 
 # The p-th powers of ||u||_p at p = 1e300 overflow (max |u| > 1) or all
@@ -851,7 +905,8 @@ def _reject_constant(name):
     (["probe", "--form", "none", "--coeff", "2000"],
      lambda d: d["rows"][-1]["J"] == "inf"),  # an overflowing sweep
     # These once wrote CSV under --format json ...
-    (["groundstate", "--potential", "leray"], lambda d: d["s_at_1"] == "inf"),
+    (["groundstate", "--potential", "leray"],
+     lambda d: d["log_s_at_1"] == "inf"),
     (["groundstate", "--potential", "constant:12.0"],
      lambda d: d["classification"] == "Indefinite" and d["rows"] == []),
     (["rearrange", "--u", "moser:8"], lambda d: len(d["rows"]) > 1),

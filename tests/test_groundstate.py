@@ -57,7 +57,7 @@ def test_leray_ground_state_closed_form():
 def test_transform_zero_potential(gs_cache, grid):
     gs = gs_cache["zero"]
     assert np.max(np.abs(np.exp(gs.log_s) - math.e * grid.nodes)) < 1e-6
-    assert gs.s_at_1 == pytest.approx(math.e, abs=1e-6)
+    assert math.exp(gs.log_s_at_1) == pytest.approx(math.e, abs=1e-6)
     # anchored: log s(1/e) = 0, with 1/e at log r = -1
     log_r = np.log(gs.phi.grid.nodes)
     assert np.interp(-1.0, log_r, gs.log_s) == pytest.approx(0.0, abs=1e-12)
@@ -66,7 +66,7 @@ def test_transform_zero_potential(gs_cache, grid):
 def test_transform_leray_divergent(gs_cache):
     gs = gs_cache["leray"]
     assert gs.s_divergent
-    assert math.isinf(gs.s_at_1)
+    assert gs.log_s_at_1 == math.inf
     # borderline pattern: log s keeps gaining ~const per decade of 1 - r
     assert gs.diagnostics["inc_last_decade"] > 0.2
 
@@ -74,7 +74,7 @@ def test_transform_leray_divergent(gs_cache):
 def test_transform_constant_finite(gs_cache):
     gs = gs_cache["const2"]
     assert not gs.s_divergent
-    assert math.isfinite(gs.s_at_1)
+    assert math.isfinite(math.exp(gs.log_s_at_1))
     # anchored: log s(1/e) = 0, with 1/e at log r = -1
     log_r = np.log(gs.phi.grid.nodes)
     assert np.interp(-1.0, log_r, gs.log_s) == pytest.approx(0.0, abs=1e-12)
@@ -85,21 +85,22 @@ def test_stretch_invariants_weakly_coercive(gs_cache, grid):
         gs = gs_cache[key]
         s = np.exp(gs.log_s)
         assert np.all(np.diff(s) > 0), key
-        assert gs.gamma_fit > 0, key
+        assert math.isfinite(gs.log_gamma), key
         # s(r) <= r s(1): the stretch rate 1/(r phi^2) dominates 1/r, so
         # s grows relatively faster than r and the ratio peaks at the rim
-        if math.isfinite(gs.s_at_1):
-            assert np.all(s[:-1] <= grid.nodes[:-1] * gs.s_at_1 * (1 + 1e-9)), key
+        if math.isfinite(gs.log_s_at_1):
+            bound = np.log(grid.nodes[:-1]) + gs.log_s_at_1 + 1e-9
+            assert np.all(gs.log_s[:-1] <= bound), key
 
 
 def test_centre_fit_in_log_space(gs_cache, grid):
     # exp(median(log s - log r)) moves the linear-domain median of s / r
     # by at most 1e-11 relative (an even count's midpoint average), and
-    # log s(r) <= 1 + log r near the centre since phi <= 1.
+    # log s(r) <= 1 + log r near the centre since phi <= 1 for V >= 0.
     small = grid.nodes <= grid.nodes[0] * 10.0
     for key, gs in gs_cache.items():
         linear = np.median(np.exp(gs.log_s[small]) / grid.nodes[small])
-        assert gs.gamma_fit == pytest.approx(linear, rel=1e-11), key
+        assert math.exp(gs.log_gamma) == pytest.approx(linear, rel=1e-11), key
         assert gs.log_gamma <= 1.0, key
 
 
@@ -171,8 +172,9 @@ def test_stretch_alone_gives_every_reading(n):
     # vanishing rim value forces it.  Over the catalogue no finite
     # stretch comes with phi(1) <= 1e-6, save constants within about
     # 1.5e-6 of lambda_1 from below: coercive forms (c < lambda_1) whose
-    # log s(1) exceeds 4e5.  They read WeaklyCoercive with s(1) = inf
-    # (they once overflowed, so no rim threshold ever decided them).
+    # log s(1) exceeds 4e5, s(1) far beyond the double range.  They read
+    # WeaklyCoercive (they once overflowed, so no rim threshold ever
+    # decided them).
     grid = RadialGrid.default(n)
     band = [LAMBDA_1 * (1.0 - eps) for eps in (1e-6, 5e-7)]
     constants = [*np.linspace(0.0, 5.7, 12), *np.linspace(5.7, 5.783, 8),
@@ -190,7 +192,7 @@ def test_stretch_alone_gives_every_reading(n):
         if gs.phi_at_1 <= 1e-6 and not gs.s_divergent:
             assert pot.lam in band, pot
             assert res.classification == WEAKLY_COERCIVE
-            assert gs.s_at_1 == math.inf
+            assert 4e5 < gs.log_s_at_1 < math.inf
 
 
 def test_large_gamma_damping_underflows_quietly(grid):
@@ -408,33 +410,39 @@ def test_shoot_matches_recurrence_nodal_radius(grid):
                                                  rel=1e-12), pot
 
 
-@pytest.mark.parametrize("c", [1e2, 1e3, 3e3, 1e4])
+@pytest.mark.parametrize("c", [1e2, 1e3, 3e3, 1e4, 1e5])
 def test_negative_constant_stretch_matches_bessel(grid, c):
-    # For V = -c, 1/phi^2 at the centre is about I_0(sqrt c)^2 (1e84 at
-    # c = 1e4), far above its values near the rim, which log s(1) sums;
-    # only the grid error may remain.
+    # For V = -c, phi = I_0(sqrt(c) r) and 1/phi^2 falls from 1 at the
+    # centre to 1e-84 at the rim at c = 1e4: log s(1) is tiny, and only
+    # the grid error may remain, which grows like c (4.2e-3 at c = 1e4
+    # and 4.1e-2 at 1e5 for n = 16384).
     exact = negative_constant_log_s1(c)
     pot = ConstantPotential(-c)
-    for g, rel in ((grid, 0.1), (RadialGrid.default(16384), 5e-3)):
+    ladder = [(RadialGrid.default(16384), 5e-7 * c)]
+    if c <= 1e4:
+        ladder.append((grid, 0.1))
+    for g, rel in ladder:
         gs = transform_s(pot, shoot(pot, g))
         assert gs.log_s_at_1 == pytest.approx(exact, rel=rel), len(g)
 
 
 @pytest.mark.parametrize("lam, where", [(-1e6, "shoot"),
-                                        (-2e5, "transform_s")])
+                                        (0.0, "transform_s")])
 def test_overflowing_phi_is_step_failure(grid, lam, where):
-    # phi(1)/phi(0) ~ I_0(sqrt(-lam)): e^1000 overflows the shot itself;
-    # at e^447 phi/max phi ~ 3e-193 near the centre, and 1/phi^2 does.
+    # phi(1) ~ I_0(sqrt(-lam)) = e^1000 overflows the shot itself.  No
+    # catalogue shot comes near the 1/phi^2 overflow, so transform_s's
+    # check reads a hand-built phi with a value of 1e-160.
     pot = ConstantPotential(lam)
     if where == "shoot":
         with pytest.raises(StepFailureError, match="overflows"):
             shoot(pot, grid)
-    else:
-        phi = shoot(pot, grid)
         with pytest.raises(StepFailureError, match="overflows"):
-            transform_s(pot, phi)
-    with pytest.raises(StepFailureError, match="overflows"):
-        classify_coercivity(pot, grid)
+            classify_coercivity(pot, grid)
+    else:
+        vals = np.ones(grid.nodes.size)
+        vals[grid.nodes.size // 2] = 1e-160
+        with pytest.raises(StepFailureError, match="1/phi\\^2 overflows"):
+            transform_s(pot, RadialFunction(grid, vals, dirichlet=False))
 
 
 @pytest.mark.parametrize("c", [6.4e25, 7e25, 1e26, 1e27, 1e30, 1e308])
